@@ -26,7 +26,7 @@ from .errors import (
 )
 from .equiv import bfs_witness, realize_knot, realize_link, s_equivalent
 from .errors import BudgetExceeded, StaleSite
-from .invariants import KnotProfile, LinkProfile, profile
+from .invariants import KnotProfile, linking_data, profile
 from .moves import apply_move, random_walk, site_from_text, site_to_text
 from .normal_form import build_knot_form, build_link_form, canonical_form
 
@@ -95,11 +95,10 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_normalize(args, out) -> int:
     G = _load(args.file)
-    pr = profile(G)
-    if isinstance(pr, LinkProfile) and pr.lam < 0:
+    if G.mu == 2 and linking_data(G)[2] < 0:
         print("note: components swapped (lambda < 0)", file=out)
         G = swap_components(G)
-        pr = profile(G)
+    pr = profile(G)
     sf = canonical_form(pr)
     if isinstance(pr, KnotProfile):
         print(f"a: {_fmt_table(sf.a)}", file=out)

@@ -28,6 +28,7 @@ __all__ = [
     "TERMINAL",
     "Endpoint",
     "GaussDiagram",
+    "arc_sums",
     "parse_gauss_code",
     "serialize",
     "detect_shells",
@@ -142,21 +143,13 @@ class GaussDiagram:
         """Endpoint-sign sum strictly between the chord's initial and
         terminal endpoints, walking the circle in its orientation.
 
-        Meaningful for self-chords; this is the raw index computation shared
-        by the knot and link index functions.
+        Meaningful for self-chords; read from :func:`arc_sums`, the one index
+        computation shared by the knot and link index functions.
         """
-        ci, pi = self.locate(chord, INITIAL)
-        ct, pt = self.locate(chord, TERMINAL)
+        ci, ct = self.chord_circles(chord)
         if ci != ct:
             raise NotASelfChord(f"chord {chord!r} is not a self-chord")
-        word = self.circles[ci]
-        n = len(word)
-        total = 0
-        p = (pi + 1) % n
-        while p != pt:
-            total += self.endpoint_sign(word[p])
-            p = (p + 1) % n
-        return total
+        return arc_sums(self.circles[ci], self.signs)[chord]
 
     def circle_sign_sum(self, circle: int) -> int:
         return sum(self.endpoint_sign(ep) for ep in self.circles[circle])
@@ -170,6 +163,36 @@ class GaussDiagram:
         words = " | ".join(" ".join(ep.token() for ep in w) or "-"
                            for w in self.circles)
         return f"<GaussDiagram mu={self.mu} chords={len(self.signs)} {words}>"
+
+
+def arc_sums(word: Word, signs: Mapping[str, int]) -> dict[str, int]:
+    """Arc sum of every chord with both endpoints in ``word``: the
+    endpoint-sign sum strictly between its initial and terminal endpoint,
+    walking the circle in its orientation.
+
+    One pass keeps the running prefix sum ``run`` of endpoint signs.  An arc
+    from the initial to a later terminal endpoint sums to the prefix at the
+    terminal minus the prefix just after the initial; an arc that wraps past
+    the basepoint (terminal first) adds the circle total to that difference.
+    """
+    out: dict[str, int] = {}
+    after_initial: dict[str, int] = {}
+    at_terminal: dict[str, int] = {}
+    run = 0
+    for chord, kind in word:
+        if kind == TERMINAL:
+            if chord in after_initial:
+                out[chord] = run - after_initial.pop(chord)
+            else:
+                at_terminal[chord] = run
+            run += signs[chord]
+        else:
+            run -= signs[chord]
+            after_initial[chord] = run
+    for chord, start in after_initial.items():
+        if chord in at_terminal:
+            out[chord] = run - start + at_terminal[chord]
+    return out
 
 
 # -- text format -----------------------------------------------------------

@@ -28,8 +28,8 @@ from .errors import (
     NotRealizable,
     UnsupportedComponentCount,
 )
-from .invariants import LinkProfile, profile, self_writhe_tables
-from .moves import MoveSite, apply_move, find_move_sites
+from .invariants import LinkProfile, linking_data, profile, self_writhe_tables
+from .moves import _GROWTH, MoveSite, apply_move, find_move_sites
 from .normal_form import build_knot_form, build_link_diagram
 
 __all__ = [
@@ -66,13 +66,14 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     if G.mu != 2:
         raise UnsupportedComponentCount(
             f"equivalence is decided for 1 or 2 circles, not {G.mu}")
-    pg, ph = profile(G), profile(H)
-    if pg.lam != ph.lam:
+    lam, lam_h = linking_data(G)[2], linking_data(H)[2]
+    if lam != lam_h:
         return Verdict(
-            False, f"virtual linking number mismatch: {pg.lam} vs {ph.lam}")
-    if pg.lam < 0:
+            False, f"virtual linking number mismatch: {lam} vs {lam_h}")
+    if lam < 0:
         # relabelling both components commutes with every move
-        return s_equivalent(swap_components(G), swap_components(H))
+        G, H = swap_components(G), swap_components(H)
+    pg, ph = profile(G), profile(H)
     if (pg.lk12, pg.lk21) != (ph.lk12, ph.lk21):
         return Verdict(
             False, "linking number mismatch: "
@@ -370,7 +371,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
         for idx in frontier:
             diagram = nodes[idx][0]
             for kind in _EXPANSION_ORDER:
-                if len(diagram) + _growth(kind) > chord_cap:
+                if len(diagram) + _GROWTH.get(kind, 0) > chord_cap:
                     continue
                 for site in find_move_sites(diagram, kind):
                     child = apply_move(diagram, site)
@@ -396,7 +397,3 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
             return None
         frontier = nxt
     return None
-
-
-def _growth(kind: str) -> int:
-    return {"R1_insert": 1, "R2_insert": 2, "S2_insert": 2}.get(kind, 0)

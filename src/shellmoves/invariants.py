@@ -5,6 +5,10 @@ initial to its terminal endpoint.  Nonself chords are indexed relative to a
 reference nonself chord gamma0 by first merging the two circles along gamma0;
 different choices of gamma0 twist the resulting index polynomials by
 (t^k, t^-k), so only the twist class is recorded.
+
+Every index comes from :func:`~shellmoves.diagram.arc_sums`, one prefix-sum
+pass per circle (or per merged circle), so :func:`profile` runs in time
+linear in the chord count.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
-from .diagram import GaussDiagram, surgery
+from .diagram import GaussDiagram, arc_sums, surgery
 from .errors import NotANonselfChord, UnsupportedComponentCount
 
 __all__ = [
@@ -67,15 +71,19 @@ def _add(table: dict[int, int], n: int, sign: int) -> None:
 def writhe_tables(G: GaussDiagram) -> dict[int, int]:
     """n -> signed count of chords of index n, for a one-circle diagram."""
     G.require_mu(1)
+    index = arc_sums(G.circles[0], G.signs)
     out: dict[int, int] = {}
-    for cid in G.signs:
-        _add(out, G.arc_sign_sum(cid), G.signs[cid])
+    for cid, sign in G.signs.items():
+        _add(out, index[cid], sign)
     return out
 
 
 def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
     """W(t) = sum_{n != 0} J_n t^n - sum_{n != 0} J_n."""
-    J = writhe_tables(G)
+    return _writhe_polynomial(writhe_tables(G))
+
+
+def _writhe_polynomial(J: dict[int, int]) -> LaurentPoly:
     terms = {n: v for n, v in J.items() if n != 0}
     total = sum(terms.values())
     return LaurentPoly(terms) - LaurentPoly.const(total)
@@ -84,12 +92,15 @@ def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
 def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], dict[int, int]]:
     """Index tables of the self-chords on each circle of a 2-circle diagram."""
     G.require_mu(2)
+    index1 = arc_sums(G.circles[0], G.signs)
+    index2 = arc_sums(G.circles[1], G.signs)
     t1: dict[int, int] = {}
     t2: dict[int, int] = {}
-    for cid in G.signs:
-        ci, ct = G.chord_circles(cid)
-        if ci == ct:
-            _add(t1 if ci == 0 else t2, G.arc_sign_sum(cid), G.signs[cid])
+    for cid, sign in G.signs.items():
+        if cid in index1:
+            _add(t1, index1[cid], sign)
+        elif cid in index2:
+            _add(t2, index2[cid], sign)
     return t1, t2
 
 
@@ -101,14 +112,14 @@ def nonself_writhe_tables(G: GaussDiagram, gamma0: str
     if G.is_self_chord(gamma0):
         raise NotANonselfChord(f"chord {gamma0!r} is a self-chord")
     merged = surgery(G, gamma0)
+    index = arc_sums(merged.circles[0], merged.signs)
+    index[gamma0] = 0
     t12: dict[int, int] = {}
     t21: dict[int, int] = {}
-    for cid in G.signs:
+    for cid, sign in G.signs.items():
         typ = G.chord_type(cid)
-        if typ is None:
-            continue
-        idx = 0 if cid == gamma0 else merged.arc_sign_sum(cid)
-        _add(t12 if typ == (1, 2) else t21, idx, G.signs[cid])
+        if typ is not None:
+            _add(t12 if typ == (1, 2) else t21, index[cid], sign)
     return t12, t21
 
 
@@ -140,11 +151,13 @@ def linking_class(G: GaussDiagram) -> LinkingClass:
     Independent of the reference chord: changing it multiplies the two
     polynomials by t^k and t^-k, which the class quotients away.
     """
-    _, _, lam = linking_data(G)
+    G.require_mu(2)
     gamma0 = _first_nonself(G)
     if gamma0 is None:
         return gamma_class(0, LaurentPoly(), LaurentPoly())
     t12, t21 = nonself_writhe_tables(G, gamma0)
+    # the tables' signed counts are Lk(K1,K2) and Lk(K2,K1)
+    lam = sum(t12.values()) - sum(t21.values())
     return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
 
 
@@ -212,7 +225,7 @@ def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
         J = writhe_tables(G)
         n_writhes = {n: v for n, v in J.items() if n != 0}
         odd = sum(v for n, v in n_writhes.items() if n % 2)
-        return KnotProfile(writhe_polynomial(G), n_writhes, odd)
+        return KnotProfile(_writhe_polynomial(J), n_writhes, odd)
     if G.mu != 2:
         raise UnsupportedComponentCount(
             f"profiles cover 1 or 2 circles, not {G.mu}")

@@ -101,11 +101,16 @@ def _delete_positions(word, positions):
     return tuple(ep for i, ep in enumerate(word) if i not in drop)
 
 
+def _word(G: GaussDiagram, c: int) -> tuple[Endpoint, ...]:
+    """Word of circle ``c`` (0-based); StaleSite naming it 1-based, as in
+    trace text, when the diagram has no such circle."""
+    if not 0 <= c < G.mu:
+        raise StaleSite(f"no circle {c + 1}")
+    return G.circles[c]
+
+
 def _pair(G: GaussDiagram, c: int, p: int) -> tuple[Endpoint, Endpoint]:
-    try:
-        word = G.circles[c]
-    except IndexError:
-        raise StaleSite(f"no circle {c}") from None
+    word = _word(G, c)
     if not word:
         raise StaleSite("empty circle")
     return word[p % len(word)], word[(p + 1) % len(word)]
@@ -149,8 +154,7 @@ def _apply_r1_insert(G, site):
     (c, g), = site.anchors
     sgn, order = site.params
     eps = _sgn(sgn)
-    _check(0 <= c < G.mu, "bad circle")
-    word = G.circles[c]
+    word = _word(G, c)
     _check(0 <= g <= len(word), "bad gap")
     cid, = _fresh_ids(G, 1)
     pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
@@ -191,8 +195,7 @@ def _apply_r2_insert(G, site):
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
     for c, g in site.anchors:
-        _check(0 <= c < G.mu, "bad circle")
-        _check(0 <= g <= len(G.circles[c]), "bad gap")
+        _check(0 <= g <= len(_word(G, c)), "bad gap")
     x, y = _fresh_ids(G, 2)
     head = [Endpoint(x, INITIAL), Endpoint(y, INITIAL)]
     tail = [Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)]
@@ -316,7 +319,7 @@ def _apply_r3(G, site):
 
 def _apply_s1(G, site):
     (c, p), = site.anchors
-    word = G.circles[c]
+    word = _word(G, c)
     n = len(word)
     _check(n >= 3, "word too short for a shell")
     p %= n
@@ -366,7 +369,7 @@ def _apply_s2_insert(G, site):
 
 def _apply_s2_delete(G, site):
     (c, p), = site.anchors
-    word = G.circles[c]
+    word = _word(G, c)
     n = len(word)
     _check(n >= 6, "word too short")
     p %= n
@@ -637,9 +640,12 @@ def site_from_text(line: str) -> MoveSite:
         if ":" in tok and not params:
             c, _, p = tok.partition(":")
             try:
-                anchors.append((int(c) - 1, int(p)))
+                circle, pos = int(c), int(p)
             except ValueError:
                 raise ValueError(f"bad anchor {tok!r}") from None
+            if circle < 1:
+                raise ValueError(f"bad anchor {tok!r}: circles count from 1")
+            anchors.append((circle - 1, pos))
         else:
             params.append(tok)
     return MoveSite(kind, tuple(anchors), tuple(params))

@@ -164,6 +164,28 @@ def test_replay_rejects_bad_trace(files):
     assert code == 65
 
 
+def test_replay_rejects_circle_zero(files, capsys):
+    # circle 0 once became circle -1 through negative indexing
+    a = files("a.gd", FREE)
+    code, out = run("replay", a, files("t.tr", "R1_delete @ 0:0\n"))
+    assert code == 65 and out == ""
+    assert "circles count from 1" in capsys.readouterr().err
+
+
+def test_replay_rejects_missing_circle_without_traceback(files, capsys):
+    a = files("a.gd", FREE)
+    code, out = run("replay", a, files("t.tr", "S1 @ 5:1\n"))
+    assert code == 65 and out == ""
+    assert "no circle 5" in capsys.readouterr().err
+
+
+def test_replay_names_missing_circle_one_based(files, capsys):
+    a = files("a.gd", FREE)
+    code, _ = run("replay", a, files("t.tr", "R1_delete @ 2:0\n"))
+    assert code == 65
+    assert "no circle 2" in capsys.readouterr().err
+
+
 def test_fmt_canonicalizes_whitespace(files):
     messy = "circles:   1\nchord   g   +\ncircle 1:    g<    g>   # hi\n"
     path = files("m.gd", messy)
