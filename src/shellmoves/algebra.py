@@ -33,10 +33,6 @@ class LaurentPoly:
         self._terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
     @classmethod
-    def t_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
-
-    @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
@@ -75,12 +71,6 @@ class LaurentPoly:
         if k == 0:
             return self
         return LaurentPoly((e + k, c) for e, c in self._terms)
-
-    def reduce_mod(self, s: int) -> "LaurentPoly":
-        """Image in Z[t, 1/t] / (t^s - 1): exponents folded into 0..s-1."""
-        if s <= 0:
-            return self
-        return LaurentPoly((e % s, c) for e, c in self._terms)
 
     def vector(self, s: int) -> tuple[int, ...]:
         """Length-s coefficient vector of the reduction mod t^s - 1."""

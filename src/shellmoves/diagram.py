@@ -54,7 +54,12 @@ Word = tuple[Endpoint, ...]
 
 
 class GaussDiagram:
-    """Immutable Gauss diagram. Use :func:`parse_gauss_code` or the builders."""
+    """Immutable Gauss diagram. Use :func:`parse_gauss_code` or the builders.
+
+    The endpoint index behind :meth:`locate` is built on first use, so a
+    diagram made with ``validate=False`` (as moves make them) costs only the
+    copies of its signs and words until it is queried.
+    """
 
     __slots__ = ("signs", "circles", "_where")
 
@@ -63,17 +68,23 @@ class GaussDiagram:
         object.__setattr__(self, "signs", dict(signs))
         object.__setattr__(self, "circles",
                            tuple(tuple(w) for w in circles))
+        if validate:
+            self._index(validate=True)
+            self._validate()
+
+    def _index(self, validate: bool = False
+               ) -> dict[str, dict[str, tuple[int, int]]]:
+        """Build and store chord -> kind -> (circle, position)."""
         where: dict[str, dict[str, tuple[int, int]]] = {}
         for ci, word in enumerate(self.circles):
             for pos, ep in enumerate(word):
-                where.setdefault(ep.chord, {})
-                if validate and ep.kind in where[ep.chord]:
+                spots = where.setdefault(ep.chord, {})
+                if validate and ep.kind in spots:
                     raise DuplicateEndpoint(
                         f"chord {ep.chord!r} has two {ep.kind!r} endpoints")
-                where[ep.chord][ep.kind] = (ci, pos)
+                spots[ep.kind] = (ci, pos)
         object.__setattr__(self, "_where", where)
-        if validate:
-            self._validate()
+        return where
 
     def _validate(self) -> None:
         if not self.circles:
@@ -106,7 +117,11 @@ class GaussDiagram:
     def locate(self, chord: str, kind: str) -> tuple[int, int]:
         """(circle index, position) of one endpoint of ``chord``."""
         try:
-            return self._where[chord][kind]
+            where = self._where
+        except AttributeError:
+            where = self._index()
+        try:
+            return where[chord][kind]
         except KeyError:
             raise UnknownChordId(f"no chord {chord!r}") from None
 
@@ -374,44 +389,127 @@ def swap_components(G: GaussDiagram) -> GaussDiagram:
 # -- isomorphism ---------------------------------------------------------------
 
 
-def canonical_key(G: GaussDiagram):
-    """Rotation- and renaming-invariant key: circles in order, each rotated
-    so the tuple of (first-occurrence chord index, kind, sign) tokens is
-    lexicographically minimal, with the renaming shared across circles.
+def _circle_codes(word: Word, signs: Mapping[str, int],
+                  names: Mapping[str, int]) -> tuple[list[int], list[int]]:
+    """One int per endpoint of ``word``, and the positions of the endpoints
+    whose chord leads to a later circle.
 
-    A circle may have several minimizing rotations that name the chords
-    differently; all of them are carried forward, as they can lead to
-    different (and possibly smaller) words on the later circles.
+    The code is ``4 * v + 2 * terminal + positive`` with ``v`` = 2 * offset
+    to the partner endpoint (mod the word length) for a chord with both
+    endpoints here, 2 * name + 1 for a chord named on an earlier circle, and
+    0 for a chord whose other endpoint lies on a later circle.
     """
-    contexts: list[tuple[dict[str, int], int, tuple]] = [({}, 0, ())]
-    for word in G.circles:
-        n = len(word)
-        if n == 0:
-            contexts = [(ren, nxt, acc + ((),)) for ren, nxt, acc in contexts]
+    n = len(word)
+    codes = [0] * n
+    open_at: dict[str, int] = {}
+    for k, (chord, kind) in enumerate(word):
+        low = (2 if kind == TERMINAL else 0) + (signs[chord] > 0)
+        name = names.get(chord)
+        if name is not None:
+            codes[k] = 8 * name + 4 + low
             continue
-        best_acc: tuple | None = None
-        survivors: dict[tuple, tuple[dict[str, int], int, tuple]] = {}
-        for ren, nxt, acc in contexts:
-            for r in range(n):
-                ren2 = dict(ren)
-                cnt = nxt
-                toks = []
-                for k in range(n):
-                    ep = word[(r + k) % n]
-                    idx = ren2.get(ep.chord)
-                    if idx is None:
-                        idx = ren2[ep.chord] = cnt
-                        cnt += 1
-                    toks.append((idx, ep.kind, G.signs[ep.chord]))
-                key = acc + (tuple(toks),)
-                if best_acc is None or key < best_acc:
-                    best_acc = key
-                    survivors = {}
-                if key == best_acc:
-                    survivors.setdefault(tuple(sorted(ren2.items())),
-                                         (ren2, cnt, key))
+        j = open_at.pop(chord, None)
+        if j is None:
+            open_at[chord] = k
+            codes[k] = low
+        else:
+            codes[j] += 8 * (k - j)
+            codes[k] = 8 * (n - k + j) + low
+    return codes, list(open_at.values())
+
+
+def _least_rotation(s: list[int]) -> int:
+    """Start of the lexicographically least rotation of ``s`` (the smallest
+    such start), by the two-pointer minimum-rotation scan in O(n)."""
+    n = len(s)
+    d = s + s
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = d[i + k], d[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+def _period(s: tuple[int, ...]) -> int:
+    """Least p > 0 such that rotating ``s`` by p gives ``s`` (KMP failure
+    function: the least linear period, if it divides the length)."""
+    n = len(s)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and s[i] != s[k]:
+            k = fail[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[-1]
+    return p if n % p == 0 else n
+
+
+def canonical_key(G: GaussDiagram):
+    """Rotation- and renaming-invariant key, in time linear in the chord
+    count of each circle.
+
+    Circles are taken in order.  Each endpoint of a circle becomes one int
+    (see :func:`_circle_codes`) from its kind, its chord's sign and either
+    the offset to its partner endpoint (a chord with both endpoints on this
+    circle), the chord's name (a chord named on an earlier circle), or a
+    placeholder (a chord whose other endpoint lies on a later circle).  None
+    of these depends on the chords' own ids, so the circle's entry in the key
+    is the least rotation of this int word (K. S. Booth, *Lexicographically
+    least circular substrings*, 1980), found by a linear scan.
+
+    If the least rotation starts at r and the word has period p, then the
+    rotations starting at r, r + p, r + 2p, ... are all least.  Each of them
+    names the placeholder chords in order of first occurrence, with names
+    continuing after those given on earlier circles.  These namings can lead
+    to different, possibly smaller, words on the later circles, so every
+    naming that keeps the key so far least is carried forward.
+
+    Two diagrams get equal keys exactly when they are isomorphic (same
+    number of circles, each circle rotated, chords renamed).  The key's
+    value has no other meaning.
+    """
+    signs = G.signs
+    last = G.mu - 1
+    contexts: list[dict[str, int]] = [{}]
+    key = []
+    for ci, word in enumerate(G.circles):
+        best: tuple[int, ...] | None = None
+        tied = []
+        for names in contexts:
+            codes, open_at = _circle_codes(word, signs, names)
+            r = _least_rotation(codes)
+            rotated = tuple(codes[r:] + codes[:r])
+            if best is None or rotated < best:
+                best, tied = rotated, []
+            if rotated == best:
+                tied.append((names, r, open_at))
+        key.append(best)
+        if ci == last or not tied[0][2]:
+            contexts = [names for names, _, _ in tied]
+            continue
+        n = len(word)
+        p = _period(best)
+        survivors: dict[frozenset, dict[str, int]] = {}
+        for names, r, open_at in tied:
+            for start in range(r, n, p):
+                named = dict(names)
+                for k in ([k for k in open_at if k >= start]
+                          + [k for k in open_at if k < start]):
+                    named[word[k].chord] = len(named)
+                survivors.setdefault(frozenset(named.items()), named)
         contexts = list(survivors.values())
-    return contexts[0][2]
+    return tuple(key)
 
 
 def isomorphic(G: GaussDiagram, H: GaussDiagram) -> bool:

@@ -360,10 +360,11 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     target = canonical_key(H)
-    if canonical_key(G) == target:
+    start = canonical_key(G)
+    if start == target:
         return []
     nodes: list[tuple[GaussDiagram, int, MoveSite | None]] = [(G, -1, None)]
-    seen = {canonical_key(G)}
+    seen = {start}
     frontier = [0]
     generated = 0
     for _ in range(max_depth):

@@ -367,12 +367,14 @@ def _apply_s2_insert(G, site):
     return _new(G, signs, circles), MoveSite(S2_DELETE, ((c, anchor),))
 
 
-def _apply_s2_delete(G, site):
+def _validate_s2_delete(G, site):
+    """The six-endpoint window at the anchor reads u f u v e v: shells u
+    around f and v around e, oriented by the signs they surround, with
+    cancelling signs.  Returns the window (u, f, u2, v, e, v2)."""
     (c, p), = site.anchors
     word = _word(G, c)
     n = len(word)
     _check(n >= 6, "word too short")
-    p %= n
     t = [word[(p + i) % n] for i in range(6)]
     _check(len({(ep.chord, ep.kind) for ep in t}) == 6, "window overlaps itself")
     u, f, u2, v, e, v2 = t
@@ -384,6 +386,14 @@ def _apply_s2_delete(G, site):
     _check((v.kind == INITIAL) == (se > 0), "second shell mis-oriented")
     _check(G.signs[v.chord] == se * sf and G.signs[u.chord] == -se * sf,
            "shell signs do not cancel")
+    return t
+
+
+def _apply_s2_delete(G, site):
+    u, f, _, v, e, _ = _validate_s2_delete(G, site)
+    (c, p), = site.anchors
+    word = G.circles[c]
+    p %= len(word)
     rot = word[p:] + word[:p]
     circles = list(G.circles)
     circles[c] = (e, f) + rot[6:]
@@ -542,7 +552,7 @@ def _sites_s2_delete(G):
         for p in range(n):
             site = MoveSite(S2_DELETE, ((c, p),))
             try:
-                _apply_s2_delete(G, site)
+                _validate_s2_delete(G, site)
             except StaleSite:
                 continue
             out.append(site)
