@@ -29,7 +29,8 @@ from .errors import (
     UnsupportedComponentCount,
 )
 from .invariants import LinkProfile, linking_data, profile, self_writhe_tables
-from .moves import _GROWTH, MoveSite, apply_move, find_move_sites
+from .moves import (_GROWTH, MoveSite, _fresh_ids, apply_move,
+                    find_move_sites)
 from .normal_form import build_knot_form, build_link_diagram
 
 __all__ = [
@@ -55,42 +56,27 @@ _OK = "all conditions met"
 
 
 def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
-    """Decide shell-move equivalence from the complete invariant suite."""
+    """Decide shell-move equivalence from the complete invariant suite.
+
+    The verdict is profile equality; the reason names the first profile
+    field that differs (for a table, its lowest differing slot).
+    """
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
-    if G.mu == 1:
-        wg, wh = profile(G).writhe, profile(H).writhe
-        if wg != wh:
-            return Verdict(False, f"writhe polynomial mismatch: {wg} vs {wh}")
-        return Verdict(True, _OK)
-    if G.mu != 2:
+    if G.mu not in (1, 2):
         raise UnsupportedComponentCount(
             f"equivalence is decided for 1 or 2 circles, not {G.mu}")
-    lam, lam_h = linking_data(G)[2], linking_data(H)[2]
-    if lam != lam_h:
-        return Verdict(
-            False, f"virtual linking number mismatch: {lam} vs {lam_h}")
-    if lam < 0:
+    if G.mu == 2 and linking_data(G)[2] == linking_data(H)[2] < 0:
         # relabelling both components commutes with every move
         G, H = swap_components(G), swap_components(H)
-    pg, ph = profile(G), profile(H)
-    if (pg.lk12, pg.lk21) != (ph.lk12, ph.lk21):
-        return Verdict(
-            False, "linking number mismatch: "
-            f"({pg.lk12}, {pg.lk21}) vs ({ph.lk12}, {ph.lk21})")
-    for which, a, b in (("1", pg.invariant_jn1(), ph.invariant_jn1()),
-                        ("2", pg.invariant_jn2(), ph.invariant_jn2())):
-        for n in sorted(set(a) | set(b)):
-            if a.get(n, 0) != b.get(n, 0):
-                return Verdict(
-                    False, f"component-{which} index writhe mismatch at n={n}:"
-                    f" {a.get(n, 0)} vs {b.get(n, 0)}")
-    if pg.linking_class != ph.linking_class:
-        return Verdict(False, "linking class mismatch: "
-                       f"{pg.linking_class} vs {ph.linking_class}")
-    if pg.lam >= 2 and pg.shell_sum != ph.shell_sum:
-        return Verdict(False, "shell sum mismatch: "
-                       f"{pg.shell_sum} vs {ph.shell_sum}")
+    for (label, a), (_, b) in zip(profile(G).fields(), profile(H).fields()):
+        if a == b:
+            continue
+        if isinstance(a, dict):
+            n = min(k for k in set(a) | set(b) if a.get(k, 0) != b.get(k, 0))
+            return Verdict(False, f"{label} mismatch at n={n}: "
+                           f"{a.get(n, 0)} vs {b.get(n, 0)}")
+        return Verdict(False, f"{label} mismatch: {a} vs {b}")
     return Verdict(True, _OK)
 
 
@@ -124,15 +110,6 @@ def realize_knot(f: LaurentPoly) -> GaussDiagram:
                             if n not in (0, 1)})
 
 
-def _fresh(G: GaussDiagram, n: int) -> list[str]:
-    out, k = [], len(G.signs)
-    while len(out) < n:
-        k += 1
-        if f"r{k}" not in G.signs:
-            out.append(f"r{k}")
-    return out
-
-
 def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
                     ) -> GaussDiagram:
     """Nest |total| shells of sign sgn(total) directly around an endpoint."""
@@ -142,7 +119,7 @@ def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
     ep = G.circles[c][p]
     s_ep = G.endpoint_sign(ep)
     sigma = 1 if total > 0 else -1
-    ids = _fresh(G, abs(total))
+    ids = _fresh_ids(G, "r", abs(total))
     near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
     seg: list[Endpoint] = [ep]
     for sid in ids:
@@ -170,7 +147,7 @@ def _append_gadget(G: GaussDiagram, circle: int, positive: bool
                    ) -> GaussDiagram:
     """Two-chord block that moves one unit of index writhe between the
     slot-1 count and the partner shell slot of the given circle."""
-    g, s = _fresh(G, 2)
+    g, s = _fresh_ids(G, "r", 2)
     if positive:  # main chord lands in slot 1 with sign +, shell in partner
         block = (Endpoint(s, TERMINAL), Endpoint(g, INITIAL),
                  Endpoint(s, INITIAL), Endpoint(g, TERMINAL))
@@ -202,7 +179,7 @@ def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
     for cid in G.signs:
         if not G.is_self_chord(cid):
             return G, cid
-    q1, q2 = _fresh(G, 2)
+    q1, q2 = _fresh_ids(G, "r", 2)
     circles = list(G.circles)
     circles[0] = circles[0] + (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL))
     circles[1] = circles[1] + (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))

@@ -161,9 +161,22 @@ def linking_class(G: GaussDiagram) -> LinkingClass:
     return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
 
 
-@dataclass(frozen=True)
-class KnotProfile:
-    """Complete shell-move invariant of a virtual knot."""
+class _Profile:
+    """Equality and hashing derived from :meth:`fields`, the ordered
+    ``(label, value)`` list that is the whole shell-move invariant.  Table
+    (dict) values hash as their sorted items."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.fields() == other.fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(sorted(v.items())) if isinstance(v, dict)
+                          else v for _, v in self.fields()))
+
+
+@dataclass(frozen=True, eq=False)
+class KnotProfile(_Profile):
+    """Complete shell-move invariant of a virtual knot: its writhe polynomial."""
 
     writhe: LaurentPoly
     n_writhes: dict[int, int]
@@ -173,16 +186,20 @@ class KnotProfile:
     def mu(self) -> int:
         return 1
 
+    def fields(self) -> tuple[tuple[str, object], ...]:
+        return (("writhe polynomial", self.writhe),)
+
 
 @dataclass(frozen=True, eq=False)
-class LinkProfile:
+class LinkProfile(_Profile):
     """Invariants of an ordered 2-component diagram.
 
     ``jn1``/``jn2`` are the per-circle self-chord index tables on the slots
     where they are diagram-independent (n != 0, -lam for circle 1 and
-    n != 0, lam for circle 2).  Equality compares only the shell-move
-    invariant content: the tables restricted off the slots a sliding shell
-    can occupy, the combined shell sum, the linking data and the twist class.
+    n != 0, lam for circle 2).  :meth:`fields` lists the complete shell-move
+    invariant: lambda, the linking numbers, the tables restricted off the
+    slots a sliding shell can occupy, the twist class and the shell sum.
+    ``f_prime`` is a function of the twist class, so it is not compared.
     """
 
     lk12: int
@@ -206,17 +223,13 @@ class LinkProfile:
         banned = {0, 1, self.lam, self.lam + 1}
         return {n: v for n, v in self.jn2.items() if n not in banned}
 
-    def s_key(self):
-        return (self.lam, self.lk12, self.lk21,
-                tuple(sorted(self.invariant_jn1().items())),
-                tuple(sorted(self.invariant_jn2().items())),
-                self.shell_sum, self.linking_class, self.f_prime)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinkProfile) and self.s_key() == other.s_key()
-
-    def __hash__(self) -> int:
-        return hash(self.s_key())
+    def fields(self) -> tuple[tuple[str, object], ...]:
+        return (("virtual linking number", self.lam),
+                ("linking number", (self.lk12, self.lk21)),
+                ("component-1 index writhe", self.invariant_jn1()),
+                ("component-2 index writhe", self.invariant_jn2()),
+                ("linking class", self.linking_class),
+                ("shell sum", self.shell_sum))
 
 
 def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:

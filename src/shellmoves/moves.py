@@ -67,32 +67,30 @@ def _sgn(s: str) -> int:
     raise StaleSite(f"bad sign parameter {s!r}")
 
 
-def _fresh_ids(G: GaussDiagram, n: int) -> list[str]:
+def _fresh_ids(G: GaussDiagram, prefix: str, n: int) -> list[str]:
+    """``n`` unused chord ids ``<prefix><k>``, k counting up past len(G)."""
     out: list[str] = []
     k = len(G.signs)
     while len(out) < n:
         k += 1
-        cid = f"n{k}"
+        cid = f"{prefix}{k}"
         if cid not in G.signs:
             out.append(cid)
     return out
 
 
 def _insert_blocks(word, inserts):
-    """Insert blocks before the given gap indices of the original word; a gap
-    equal to the word length appends.  Blocks aimed at the same gap land in
-    list order.
+    """Insert blocks before the given gap indices (0..len(word)) of the
+    original word; a gap equal to the word length appends.  Blocks aimed at
+    the same gap land in list order.
     """
     out: list[Endpoint] = []
-    n = len(word)
-    for i in range(n):
-        for g, blk in inserts:
-            if g == i:
-                out.extend(blk)
-        out.append(word[i])
-    for g, blk in inserts:
-        if g >= n:
-            out.extend(blk)
+    prev = 0
+    for g, blk in sorted(inserts, key=lambda ins: ins[0]):
+        out.extend(word[prev:g])
+        out.extend(blk)
+        prev = g
+    out.extend(word[prev:])
     return tuple(out)
 
 
@@ -140,23 +138,24 @@ def apply_move(G: GaussDiagram, site: MoveSite) -> GaussDiagram:
 def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
                             ) -> tuple[GaussDiagram, MoveSite]:
     """Apply a move and return the site that undoes it in the image."""
-    handler = _APPLY[site.kind] if site.kind in _APPLY else None
-    if handler is None:
+    entry = _APPLY.get(site.kind)
+    if entry is None:
         raise StaleSite(f"unknown move kind {site.kind!r}")
+    handler, n_anchors, n_params = entry
+    if len(site.anchors) != n_anchors or len(site.params) not in n_params:
+        raise StaleSite(f"{site.kind} takes {n_anchors} anchor(s) and "
+                        f"{'/'.join(map(str, n_params))} parameter(s)")
     return handler(G, site)
-
-
-def _new(G: GaussDiagram, signs, circles) -> GaussDiagram:
-    return GaussDiagram(signs, circles, validate=False)
 
 
 def _apply_r1_insert(G, site):
     (c, g), = site.anchors
     sgn, order = site.params
     eps = _sgn(sgn)
+    _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
     word = _word(G, c)
     _check(0 <= g <= len(word), "bad gap")
-    cid, = _fresh_ids(G, 1)
+    cid, = _fresh_ids(G, "n", 1)
     pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
     if order == "TI":
         pair.reverse()
@@ -164,7 +163,8 @@ def _apply_r1_insert(G, site):
     circles[c] = _insert_blocks(word, [(g, pair)])
     signs = dict(G.signs)
     signs[cid] = eps
-    return _new(G, signs, circles), MoveSite(R1_DELETE, ((c, g),))
+    return (GaussDiagram(signs, circles, validate=False),
+            MoveSite(R1_DELETE, ((c, g),)))
 
 
 def _apply_r1_delete(G, site):
@@ -183,20 +183,22 @@ def _apply_r1_delete(G, site):
     order = "IT" if u.kind == INITIAL else "TI"
     inv = MoveSite(R1_INSERT, ((c, gap),),
                    ("+" if sign > 0 else "-", order))
-    return _new(G, signs, circles), inv
+    return GaussDiagram(signs, circles, validate=False), inv
 
 
 def _apply_r2_insert(G, site):
     (c1, g1), (c2, g2) = site.anchors
     variant, sgn = site.params[:2]
     # when both blocks target one gap, "tfirst" puts the terminal pair first
-    t_first = "tfirst" in site.params[2:]
+    t_first = site.params[2:] == ("tfirst",)
+    if len(site.params) == 3 and not t_first:
+        raise StaleSite(f"bad parameter {site.params[2]!r}")
     eps = _sgn(sgn)
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
     for c, g in site.anchors:
         _check(0 <= g <= len(_word(G, c)), "bad gap")
-    x, y = _fresh_ids(G, 2)
+    x, y = _fresh_ids(G, "n", 2)
     head = [Endpoint(x, INITIAL), Endpoint(y, INITIAL)]
     tail = [Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)]
     if variant == "anti":
@@ -221,7 +223,7 @@ def _apply_r2_insert(G, site):
     signs[x] = eps
     signs[y] = -eps
     inv = MoveSite(R2_DELETE, ((c1, p1), (c2, p2)), (variant,))
-    return _new(G, signs, circles), inv
+    return GaussDiagram(signs, circles, validate=False), inv
 
 
 def _validate_r2_pattern(G, site):
@@ -273,7 +275,7 @@ def _apply_r2_delete(G, site):
     if c1 == c2 and g1 == g2 and (p2 % n1 + 2) % n1 == p1 % n1:
         params.append("tfirst")
     inv = MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), tuple(params))
-    return _new(G, signs, circles), inv
+    return GaussDiagram(signs, circles, validate=False), inv
 
 
 def _validate_r3(G, site):
@@ -313,8 +315,8 @@ def _apply_r3(G, site):
         n = len(G.circles[c])
         a, b = p % n, (p + 1) % n
         circles[c][a], circles[c][b] = circles[c][b], circles[c][a]
-    return (_new(G, G.signs, [tuple(w) for w in circles]),
-            MoveSite(R3, site.anchors))
+    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
+    return new, MoveSite(R3, site.anchors)
 
 
 def _apply_s1(G, site):
@@ -339,7 +341,7 @@ def _apply_s1(G, site):
     target = circles[c2][p2]
     block = _flank_block(shell, target, G.endpoint_sign(target))
     circles[c2][p2:p2 + 1] = block
-    new = _new(G, G.signs, [tuple(w) for w in circles])
+    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
     return new, MoveSite(S1, ((c2, p2 + 1),))
 
 
@@ -351,7 +353,7 @@ def _apply_s2_insert(G, site):
     n = len(word)
     p %= n
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    u, v = _fresh_ids(G, 2)  # u shields f, v shields e
+    u, v = _fresh_ids(G, "n", 2)  # u shields f, v shields e
     signs = dict(G.signs)
     signs[v] = se * sf
     signs[u] = -se * sf
@@ -364,7 +366,8 @@ def _apply_s2_insert(G, site):
         rot = word[p:] + word[:p]
         circles[c] = tuple(block) + rot[2:]
         anchor = 0
-    return _new(G, signs, circles), MoveSite(S2_DELETE, ((c, anchor),))
+    return (GaussDiagram(signs, circles, validate=False),
+            MoveSite(S2_DELETE, ((c, anchor),)))
 
 
 def _validate_s2_delete(G, site):
@@ -400,18 +403,20 @@ def _apply_s2_delete(G, site):
     signs = dict(G.signs)
     signs.pop(u.chord)
     signs.pop(v.chord)
-    return _new(G, signs, circles), MoveSite(S2_INSERT, ((c, 0),))
+    return (GaussDiagram(signs, circles, validate=False),
+            MoveSite(S2_INSERT, ((c, 0),)))
 
 
+# kind -> (handler, anchor count, allowed parameter counts)
 _APPLY = {
-    R1_INSERT: _apply_r1_insert,
-    R1_DELETE: _apply_r1_delete,
-    R2_INSERT: _apply_r2_insert,
-    R2_DELETE: _apply_r2_delete,
-    R3: _apply_r3,
-    S1: _apply_s1,
-    S2_INSERT: _apply_s2_insert,
-    S2_DELETE: _apply_s2_delete,
+    R1_INSERT: (_apply_r1_insert, 1, (2,)),
+    R1_DELETE: (_apply_r1_delete, 1, (0,)),
+    R2_INSERT: (_apply_r2_insert, 2, (2, 3)),
+    R2_DELETE: (_apply_r2_delete, 2, (1,)),
+    R3: (_apply_r3, 3, (0,)),
+    S1: (_apply_s1, 1, (0,)),
+    S2_INSERT: (_apply_s2_insert, 1, (0,)),
+    S2_DELETE: (_apply_s2_delete, 1, (0,)),
 }
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from shellmoves.cli import main
 from shellmoves.diagram import isomorphic, parse_gauss_code, serialize
+from shellmoves.errors import StaleSite
+from shellmoves.moves import apply_move, site_from_text
 from shellmoves.normal_form import build_link_diagram, encode_snail
 
 from conftest import REFERENCE_KNOT_CODE, REFERENCE_LINK_SNAILS
@@ -186,6 +188,28 @@ def test_replay_names_missing_circle_one_based(files, capsys):
     assert "no circle 2" in capsys.readouterr().err
 
 
+MALFORMED_SITES = (
+    "R1_insert @ 1:0 + bogus",          # order must be IT or TI
+    "R1_insert @ 1:0 +",                # order missing
+    "R1_delete @ 1:0 junk",             # R1_delete takes no parameters
+    "R1_delete @ 1:0 1:1",              # one anchor, not two
+    "R2_insert @ 1:0 1:0 par + junk",   # only tfirst may follow
+    "R2_insert @ 1:0 par +",            # two anchors, not one
+    "R2_delete @ 1:0 1:1",              # variant missing
+    "S1 @ 1:0 1:1",
+)
+
+
+@pytest.mark.parametrize("line", MALFORMED_SITES)
+def test_replay_rejects_malformed_site(files, capsys, line):
+    a = files("a.gd", FREE)
+    code, out = run("replay", a, files("t.tr", line + "\n"))
+    assert code == 65 and out == ""
+    assert "trace line 1:" in capsys.readouterr().err
+    with pytest.raises(StaleSite):
+        apply_move(parse_gauss_code(FREE), site_from_text(line))
+
+
 def test_fmt_canonicalizes_whitespace(files):
     messy = "circles:   1\nchord   g   +\ncircle 1:    g<    g>   # hi\n"
     path = files("m.gd", messy)
@@ -206,8 +230,16 @@ def test_parse_error_exit_code(files):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import shellmoves
+    # the child finds the package where this process found it
+    root = str(Path(shellmoves.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     r = subprocess.run([sys.executable, "-m", "shellmoves.cli", "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0 and "invariants" in r.stdout
