@@ -9,23 +9,22 @@ error, 65 unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .algebra import parse_poly
 from .diagram import GaussDiagram, parse_gauss_code, serialize, swap_components
 from .errors import (
-    ComponentCountMismatch,
+    BudgetExceeded,
     ConstraintViolated,
     GaussCodeError,
     NegativeLambda,
     NotRealizable,
     ShellmovesError,
-    UnsupportedComponentCount,
-    WrongComponentCount,
+    StaleSite,
 )
 from .equiv import bfs_witness, realize_knot, realize_link, s_equivalent
-from .errors import BudgetExceeded, StaleSite
 from .invariants import KnotProfile, linking_data, profile
 from .moves import apply_move, random_walk, site_from_text, site_to_text
 from .normal_form import build_knot_form, build_link_form, canonical_form
@@ -238,7 +237,9 @@ def _cmd_fmt(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     ap = argparse.ArgumentParser(
         prog="shellmoves",
         description="Gauss-diagram invariants, shell moves and normal forms")
@@ -304,8 +305,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (NotRealizable, ConstraintViolated, NegativeLambda) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ComponentCountMismatch, WrongComponentCount,
-            UnsupportedComponentCount, ShellmovesError, ValueError) as e:
+    except (ShellmovesError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
 

@@ -56,12 +56,12 @@ Word = tuple[Endpoint, ...]
 class GaussDiagram:
     """Immutable Gauss diagram. Use :func:`parse_gauss_code` or the builders.
 
-    The endpoint index behind :meth:`locate` is built on first use, so a
-    diagram made with ``validate=False`` (as moves make them) costs only the
-    copies of its signs and words until it is queried.
+    A diagram is its signs and its words, nothing else.  Per-chord queries
+    (:meth:`locate` and the ones built on it) scan the words; callers that
+    ask about many chords walk the words once instead.
     """
 
-    __slots__ = ("signs", "circles", "_where")
+    __slots__ = ("signs", "circles")
 
     def __init__(self, signs: Mapping[str, int], circles: Iterable[Word],
                  validate: bool = True):
@@ -69,35 +69,26 @@ class GaussDiagram:
         object.__setattr__(self, "circles",
                            tuple(tuple(w) for w in circles))
         if validate:
-            self._index(validate=True)
             self._validate()
 
-    def _index(self, validate: bool = False
-               ) -> dict[str, dict[str, tuple[int, int]]]:
-        """Build and store chord -> kind -> (circle, position)."""
-        where: dict[str, dict[str, tuple[int, int]]] = {}
-        for ci, word in enumerate(self.circles):
-            for pos, ep in enumerate(word):
-                spots = where.setdefault(ep.chord, {})
-                if validate and ep.kind in spots:
+    def _validate(self) -> None:
+        seen: dict[Endpoint, None] = {}  # endpoints in word order
+        for word in self.circles:
+            for ep in word:
+                if ep in seen:
                     raise DuplicateEndpoint(
                         f"chord {ep.chord!r} has two {ep.kind!r} endpoints")
-                spots[ep.kind] = (ci, pos)
-        object.__setattr__(self, "_where", where)
-        return where
-
-    def _validate(self) -> None:
+                seen[ep] = None
         if not self.circles:
             raise CircleCountMismatch("a diagram needs at least one circle")
         for cid, sign in self.signs.items():
             if sign not in (1, -1):
                 raise BadSign(f"chord {cid!r} has sign {sign!r}")
-            spots = self._where.get(cid, {})
             for kind in (INITIAL, TERMINAL):
-                if kind not in spots:
+                if (cid, kind) not in seen:
                     raise MissingEndpoint(
                         f"chord {cid!r} lacks its {kind!r} endpoint")
-        for cid in self._where:
+        for cid, _ in seen:
             if cid not in self.signs:
                 raise UnknownChordId(f"endpoint references unknown chord {cid!r}")
 
@@ -107,23 +98,16 @@ class GaussDiagram:
     def mu(self) -> int:
         return len(self.circles)
 
-    @property
-    def chord_ids(self) -> tuple[str, ...]:
-        return tuple(self.signs)
-
     def __len__(self) -> int:
         return len(self.signs)
 
     def locate(self, chord: str, kind: str) -> tuple[int, int]:
         """(circle index, position) of one endpoint of ``chord``."""
-        try:
-            where = self._where
-        except AttributeError:
-            where = self._index()
-        try:
-            return where[chord][kind]
-        except KeyError:
-            raise UnknownChordId(f"no chord {chord!r}") from None
+        ep = (chord, kind)
+        for ci, word in enumerate(self.circles):
+            if ep in word:
+                return ci, word.index(ep)
+        raise UnknownChordId(f"no chord {chord!r}")
 
     def endpoint_sign(self, ep: Endpoint) -> int:
         try:
@@ -370,10 +354,10 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     G.require_mu(2)
     if gamma0 not in G.signs:
         raise UnknownChordId(f"no chord {gamma0!r}")
-    if G.is_self_chord(gamma0):
-        raise NotANonselfChord(f"chord {gamma0!r} is a self-chord")
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)
+    if ci == ct:
+        raise NotANonselfChord(f"chord {gamma0!r} is a self-chord")
     a, b = G.circles[ci], G.circles[ct]
     merged = a[pi + 1:] + a[:pi] + b[pt + 1:] + b[:pt]
     signs = {cid: s for cid, s in G.signs.items() if cid != gamma0}

@@ -28,7 +28,8 @@ from .errors import (
     NotRealizable,
     UnsupportedComponentCount,
 )
-from .invariants import LinkProfile, linking_data, profile, self_writhe_tables
+from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints,
+                         linking_data, profile, self_writhe_tables)
 from .moves import (_GROWTH, MoveSite, _fresh_ids, apply_move,
                     find_move_sites)
 from .normal_form import build_knot_form, build_link_diagram
@@ -55,6 +56,15 @@ class Verdict:
 _OK = "all conditions met"
 
 
+def _mismatch(label: str, a, b) -> str:
+    """Reason text for a differing field; a table names its lowest
+    differing slot."""
+    if isinstance(a, dict):
+        n = min(k for k in set(a) | set(b) if a.get(k, 0) != b.get(k, 0))
+        return f"{label} mismatch at n={n}: {a.get(n, 0)} vs {b.get(n, 0)}"
+    return f"{label} mismatch: {a} vs {b}"
+
+
 def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     """Decide shell-move equivalence from the complete invariant suite.
 
@@ -66,17 +76,17 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     if G.mu not in (1, 2):
         raise UnsupportedComponentCount(
             f"equivalence is decided for 1 or 2 circles, not {G.mu}")
-    if G.mu == 2 and linking_data(G)[2] == linking_data(H)[2] < 0:
-        # relabelling both components commutes with every move
-        G, H = swap_components(G), swap_components(H)
+    if G.mu == 2:
+        lam_g, lam_h = linking_data(G)[2], linking_data(H)[2]
+        if lam_g != lam_h:
+            # lambda is the first field, so this is the walk's own answer
+            return Verdict(False, _mismatch(LAMBDA_LABEL, lam_g, lam_h))
+        if lam_g < 0:
+            # relabelling both components commutes with every move
+            G, H = swap_components(G), swap_components(H)
     for (label, a), (_, b) in zip(profile(G).fields(), profile(H).fields()):
-        if a == b:
-            continue
-        if isinstance(a, dict):
-            n = min(k for k in set(a) | set(b) if a.get(k, 0) != b.get(k, 0))
-            return Verdict(False, f"{label} mismatch at n={n}: "
-                           f"{a.get(n, 0)} vs {b.get(n, 0)}")
-        return Verdict(False, f"{label} mismatch: {a} vs {b}")
+        if a != b:
+            return Verdict(False, _mismatch(label, a, b))
     return Verdict(True, _OK)
 
 
@@ -175,9 +185,11 @@ def _apply_gadgets(G: GaussDiagram, circle: int, delta: int,
 
 
 def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
-    """Some nonself chord, inserting a cancelling parallel pair if none."""
+    """The first nonself chord in ``signs`` order, inserting a cancelling
+    parallel pair if none."""
+    nonself = {chord for chord, _ in _nonself_endpoints(G)}
     for cid in G.signs:
-        if not G.is_self_chord(cid):
+        if cid in nonself:
             return G, cid
     q1, q2 = _fresh_ids(G, "r", 2)
     circles = list(G.circles)

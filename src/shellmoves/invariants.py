@@ -7,8 +7,9 @@ different choices of gamma0 twist the resulting index polynomials by
 (t^k, t^-k), so only the twist class is recorded.
 
 Every index comes from :func:`~shellmoves.diagram.arc_sums`, one prefix-sum
-pass per circle (or per merged circle), so :func:`profile` runs in time
-linear in the chord count.
+pass per circle (or per merged circle), and the nonself chords with their
+types from one pass over circle 1 (:func:`_nonself_endpoints`), so
+:func:`profile` runs in time linear in the chord count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
-from .diagram import GaussDiagram, arc_sums, surgery
+from .diagram import INITIAL, Endpoint, GaussDiagram, arc_sums, surgery
 from .errors import NotANonselfChord, UnsupportedComponentCount
 
 __all__ = [
@@ -104,45 +105,39 @@ def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], dict[int, int]]
     return t1, t2
 
 
+def _nonself_endpoints(G: GaussDiagram) -> list[Endpoint]:
+    """The circle-1 endpoint of every nonself chord of a 2-circle diagram,
+    in circle order.  An initial endpoint marks type (1,2), a terminal one
+    type (2,1)."""
+    G.require_mu(2)
+    on_circle2 = {chord for chord, _ in G.circles[1]}
+    return [ep for ep in G.circles[0] if ep.chord in on_circle2]
+
+
 def nonself_writhe_tables(G: GaussDiagram, gamma0: str
                           ) -> tuple[dict[int, int], dict[int, int]]:
     """Index tables of the nonself chords relative to ``gamma0``, split by
     type (1,2) / (2,1); ``gamma0`` contributes its sign at index 0."""
-    G.require_mu(2)
-    if G.is_self_chord(gamma0):
-        raise NotANonselfChord(f"chord {gamma0!r} is a self-chord")
     merged = surgery(G, gamma0)
     index = arc_sums(merged.circles[0], merged.signs)
     index[gamma0] = 0
     t12: dict[int, int] = {}
     t21: dict[int, int] = {}
-    for cid, sign in G.signs.items():
-        typ = G.chord_type(cid)
-        if typ is not None:
-            _add(t12 if typ == (1, 2) else t21, index[cid], sign)
+    for chord, kind in _nonself_endpoints(G):
+        _add(t12 if kind == INITIAL else t21, index[chord], G.signs[chord])
     return t12, t21
 
 
 def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
     """(Lk(K1,K2), Lk(K2,K1), lambda): signed counts of the two nonself
     chord types and their difference."""
-    G.require_mu(2)
     lk12 = lk21 = 0
-    for cid in G.signs:
-        typ = G.chord_type(cid)
-        if typ == (1, 2):
-            lk12 += G.signs[cid]
-        elif typ == (2, 1):
-            lk21 += G.signs[cid]
+    for chord, kind in _nonself_endpoints(G):
+        if kind == INITIAL:
+            lk12 += G.signs[chord]
+        else:
+            lk21 += G.signs[chord]
     return lk12, lk21, lk12 - lk21
-
-
-def _first_nonself(G: GaussDiagram) -> str | None:
-    for word in G.circles:
-        for ep in word:
-            if not G.is_self_chord(ep.chord):
-                return ep.chord
-    return None
 
 
 def linking_class(G: GaussDiagram) -> LinkingClass:
@@ -151,11 +146,10 @@ def linking_class(G: GaussDiagram) -> LinkingClass:
     Independent of the reference chord: changing it multiplies the two
     polynomials by t^k and t^-k, which the class quotients away.
     """
-    G.require_mu(2)
-    gamma0 = _first_nonself(G)
-    if gamma0 is None:
+    nonself = _nonself_endpoints(G)
+    if not nonself:
         return gamma_class(0, LaurentPoly(), LaurentPoly())
-    t12, t21 = nonself_writhe_tables(G, gamma0)
+    t12, t21 = nonself_writhe_tables(G, nonself[0].chord)
     # the tables' signed counts are Lk(K1,K2) and Lk(K2,K1)
     lam = sum(t12.values()) - sum(t21.values())
     return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
@@ -188,6 +182,11 @@ class KnotProfile(_Profile):
 
     def fields(self) -> tuple[tuple[str, object], ...]:
         return (("writhe polynomial", self.writhe),)
+
+
+# the first field of a link profile; equiv answers a lambda mismatch from
+# linking_data alone, under the same label
+LAMBDA_LABEL = "virtual linking number"
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +223,7 @@ class LinkProfile(_Profile):
         return {n: v for n, v in self.jn2.items() if n not in banned}
 
     def fields(self) -> tuple[tuple[str, object], ...]:
-        return (("virtual linking number", self.lam),
+        return ((LAMBDA_LABEL, self.lam),
                 ("linking number", (self.lk12, self.lk21)),
                 ("component-1 index writhe", self.invariant_jn1()),
                 ("component-2 index writhe", self.invariant_jn2()),

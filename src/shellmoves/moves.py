@@ -444,16 +444,12 @@ def _sites_r1_insert(G):
 
 
 def _sites_r1_delete(G):
-    out = []
-    for cid in G.signs:
-        if not G.is_free(cid):
-            continue
-        ci, pi = G.locate(cid, INITIAL)
-        _, pt = G.locate(cid, TERMINAL)
-        n = len(G.circles[ci])
-        cands = [p for p in (pi, pt) if (p + 1) % n in (pi, pt) and p != (p + 1) % n]
-        out.append(MoveSite(R1_DELETE, ((ci, min(cands)),)))
-    return out
+    # a chord alone on its circle is adjacent at 0 and 1; keep the first
+    free: dict[str, tuple[int, int]] = {}
+    for c, p, u, v in _adjacent_pairs(G):
+        if u.chord == v.chord:
+            free.setdefault(u.chord, (c, p))
+    return [MoveSite(R1_DELETE, (free[cid],)) for cid in G.signs if cid in free]
 
 
 def _sites_r2_insert(G):

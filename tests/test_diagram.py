@@ -72,6 +72,39 @@ def test_parse_rejects_malformed(text, err):
         parse_gauss_code(text)
 
 
+def _eps(text: str) -> tuple[Endpoint, ...]:
+    return tuple(Endpoint(tok[:-1], tok[-1]) for tok in text.split())
+
+
+@pytest.mark.parametrize("signs, words, err, message", [
+    ({"a": 1}, ["a< a< a>"], DuplicateEndpoint,
+     "chord 'a' has two '<' endpoints"),
+    ({"a": 1}, [], CircleCountMismatch, "a diagram needs at least one circle"),
+    ({"a": 0}, ["a< a>"], BadSign, "chord 'a' has sign 0"),
+    ({"a": 1}, ["a>"], MissingEndpoint, "chord 'a' lacks its '<' endpoint"),
+    ({"a": 1}, ["a<"], MissingEndpoint, "chord 'a' lacks its '>' endpoint"),
+    ({"a": 1}, ["a< b> a>"], UnknownChordId,
+     "endpoint references unknown chord 'b'"),
+    # which error fires first: duplicates, then no circles, then per chord
+    # in declaration order bad sign and missing endpoints (initial first),
+    # then unknown chords in word order
+    ({"a": 2}, ["a> a> z<"], DuplicateEndpoint,
+     "chord 'a' has two '>' endpoints"),
+    ({"a": 2}, [], CircleCountMismatch, "a diagram needs at least one circle"),
+    ({"a": 2, "b": 1}, ["z<"], BadSign, "chord 'a' has sign 2"),
+    ({"b": 1, "a": 2}, ["a< a>"], MissingEndpoint,
+     "chord 'b' lacks its '<' endpoint"),
+    ({"a": 1}, ["z< a<", ""], MissingEndpoint,
+     "chord 'a' lacks its '>' endpoint"),
+    ({"a": 1}, ["a< y<", "z> a>"], UnknownChordId,
+     "endpoint references unknown chord 'y'"),
+])
+def test_constructor_validates(signs, words, err, message):
+    with pytest.raises(err) as caught:
+        GaussDiagram(signs, [_eps(w) for w in words])
+    assert str(caught.value) == message
+
+
 def test_serialize_empty():
     G = parse_gauss_code("circles: 1\ncircle 1:")
     assert serialize(G) == "circles: 1\ncircle 1:\n"

@@ -1,5 +1,7 @@
-"""Differential test of the prefix-sum index core against the per-chord arc
-walk, which lives only here as the reference definition of a chord index."""
+"""Differential tests of the one-pass chord code against per-chord
+references that live only here: the arc walk (the definition of a chord
+index), and the per-chord classification of free and nonself chords that
+`find_move_sites(G, "R1_delete")` and `linking_data` once made."""
 
 import random
 
@@ -16,12 +18,14 @@ from shellmoves.diagram import (
 from shellmoves.errors import NotASelfChord
 from shellmoves.invariants import (
     knot_index,
+    linking_data,
     nonself_index,
     nonself_writhe_tables,
     self_index,
     self_writhe_tables,
     writhe_tables,
 )
+from shellmoves.moves import R1_DELETE, MoveSite, find_move_sites
 
 from conftest import random_diagram
 
@@ -32,11 +36,20 @@ MAX_CHORDS = 60
 PAIRWISE_MAX_CHORDS = 20
 
 
-def walk_arc_sum(G: GaussDiagram, chord: str) -> int:
+def endpoint_index(G: GaussDiagram) -> dict[str, dict[str, tuple[int, int]]]:
+    """chord -> kind -> (circle, position), from one walk over the words."""
+    where: dict[str, dict[str, tuple[int, int]]] = {}
+    for ci, word in enumerate(G.circles):
+        for pos, (chord, kind) in enumerate(word):
+            where.setdefault(chord, {})[kind] = (ci, pos)
+    return where
+
+
+def walk_arc_sum(G: GaussDiagram, where, chord: str) -> int:
     """Endpoint-sign sum strictly between the chord's initial and terminal
     endpoints, one step at a time around its circle."""
-    ci, pi = G.locate(chord, INITIAL)
-    ct, pt = G.locate(chord, TERMINAL)
+    ci, pi = where[chord][INITIAL]
+    ct, pt = where[chord][TERMINAL]
     assert ci == ct
     word = G.circles[ci]
     n = len(word)
@@ -68,28 +81,36 @@ def _diagram(seed: int) -> GaussDiagram:
     return G
 
 
-def _self_chords(G: GaussDiagram, circle: int) -> list[str]:
-    return [cid for cid in G.signs if G.chord_circles(cid) == (circle, circle)]
+def _circles_of(where, chord: str) -> tuple[int, int]:
+    return where[chord][INITIAL][0], where[chord][TERMINAL][0]
 
 
-def _nonself(G: GaussDiagram) -> list[str]:
-    return [cid for cid in G.signs if not G.is_self_chord(cid)]
+def _self_chords(G: GaussDiagram, where, circle: int) -> list[str]:
+    return [cid for cid in G.signs
+            if _circles_of(where, cid) == (circle, circle)]
+
+
+def _nonself(G: GaussDiagram, where) -> list[str]:
+    return [cid for cid in G.signs if len(set(_circles_of(where, cid))) == 2]
 
 
 def test_arc_sums_and_indices_match_the_walk():
     wraps = empty = 0
     for seed in range(N_DIAGRAMS):
         G = _diagram(seed)
+        where = endpoint_index(G)
         for c, word in enumerate(G.circles):
             empty += not word
-            chords = _self_chords(G, c)
+            chords = _self_chords(G, where, c)
             got = arc_sums(word, G.signs)
-            assert got == {cid: walk_arc_sum(G, cid) for cid in chords}, seed
-            wraps += sum(G.locate(cid, TERMINAL)[1] < G.locate(cid, INITIAL)[1]
+            assert got == {cid: walk_arc_sum(G, where, cid)
+                           for cid in chords}, seed
+            wraps += sum(where[cid][TERMINAL][1] < where[cid][INITIAL][1]
                          for cid in chords)
         for cid in G.signs:
-            if G.is_self_chord(cid):
-                want = walk_arc_sum(G, cid)
+            ci, ct = _circles_of(where, cid)
+            if ci == ct:
+                want = walk_arc_sum(G, where, cid)
                 assert G.arc_sign_sum(cid) == want, (seed, cid)
                 index = knot_index if G.mu == 1 else self_index
                 assert index(G, cid) == want, (seed, cid)
@@ -102,12 +123,14 @@ def test_arc_sums_and_indices_match_the_walk():
 def test_tables_match_the_walk():
     for seed in range(N_DIAGRAMS):
         G = _diagram(seed)
+        where = endpoint_index(G)
         if G.mu == 1:
             assert writhe_tables(G) == walk_table(
-                G, G.signs, lambda c: walk_arc_sum(G, c)), seed
+                G, G.signs, lambda c: walk_arc_sum(G, where, c)), seed
             continue
         assert self_writhe_tables(G) == tuple(
-            walk_table(G, _self_chords(G, c), lambda x: walk_arc_sum(G, x))
+            walk_table(G, _self_chords(G, where, c),
+                       lambda x: walk_arc_sum(G, where, x))
             for c in (0, 1)), seed
 
 
@@ -115,17 +138,21 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
     pairs = 0
     for seed in range(0, N_DIAGRAMS, 2):
         G = _diagram(seed)
-        nonself = _nonself(G)
+        where = endpoint_index(G)
+        nonself = _nonself(G, where)
+        by_type = [[c for c in nonself if where[c][INITIAL][0] == first]
+                   for first in (0, 1)]
         for gamma0 in nonself:
             merged = surgery(G, gamma0)
+            merged_where = endpoint_index(merged)
 
             def index(cid):
-                return 0 if cid == gamma0 else walk_arc_sum(merged, cid)
+                return (0 if cid == gamma0
+                        else walk_arc_sum(merged, merged_where, cid))
 
             assert nonself_writhe_tables(G, gamma0) == tuple(
-                walk_table(G, [c for c in nonself
-                               if G.chord_type(c) == typ], index)
-                for typ in ((1, 2), (2, 1))), (seed, gamma0)
+                walk_table(G, chords, index) for chords in by_type
+            ), (seed, gamma0)
             if len(G) <= PAIRWISE_MAX_CHORDS:
                 for cid in nonself:
                     assert nonself_index(G, cid, gamma0) == index(cid)
@@ -140,3 +167,79 @@ def test_arc_sums_wrap_past_the_basepoint():
     assert arc_sums(word, {"a": 1, "b": -1}) == {"a": -1, "b": -1}
     assert arc_sums(word[1:] + word[:1], {"a": 1, "b": -1}) == {"a": -1, "b": -1}
     assert arc_sums((), {}) == {}
+
+
+# -- free and nonself chords, one pass against one query per chord ----------
+
+
+def per_chord_r1_delete_sites(G: GaussDiagram) -> list[MoveSite]:
+    """R1_delete sites as found by asking the diagram about each chord."""
+    out = []
+    for cid in G.signs:
+        if not G.is_free(cid):
+            continue
+        ci, pi = G.locate(cid, INITIAL)
+        _, pt = G.locate(cid, TERMINAL)
+        n = len(G.circles[ci])
+        cands = [p for p in (pi, pt)
+                 if (p + 1) % n in (pi, pt) and p != (p + 1) % n]
+        out.append(MoveSite(R1_DELETE, ((ci, min(cands)),)))
+    return out
+
+
+def per_chord_linking_data(G: GaussDiagram) -> tuple[int, int, int]:
+    lk12 = lk21 = 0
+    for cid in G.signs:
+        typ = G.chord_type(cid)
+        if typ == (1, 2):
+            lk12 += G.signs[cid]
+        elif typ == (2, 1):
+            lk21 += G.signs[cid]
+    return lk12, lk21, lk12 - lk21
+
+
+def _with_free_chords(seed: int) -> GaussDiagram:
+    """A random 1- or 2-circle diagram with free chords planted at random
+    gaps, some circles holding one free chord alone, and every circle
+    rotated at random so planted chords may wrap past the basepoint."""
+    rng = random.Random(seed)
+    mu = rng.choice((1, 2))
+    G = random_diagram(rng, mu, 24)
+    signs = dict(G.signs)
+    circles = [list(w) for w in G.circles]
+    if rng.random() < 0.3:
+        # empty circle 1 (a link's endpoints all go to circle 2), so that
+        # it holds one free chord alone
+        if mu == 1:
+            signs, circles = {}, [[]]
+        else:
+            circles = [[], circles[0] + circles[1]]
+    for c, word in enumerate(circles):
+        for k in range(rng.randint(1, 3) if word else 1):
+            cid = f"f{c}_{k}"
+            signs[cid] = rng.choice((1, -1))
+            pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
+            if rng.random() < 0.5:
+                pair.reverse()
+            g = rng.randint(0, len(word))
+            word[g:g] = pair
+    rotated = []
+    for word in circles:
+        r = rng.randint(0, max(len(word) - 1, 0))
+        rotated.append(tuple(word[r:] + word[:r]))
+    return GaussDiagram(signs, rotated)
+
+
+def test_r1_delete_sites_and_linking_data_match_per_chord_queries():
+    lone = wrapped = sites = 0
+    for seed in range(1500):
+        G = _with_free_chords(seed)
+        want = per_chord_r1_delete_sites(G)
+        assert find_move_sites(G, R1_DELETE) == want, seed
+        sites += len(want)
+        lone += sum(len(w) == 2 for w in G.circles)
+        wrapped += sum(p == len(G.circles[c]) - 1 and len(G.circles[c]) > 2
+                       for site in want for c, p in site.anchors)
+        if G.mu == 2:
+            assert linking_data(G) == per_chord_linking_data(G), seed
+    assert sites > 3000 and lone > 100 and wrapped > 100

@@ -1,5 +1,5 @@
-"""Differential and property tests of the fast isomorphism key and the lazy
-endpoint index.
+"""Differential and property tests of the fast isomorphism key, and of the
+per-chord queries on unvalidated diagrams.
 
 The rotate-and-rename key below lives only here, as the reference
 definition of diagram isomorphism that ``canonical_key`` must reproduce: the
@@ -226,7 +226,7 @@ def test_key_invariant_under_rotation_and_renaming(pair):
     assert canonical_key(G) == canonical_key(H)
 
 
-def test_lazy_index_matches_validated_copy():
+def test_unvalidated_copy_answers_chord_queries_like_validated():
     rng = random.Random(4)
     for _ in range(200):
         V = three_circles(rng, 8) if rng.random() < 0.3 else \
