@@ -130,9 +130,12 @@ def _parse_pairs(body: str, what: str) -> dict[int, int]:
         if not sep:
             raise GaussCodeError(f"{what}: expected n:coeff pairs, got {tok!r}")
         try:
-            out[int(n)] = int(v)
+            slot, coeff = int(n), int(v)
         except ValueError:
             raise GaussCodeError(f"{what}: bad pair {tok!r}") from None
+        if slot in out:
+            raise GaussCodeError(f"{what}: slot {slot} given twice")
+        out[slot] = coeff
     return out
 
 
@@ -143,6 +146,11 @@ def _parse_vector(body: str, what: str) -> list[int]:
         raise GaussCodeError(f"{what}: expected integers") from None
 
 
+# the keys a target block may hold, by its mu line
+_SPEC_KEYS = {"1": ("mu", "w"),
+              "2": ("mu", "lambda", "a", "b", "c", "d", "shell_sum")}
+
+
 def _cmd_realize(args, out) -> int:
     fields: dict[str, str] = {}
     for raw in _read(args.spec).splitlines():
@@ -150,10 +158,18 @@ def _cmd_realize(args, out) -> int:
         if not line:
             continue
         key, sep, body = line.partition(":")
+        key = key.strip()
         if not sep:
             raise GaussCodeError(f"bad target line {line!r}")
-        fields[key.strip()] = body.strip()
+        if key in fields:
+            raise GaussCodeError(f"target key {key!r} given twice")
+        fields[key] = body.strip()
     mu = fields.get("mu")
+    if mu not in _SPEC_KEYS:
+        raise GaussCodeError("target block needs 'mu: 1' or 'mu: 2'")
+    for key in fields:
+        if key not in _SPEC_KEYS[mu]:
+            raise GaussCodeError(f"unknown target key {key!r} for mu: {mu}")
     if mu == "1":
         if "w" not in fields:
             raise GaussCodeError("knot target needs a 'w:' polynomial line")
@@ -162,7 +178,7 @@ def _cmd_realize(args, out) -> int:
         except ValueError as e:
             raise GaussCodeError(str(e)) from None
         G = realize_knot(f)
-    elif mu == "2":
+    else:
         try:
             lam = int(fields.get("lambda", ""))
         except ValueError:
@@ -181,8 +197,6 @@ def _cmd_realize(args, out) -> int:
         ss = fields.get("shell_sum")
         target_ss = int(ss) if ss else None
         G = realize_link(lam, a, b, c, d, target_ss)
-    else:
-        raise GaussCodeError("target block needs 'mu: 1' or 'mu: 2'")
     print(serialize(G), end="", file=out)
     return 0
 

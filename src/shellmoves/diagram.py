@@ -9,7 +9,7 @@ terminal endpoints +eps, where eps is the chord sign.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadSign,
@@ -31,6 +31,8 @@ __all__ = [
     "arc_sums",
     "parse_gauss_code",
     "serialize",
+    "shell_layers",
+    "is_shell_layer",
     "detect_shells",
     "surgery",
     "swap_components",
@@ -124,20 +126,6 @@ class GaussDiagram:
         i, t = self.chord_circles(chord)
         return i == t
 
-    def chord_type(self, chord: str) -> tuple[int, int] | None:
-        """(i, j) for a nonself chord oriented from circle i to circle j,
-        1-based; None for a self-chord."""
-        i, t = self.chord_circles(chord)
-        return None if i == t else (i + 1, t + 1)
-
-    def is_free(self, chord: str) -> bool:
-        ci, pi = self.locate(chord, INITIAL)
-        ct, pt = self.locate(chord, TERMINAL)
-        if ci != ct:
-            return False
-        n = len(self.circles[ci])
-        return (pi - pt) % n == 1 or (pt - pi) % n == 1
-
     def arc_sign_sum(self, chord: str) -> int:
         """Endpoint-sign sum strictly between the chord's initial and
         terminal endpoints, walking the circle in its orientation.
@@ -149,9 +137,6 @@ class GaussDiagram:
         if ci != ct:
             raise NotASelfChord(f"chord {chord!r} is not a self-chord")
         return arc_sums(self.circles[ci], self.signs)[chord]
-
-    def circle_sign_sum(self, circle: int) -> int:
-        return sum(self.endpoint_sign(ep) for ep in self.circles[circle])
 
     def require_mu(self, mu: int) -> None:
         if self.mu != mu:
@@ -229,7 +214,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     signs: dict[str, int] = {}
     words: list[list[Endpoint]] = []
     for line in lines[1:]:
-        if line.startswith("chord"):
+        keyword = line.split(None, 1)[0]
+        if keyword == "chord":
             if words:
                 raise GaussCodeError("chord declarations must precede circles")
             parts = line.split()
@@ -247,7 +233,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
             signs[cid] = s
-        elif line.startswith("circle"):
+        elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()
             if len(parts) != 2:
@@ -290,29 +276,45 @@ def serialize(G: GaussDiagram) -> str:
 # -- shells ------------------------------------------------------------------
 
 
-def _nest_around(G: GaussDiagram, circle: int, p: int) -> list[str]:
-    """Chords nested in parallel around the endpoint at position ``p``,
-    innermost first.
+def _shell_kinds(sign: int) -> tuple[str, str]:
+    """Kinds of a shell's endpoints before and after the endpoint it
+    surrounds: a shell reads initial, endpoint, terminal around an endpoint
+    of positive sign and terminal, endpoint, initial around a negative one."""
+    return (INITIAL, TERMINAL) if sign > 0 else (TERMINAL, INITIAL)
 
-    Layer k pairs the tokens k+1 steps before and after ``p``; each layer
-    must be one self-chord, oriented with the circle exactly when the
-    surrounded endpoint is positive.
-    """
+
+def shell_layers(around: Endpoint, sign: int, shells: Sequence[str]
+                 ) -> list[Endpoint]:
+    """The endpoint ``around``, of endpoint sign ``sign``, with ``shells``
+    nested around it, innermost first."""
+    first, last = _shell_kinds(sign)
+    before, after = [], [around]
+    for s in shells:
+        before.append(Endpoint(s, first))
+        after.append(Endpoint(s, last))
+    return before[::-1] + after
+
+
+def is_shell_layer(G: GaussDiagram, before: Endpoint, around: Endpoint,
+                   after: Endpoint) -> bool:
+    """Whether ``before``, ``around``, ``after`` read as one shell around the
+    endpoint ``around`` of ``G``, as :func:`shell_layers` lays one."""
+    return (before.chord == after.chord != around.chord
+            and (before.kind, after.kind)
+            == _shell_kinds(G.endpoint_sign(around)))
+
+
+def _nest_around(G: GaussDiagram, circle: int, p: int) -> list[str]:
+    """Chords nested as shells around the endpoint at position ``p``,
+    innermost first; layer k pairs the tokens k+1 steps before and after."""
     word = G.circles[circle]
     n = len(word)
-    e = word[p]
-    want_initial_first = G.endpoint_sign(e) > 0
     layers: list[str] = []
-    k = 0
-    while 2 * (k + 1) + 1 <= n:
-        a = word[(p - 1 - k) % n]
-        b = word[(p + 1 + k) % n]
-        if a.chord != b.chord or a.chord == e.chord or a.kind == b.kind:
-            break
-        if (a.kind == INITIAL) != want_initial_first:
+    for k in range((n - 1) // 2):
+        a, b = word[(p - 1 - k) % n], word[(p + 1 + k) % n]
+        if not is_shell_layer(G, a, word[p], b):
             break
         layers.append(a.chord)
-        k += 1
     return layers
 
 

@@ -18,6 +18,7 @@ from .diagram import (
     INITIAL,
     TERMINAL,
     canonical_key,
+    shell_layers,
     swap_components,
 )
 from .errors import (
@@ -32,7 +33,7 @@ from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints,
                          linking_data, profile, self_writhe_tables)
 from .moves import (_GROWTH, MoveSite, _fresh_ids, apply_move,
                     find_move_sites)
-from .normal_form import build_knot_form, build_link_diagram
+from .normal_form import _snail_words, build_knot_form, build_link_diagram
 
 __all__ = [
     "Verdict",
@@ -126,19 +127,14 @@ def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
     if total == 0:
         return G
     c, p = G.locate(chord, kind)
-    ep = G.circles[c][p]
-    s_ep = G.endpoint_sign(ep)
-    sigma = 1 if total > 0 else -1
-    ids = _fresh_ids(G, "r", abs(total))
-    near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
-    seg: list[Endpoint] = [ep]
-    for sid in ids:
-        seg = [Endpoint(sid, near)] + seg + [Endpoint(sid, far)]
     word = G.circles[c]
+    ep = word[p]
+    ids = _fresh_ids(G, "r", abs(total))
     circles = list(G.circles)
-    circles[c] = word[:p] + tuple(seg) + word[p + 1:]
+    circles[c] = (word[:p] + tuple(shell_layers(ep, G.endpoint_sign(ep), ids))
+                  + word[p + 1:])
     signs = dict(G.signs)
-    signs.update({sid: sigma for sid in ids})
+    signs.update(dict.fromkeys(ids, 1 if total > 0 else -1))
     return GaussDiagram(signs, circles, validate=False)
 
 
@@ -155,22 +151,17 @@ def _transfer_shells(G: GaussDiagram, chord: str, x: int) -> GaussDiagram:
 
 def _append_gadget(G: GaussDiagram, circle: int, positive: bool
                    ) -> GaussDiagram:
-    """Two-chord block that moves one unit of index writhe between the
-    slot-1 count and the partner shell slot of the given circle."""
+    """An index-1 self snail of sign + (``positive``) or -, which moves one
+    unit of index writhe between the slot-1 count and the partner shell slot
+    of the given circle.  The positive one is appended starting at its
+    shell's terminal endpoint."""
     g, s = _fresh_ids(G, "r", 2)
-    if positive:  # main chord lands in slot 1 with sign +, shell in partner
-        block = (Endpoint(s, TERMINAL), Endpoint(g, INITIAL),
-                 Endpoint(s, INITIAL), Endpoint(g, TERMINAL))
-        signs = {g: 1, s: -1}
-    else:
-        block = (Endpoint(g, INITIAL), Endpoint(s, TERMINAL),
-                 Endpoint(g, TERMINAL), Endpoint(s, INITIAL))
-        signs = {g: -1, s: 1}
+    signs, word, _ = _snail_words(g, [s], 1 if positive else -1, 1, False)
+    if positive:
+        word = word[-1:] + word[:-1]
     circles = list(G.circles)
-    circles[circle] = circles[circle] + block
-    allsigns = dict(G.signs)
-    allsigns.update(signs)
-    return GaussDiagram(allsigns, circles, validate=False)
+    circles[circle] += tuple(word)
+    return GaussDiagram({**G.signs, **signs}, circles, validate=False)
 
 
 def _apply_gadgets(G: GaussDiagram, circle: int, delta: int,

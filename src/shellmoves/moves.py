@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram
+from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+                      is_shell_layer, shell_layers)
 from .errors import StaleSite
 
 __all__ = [
@@ -42,6 +43,9 @@ MOVE_KINDS = (R1_INSERT, R1_DELETE, R2_INSERT, R2_DELETE, R3,
               S1, S2_INSERT, S2_DELETE)
 
 _GROWTH = {R1_INSERT: 1, R2_INSERT: 2, S2_INSERT: 2}
+
+# kinds whose anchors are gaps 0..len(word) rather than word positions
+_GAP_KINDS = (R1_INSERT, R2_INSERT)
 
 
 @dataclass(frozen=True)
@@ -108,23 +112,13 @@ def _word(G: GaussDiagram, c: int) -> tuple[Endpoint, ...]:
 
 
 def _pair(G: GaussDiagram, c: int, p: int) -> tuple[Endpoint, Endpoint]:
-    word = _word(G, c)
-    if not word:
-        raise StaleSite("empty circle")
-    return word[p % len(word)], word[(p + 1) % len(word)]
+    word = G.circles[c]
+    return word[p], word[(p + 1) % len(word)]
 
 
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise StaleSite(msg)
-
-
-def _flank_block(shell: str, around: Endpoint, sign_around: int
-                 ) -> list[Endpoint]:
-    """Surround an endpoint with a fresh shell, oriented by its sign."""
-    if sign_around > 0:
-        return [Endpoint(shell, INITIAL), around, Endpoint(shell, TERMINAL)]
-    return [Endpoint(shell, TERMINAL), around, Endpoint(shell, INITIAL)]
 
 
 # -- apply -------------------------------------------------------------------
@@ -145,6 +139,10 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
     if len(site.anchors) != n_anchors or len(site.params) not in n_params:
         raise StaleSite(f"{site.kind} takes {n_anchors} anchor(s) and "
                         f"{'/'.join(map(str, n_params))} parameter(s)")
+    if site.kind not in _GAP_KINDS:
+        for c, p in site.anchors:
+            if not 0 <= p < len(_word(G, c)):
+                raise StaleSite(f"no position {p} on circle {c + 1}")
     return handler(G, site)
 
 
@@ -170,11 +168,10 @@ def _apply_r1_insert(G, site):
 def _apply_r1_delete(G, site):
     (c, p), = site.anchors
     u, v = _pair(G, c, p)
-    _check(u.chord == v.chord, "tokens are not a free chord")
+    # on a one-endpoint circle u and v are the same endpoint
+    _check(u.chord == v.chord and u != v, "tokens are not a free chord")
     word = G.circles[c]
-    n = len(word)
-    p %= n
-    q = (p + 1) % n
+    q = (p + 1) % len(word)
     circles = list(G.circles)
     circles[c] = _delete_positions(word, (p, q))
     signs = dict(G.signs)
@@ -249,10 +246,8 @@ def _validate_r2_pattern(G, site):
 def _apply_r2_delete(G, site):
     x, y = _validate_r2_pattern(G, site)
     (c1, p1), (c2, p2) = site.anchors
-    n1 = len(G.circles[c1])
-    pos = {(c1, p1 % n1), (c1, (p1 + 1) % n1)}
-    n2 = len(G.circles[c2])
-    pos |= {(c2, p2 % n2), (c2, (p2 + 1) % n2)}
+    n1, n2 = len(G.circles[c1]), len(G.circles[c2])
+    pos = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}
     _check(len(pos) == 4, "overlapping pairs")
     circles = list(G.circles)
     by_circle: dict[int, list[int]] = {}
@@ -272,7 +267,7 @@ def _apply_r2_delete(G, site):
 
     g1, g2 = _gap(c1, p1), _gap(c2, p2)
     params = [variant, "+" if eps > 0 else "-"]
-    if c1 == c2 and g1 == g2 and (p2 % n1 + 2) % n1 == p1 % n1:
+    if c1 == c2 and g1 == g2 and (p2 + 2) % n1 == p1:
         params.append("tfirst")
     inv = MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), tuple(params))
     return GaussDiagram(signs, circles, validate=False), inv
@@ -307,31 +302,23 @@ def _apply_r3(G, site):
     _validate_r3(G, site)
     pos = set()
     for c, p in site.anchors:
-        n = len(G.circles[c])
-        pos |= {(c, p % n), (c, (p + 1) % n)}
+        pos |= {(c, p), (c, (p + 1) % len(G.circles[c]))}
     _check(len(pos) == 6, "overlapping pairs")
     circles = [list(w) for w in G.circles]
     for c, p in site.anchors:
-        n = len(G.circles[c])
-        a, b = p % n, (p + 1) % n
-        circles[c][a], circles[c][b] = circles[c][b], circles[c][a]
+        q = (p + 1) % len(G.circles[c])
+        circles[c][p], circles[c][q] = circles[c][q], circles[c][p]
     new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
     return new, MoveSite(R3, site.anchors)
 
 
 def _apply_s1(G, site):
     (c, p), = site.anchors
-    word = _word(G, c)
-    n = len(word)
-    _check(n >= 3, "word too short for a shell")
-    p %= n
+    word = G.circles[c]
     e = word[p]
-    u, v = word[(p - 1) % n], word[(p + 1) % n]
-    _check(u.chord == v.chord and u.chord != e.chord,
-           "no shell flanking this endpoint")
+    u, v = word[p - 1], word[(p + 1) % len(word)]
+    _check(is_shell_layer(G, u, e, v), "no shell flanking this endpoint")
     shell = u.chord
-    _check((u.kind == INITIAL) == (G.endpoint_sign(e) > 0),
-           "flanking chord is not a shell (wrong orientation)")
     base = e.chord
     other_kind = TERMINAL if e.kind == INITIAL else INITIAL
     circles = [[ep for ep in w if ep.chord != shell] for w in G.circles]
@@ -339,8 +326,8 @@ def _apply_s1(G, site):
                   for pi, ep in enumerate(w)
                   if ep.chord == base and ep.kind == other_kind)
     target = circles[c2][p2]
-    block = _flank_block(shell, target, G.endpoint_sign(target))
-    circles[c2][p2:p2 + 1] = block
+    circles[c2][p2:p2 + 1] = shell_layers(target, G.endpoint_sign(target),
+                                          [shell])
     new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
     return new, MoveSite(S1, ((c2, p2 + 1),))
 
@@ -351,15 +338,14 @@ def _apply_s2_insert(G, site):
     _check(e.chord != f.chord, "adjacent endpoints must belong to two chords")
     word = G.circles[c]
     n = len(word)
-    p %= n
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
     u, v = _fresh_ids(G, "n", 2)  # u shields f, v shields e
     signs = dict(G.signs)
     signs[v] = se * sf
     signs[u] = -se * sf
-    block = _flank_block(u, f, sf) + _flank_block(v, e, se)
+    block = shell_layers(f, sf, [u]) + shell_layers(e, se, [v])
     circles = list(G.circles)
-    if (p + 1) % n == (p + 1):
+    if p + 1 < n:
         circles[c] = word[:p] + tuple(block) + word[p + 2:]
         anchor = p
     else:  # pair wraps around the basepoint; rotate it into view
@@ -382,11 +368,10 @@ def _validate_s2_delete(G, site):
     _check(len({(ep.chord, ep.kind) for ep in t}) == 6, "window overlaps itself")
     u, f, u2, v, e, v2 = t
     _check(u.chord == u2.chord and v.chord == v2.chord, "not two shells")
-    _check(u.chord != v.chord, "shells must be distinct")
+    _check(is_shell_layer(G, u, f, u2) and is_shell_layer(G, v, e, v2),
+           "shells mis-oriented")
     _check(len({u.chord, v.chord, e.chord, f.chord}) == 4, "chords must differ")
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    _check((u.kind == INITIAL) == (sf > 0), "first shell mis-oriented")
-    _check((v.kind == INITIAL) == (se > 0), "second shell mis-oriented")
     _check(G.signs[v.chord] == se * sf and G.signs[u.chord] == -se * sf,
            "shell signs do not cancel")
     return t
@@ -396,7 +381,6 @@ def _apply_s2_delete(G, site):
     u, f, _, v, e, _ = _validate_s2_delete(G, site)
     (c, p), = site.anchors
     word = G.circles[c]
-    p %= len(word)
     rot = word[p:] + word[:p]
     circles = list(G.circles)
     circles[c] = (e, f) + rot[6:]
@@ -526,15 +510,10 @@ def _sites_r3(G):
 def _sites_s1(G):
     out = []
     for c, word in enumerate(G.circles):
-        n = len(word)
-        if n < 3:
-            continue
-        for p in range(n):
-            e = word[p]
-            u, v = word[(p - 1) % n], word[(p + 1) % n]
-            if u.chord != v.chord or u.chord == e.chord:
-                continue
-            if (u.kind == INITIAL) == (G.endpoint_sign(e) > 0):
+        triples = zip(word[-1:] + word[:-1], word, word[1:] + word[:1])
+        for p, (u, e, v) in enumerate(triples):
+            # most positions already fail on the chords
+            if u.chord == v.chord and is_shell_layer(G, u, e, v):
                 out.append(MoveSite(S1, ((c, p),)))
     return out
 

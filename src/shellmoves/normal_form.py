@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram
+from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, shell_layers
 from .errors import (
     BadSupport,
     InconsistentProfile,
@@ -76,36 +76,23 @@ class LinkForm:
 # -- snail words -----------------------------------------------------------
 
 
-def _self_snail_words(main: str, shells: list[str], eps: int,
-                      n: int) -> tuple[dict[str, int], list[Endpoint]]:
-    """Endpoint word of a self snail: initial endpoint, shell near-endpoints,
-    terminal endpoint, shell far-endpoints reversed."""
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    near = INITIAL if eps > 0 else TERMINAL
-    far = TERMINAL if eps > 0 else INITIAL
-    signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    word = [Endpoint(main, INITIAL)]
-    word += [Endpoint(s, near) for s in shells]
-    word.append(Endpoint(main, TERMINAL))
-    word += [Endpoint(s, far) for s in reversed(shells)]
-    return signs, word
+def _snail_words(main: str, shells: list[str], eps: int, n: int,
+                 nonself: bool) -> tuple[dict[str, int], list[Endpoint],
+                                         list[Endpoint]]:
+    """Signs, source word and target word of a snail; ``shells`` run
+    outermost first.
 
-
-def _nonself_snail_words(main: str, shells: list[str], eps: int, n: int
-                         ) -> tuple[dict[str, int], list[Endpoint], list[Endpoint]]:
-    """Words of a nonself snail: the shells nest around the initial endpoint
-    on the source circle, the bare terminal endpoint sits on the target."""
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    before = INITIAL if eps < 0 else TERMINAL
-    after = TERMINAL if eps < 0 else INITIAL
+    A self snail is one word: the initial endpoint, then the shells nested
+    around the terminal endpoint.  A nonself snail nests them around the
+    initial endpoint on the source circle; the bare terminal endpoint is the
+    target word.
+    """
     signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    src = [Endpoint(s, before) for s in shells]
-    src.append(Endpoint(main, INITIAL))
-    src += [Endpoint(s, after) for s in reversed(shells)]
-    dst = [Endpoint(main, TERMINAL)]
-    return signs, src, dst
+    signs.update(dict.fromkeys(shells, -eps if n > 0 else eps))
+    ini, ter = Endpoint(main, INITIAL), Endpoint(main, TERMINAL)
+    if nonself:
+        return signs, shell_layers(ini, -eps, shells[::-1]), [ter]
+    return signs, [ini] + shell_layers(ter, eps, shells[::-1]), []
 
 
 def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
@@ -116,50 +103,14 @@ def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
+    if kind not in ("self", "nonself"):
+        raise ValueError(f"unknown snail kind {kind!r}")
     shells = [f"s{j}" for j in range(1, abs(n) + 1)]
-    if kind == "self":
-        signs, word = _self_snail_words("g", shells, eps, n)
-        return GaussDiagram(signs, [word])
-    if kind == "nonself":
-        signs, src, dst = _nonself_snail_words("g", shells, eps, n)
-        return GaussDiagram(signs, [src, dst])
-    raise ValueError(f"unknown snail kind {kind!r}")
+    signs, src, dst = _snail_words("g", shells, eps, n, kind == "nonself")
+    return GaussDiagram(signs, [src, dst] if dst else [src])
 
 
 # -- diagram builders --------------------------------------------------------
-
-
-class _Builder:
-    def __init__(self, mu: int):
-        self.signs: dict[str, int] = {}
-        self.words: list[list[Endpoint]] = [[] for _ in range(mu)]
-        self.count = 0
-
-    def fresh(self) -> tuple[str, int]:
-        self.count += 1
-        return f"g{self.count}", self.count
-
-    def add_self_snail(self, circle: int, eps: int, n: int) -> str:
-        main, k = self.fresh()
-        shells = [f"g{k}s{j}" for j in range(1, abs(n) + 1)]
-        signs, word = _self_snail_words(main, shells, eps, n)
-        self.signs.update(signs)
-        self.words[circle] += word
-        return main
-
-    def add_nonself_snail(self, src: int, dst: int, eps: int, n: int
-                          ) -> tuple[str, list[Endpoint]]:
-        """Append the source-circle fragment; return the pending terminal
-        endpoint so the caller controls the parallel layout."""
-        main, k = self.fresh()
-        shells = [f"g{k}s{j}" for j in range(1, abs(n) + 1)]
-        signs, srcw, dstw = _nonself_snail_words(main, shells, eps, n)
-        self.signs.update(signs)
-        self.words[src] += srcw
-        return main, dstw
-
-    def diagram(self) -> GaussDiagram:
-        return GaussDiagram(self.signs, [tuple(w) for w in self.words])
 
 
 def _snail_run(coeffs: Mapping[int, int]):
@@ -170,15 +121,36 @@ def _snail_run(coeffs: Mapping[int, int]):
             yield n, (1 if c > 0 else -1)
 
 
+def _snail_diagram(mu: int, families) -> GaussDiagram:
+    """Snails of each family ``(source circle, target circle, coefficients)``
+    in turn, the k-th named ``g{k}`` with shells ``g{k}s1``, ...
+
+    Each snail's source word extends its source circle.  Terminal endpoints
+    of nonself snails follow all snails on their target circle, in reverse
+    order, so the chords of a family run in parallel.
+    """
+    signs: dict[str, int] = {}
+    words: list[list[Endpoint]] = [[] for _ in range(mu)]
+    tails: list[list[Endpoint]] = [[] for _ in range(mu)]
+    k = 0
+    for src, dst, coeffs in families:
+        for n, eps in _snail_run(coeffs):
+            k += 1
+            shells = [f"g{k}s{j}" for j in range(1, abs(n) + 1)]
+            snail, head, tail = _snail_words(f"g{k}", shells, eps, n,
+                                             src != dst)
+            signs.update(snail)
+            words[src] += head
+            tails[dst] += tail
+    return GaussDiagram(signs, [w + t[::-1] for w, t in zip(words, tails)])
+
+
 def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
     """Concatenation of self snails realizing writhe coefficients ``a``."""
     a = _clean(a)
     if 0 in a or 1 in a:
         raise BadSupport("knot snail coefficients must vanish at 0 and 1")
-    b = _Builder(1)
-    for n, eps in _snail_run(a):
-        b.add_self_snail(0, eps, n)
-    return b.diagram()
+    return _snail_diagram(1, [(0, 0, a)])
 
 
 def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
@@ -193,22 +165,7 @@ def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
     a, b, c, d = _clean(a), _clean(b), _clean(c), _clean(d)
     if 0 in a or 1 in a or 0 in b or 1 in b:
         raise BadSupport("self-snail coefficients must vanish at 0 and 1")
-    bld = _Builder(2)
-    for n, eps in _snail_run(a):
-        bld.add_self_snail(0, eps, n)
-    for n, eps in _snail_run(b):
-        bld.add_self_snail(1, eps, n)
-    c_tails: list[Endpoint] = []
-    for m, eps in _snail_run(c):
-        _, tail = bld.add_nonself_snail(0, 1, eps, m)
-        c_tails = tail + c_tails
-    d_tails: list[Endpoint] = []
-    for m, eps in _snail_run(d):
-        _, tail = bld.add_nonself_snail(1, 0, eps, m)
-        d_tails = tail + d_tails
-    bld.words[1] += c_tails
-    bld.words[0] += d_tails
-    return bld.diagram()
+    return _snail_diagram(2, [(0, 0, a), (1, 1, b), (0, 1, c), (1, 0, d)])
 
 
 def build_link_form(form: LinkForm) -> GaussDiagram:

@@ -39,6 +39,30 @@ def reference_link() -> GaussDiagram:
     return build_link_diagram(**REFERENCE_LINK_SNAILS)
 
 
+# -- one-shot chord queries that only tests ask ---------------------------------
+
+
+def chord_type(G: GaussDiagram, chord: str) -> tuple[int, int] | None:
+    """(i, j) for a nonself chord oriented from circle i to circle j,
+    1-based; None for a self-chord."""
+    i, t = G.chord_circles(chord)
+    return None if i == t else (i + 1, t + 1)
+
+
+def is_free(G: GaussDiagram, chord: str) -> bool:
+    """Whether the chord's two endpoints are adjacent on one circle."""
+    ci, pi = G.locate(chord, INITIAL)
+    ct, pt = G.locate(chord, TERMINAL)
+    if ci != ct:
+        return False
+    n = len(G.circles[ci])
+    return (pi - pt) % n == 1 or (pt - pi) % n == 1
+
+
+def circle_sign_sum(G: GaussDiagram, circle: int) -> int:
+    return sum(G.endpoint_sign(ep) for ep in G.circles[circle])
+
+
 def random_diagram(rng: random.Random, mu: int, max_chords: int,
                    chords: int | None = None) -> GaussDiagram:
     """Uniform-ish random diagram: random chord signs and circle assignment,

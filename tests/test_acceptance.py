@@ -24,6 +24,7 @@ from shellmoves.normal_form import (
 from conftest import (
     REFERENCE_KNOT_CODE,
     REFERENCE_LINK_SNAILS,
+    chord_type,
     random_canonical_form,
     random_diagram,
     random_link_with_lambda,
@@ -51,7 +52,7 @@ def test_criterion_2_reference_link_linking_class():
     t0 = time.time()
     G = build_link_diagram(**REFERENCE_LINK_SNAILS)
     # the undressed chord from circle 1 to circle 2 gives the book tables
-    gamma0 = next(c for c in G.signs if G.chord_type(c) == (1, 2)
+    gamma0 = next(c for c in G.signs if chord_type(G, c) == (1, 2)
                   and f"{c}s1" not in G.signs)
     t12, t21 = nonself_writhe_tables(G, gamma0)
     assert t12 == {-1: 1, 0: 1, 4: 1}

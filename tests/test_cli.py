@@ -132,6 +132,31 @@ def test_realize_rejects_bad_targets(files):
     assert code == 65
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("mu: 1\nw: t^-1 - 2*t + t^3\nw: 0\n", "'w' given twice"),
+    ("mu: 1\nmu: 1\nw: 0\n", "'mu' given twice"),
+    ("mu: 2\nlambda: 0\na: 2:1 2:-1\n", "a: slot 2 given twice"),
+    ("mu: 2\nlambda: 0\nc: 0:1 0:1\nd: 0:2\n", "c: slot 0 given twice"),
+    ("mu: 2\nlambda: 2\nshellsum: 5\nc: 1 1\nd: 0 0\n",
+     "unknown target key 'shellsum'"),
+    # a knot target takes no link keys
+    ("mu: 1\nw: 0\nlambda: 3\na: 2:1\n", "unknown target key 'lambda'"),
+])
+def test_realize_rejects_misread_spec_fields(files, capsys, spec, message):
+    code, out = run("realize", "--spec", files("t.txt", spec))
+    assert code == 65 and out == ""
+    assert message in capsys.readouterr().err
+
+
+def test_realize_checks_shell_sum(files):
+    spec = "mu: 2\nlambda: 2\na: 2:2 3:-1\nb: -1:2\nc: 3 1\nd: 2 0\n"
+    code, out = run("realize", "--spec", files("t.txt", spec + "shell_sum: 0\n"))
+    assert code == 0
+    assert "shell_sum: 0" in run("invariants", files("o.gd", out))[1]
+    code, _ = run("realize", "--spec", files("u.txt", spec + "shell_sum: 1\n"))
+    assert code == 1
+
+
 def test_fuzz_ok(files):
     path = files("l.gd", serialize(build_link_diagram(**REFERENCE_LINK_SNAILS)))
     code, out = run("fuzz", path, "--steps", "30", "--seed", "7", "--cap", "40")
@@ -197,6 +222,9 @@ MALFORMED_SITES = (
     "R2_insert @ 1:0 par +",            # two anchors, not one
     "R2_delete @ 1:0 1:1",              # variant missing
     "S1 @ 1:0 1:1",
+    "R1_delete @ 1:7",                  # anchors are not taken mod the length
+    "R1_delete @ 1:-3",
+    "R1_delete @ 1:2",
 )
 
 
@@ -208,6 +236,14 @@ def test_replay_rejects_malformed_site(files, capsys, line):
     assert "trace line 1:" in capsys.readouterr().err
     with pytest.raises(StaleSite):
         apply_move(parse_gauss_code(FREE), site_from_text(line))
+
+
+def test_replay_rejects_r1_delete_of_a_lone_endpoint(files, capsys):
+    # circle 1 holds one endpoint, adjacent to itself
+    a = files("a.gd", "circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>\n")
+    code, out = run("replay", a, files("t.tr", "R1_delete @ 1:0\n"))
+    assert code == 65 and out == ""
+    assert "trace line 1:" in capsys.readouterr().err
 
 
 def test_fmt_canonicalizes_whitespace(files):

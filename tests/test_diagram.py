@@ -30,18 +30,18 @@ from shellmoves.errors import (
 from shellmoves.invariants import linking_data
 from shellmoves.normal_form import encode_snail
 
-from conftest import random_diagram
+from conftest import chord_type, circle_sign_sum, is_free, random_diagram
 
 
 def test_parse_free_chord():
     G = parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>")
     assert G.mu == 1 and G.signs == {"g": 1}
-    assert G.is_free("g")
+    assert is_free(G, "g")
 
 
 def test_parse_cross_circle_chord():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
-    assert G.chord_type("g") == (1, 2)
+    assert chord_type(G, "g") == (1, 2)
     assert not G.is_self_chord("g")
 
 
@@ -70,6 +70,14 @@ def test_parse_comments_and_blank_lines():
 def test_parse_rejects_malformed(text, err):
     with pytest.raises(err):
         parse_gauss_code(text)
+
+
+@pytest.mark.parametrize("line", ["chordal a +", "chords b -", "circlex 1:"])
+def test_parse_rejects_inexact_keyword(line):
+    # a line keyword must be exactly "chord" or "circle"
+    with pytest.raises(GaussCodeError, match="unrecognized line"):
+        parse_gauss_code(f"circles: 1\nchord a +\nchord b -\n{line}\n"
+                         "circle 1: a< a> b< b>")
 
 
 def _eps(text: str) -> tuple[Endpoint, ...]:
@@ -139,7 +147,7 @@ def test_total_endpoint_sign_is_zero():
     rng = random.Random(2)
     for _ in range(100):
         G = random_diagram(rng, rng.choice((1, 2)), 8)
-        assert sum(G.circle_sign_sum(c) for c in range(G.mu)) == 0
+        assert sum(circle_sign_sum(G, c) for c in range(G.mu)) == 0
 
 
 def test_circle_sums_match_linking_difference():
@@ -147,8 +155,8 @@ def test_circle_sums_match_linking_difference():
     for _ in range(100):
         G = random_diagram(rng, 2, 8)
         _, _, lam = linking_data(G)
-        assert G.circle_sign_sum(0) == -lam
-        assert G.circle_sign_sum(1) == lam
+        assert circle_sign_sum(G, 0) == -lam
+        assert circle_sign_sum(G, 1) == lam
 
 
 def test_detect_shells_on_double_shell_snail():
@@ -221,7 +229,7 @@ def test_surgery_requires_nonself_and_two_circles():
 def test_swap_components():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
     H = swap_components(G)
-    assert H.chord_type("g") == (2, 1)
+    assert chord_type(H, "g") == (2, 1)
     assert isomorphic(swap_components(H), G)
 
 

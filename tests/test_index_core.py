@@ -27,7 +27,7 @@ from shellmoves.invariants import (
 )
 from shellmoves.moves import R1_DELETE, MoveSite, find_move_sites
 
-from conftest import random_diagram
+from conftest import chord_type, is_free, random_diagram
 
 N_DIAGRAMS = 2000
 MAX_CHORDS = 60
@@ -176,7 +176,7 @@ def per_chord_r1_delete_sites(G: GaussDiagram) -> list[MoveSite]:
     """R1_delete sites as found by asking the diagram about each chord."""
     out = []
     for cid in G.signs:
-        if not G.is_free(cid):
+        if not is_free(G, cid):
             continue
         ci, pi = G.locate(cid, INITIAL)
         _, pt = G.locate(cid, TERMINAL)
@@ -190,7 +190,7 @@ def per_chord_r1_delete_sites(G: GaussDiagram) -> list[MoveSite]:
 def per_chord_linking_data(G: GaussDiagram) -> tuple[int, int, int]:
     lk12 = lk21 = 0
     for cid in G.signs:
-        typ = G.chord_type(cid)
+        typ = chord_type(G, cid)
         if typ == (1, 2):
             lk12 += G.signs[cid]
         elif typ == (2, 1):

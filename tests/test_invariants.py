@@ -27,6 +27,8 @@ from shellmoves.normal_form import build_link_diagram, encode_snail
 
 from conftest import (
     REFERENCE_KNOT_INDICES,
+    chord_type,
+    is_free,
     random_diagram,
     random_link_with_lambda,
 )
@@ -93,7 +95,7 @@ def test_self_index_free_chord_two_values():
         G = random_link_with_lambda(rng, rng.choice([0, 1, 2, 3]))
         _, _, lam = linking_data(G)
         for cid in G.signs:
-            if G.is_self_chord(cid) and G.is_free(cid):
+            if G.is_self_chord(cid) and is_free(G, cid):
                 ci, _ = G.locate(cid, "<")
                 want = {0, -lam} if ci == 0 else {0, lam}
                 idx = self_index(G, cid)
@@ -124,7 +126,7 @@ def test_self_index_rejects_nonself():
 
 def test_nonself_index_reference_convention(reference_link):
     chords12 = [c for c in reference_link.signs
-                if reference_link.chord_type(c) == (1, 2)]
+                if chord_type(reference_link, c) == (1, 2)]
     assert nonself_index(reference_link, chords12[0], chords12[0]) == 0
 
 
@@ -142,7 +144,7 @@ def test_nonself_index_rejects_self_chords(reference_link):
 def test_reference_link_nonself_tables(reference_link):
     # relative to the undressed chord from circle 1 to circle 2
     gamma0 = next(c for c in reference_link.signs
-                  if reference_link.chord_type(c) == (1, 2)
+                  if chord_type(reference_link, c) == (1, 2)
                   and nonself_index(reference_link, c, c) == 0
                   and all(not k.startswith(c + "s") for k in reference_link.signs
                           if k != c) and c + "s1" not in reference_link.signs)

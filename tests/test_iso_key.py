@@ -23,7 +23,7 @@ from shellmoves.diagram import (
 )
 from shellmoves.errors import DuplicateEndpoint, MissingEndpoint, UnknownChordId
 
-from conftest import random_diagram
+from conftest import chord_type, is_free, random_diagram
 
 N_PAIRS = 4000
 
@@ -235,8 +235,8 @@ def test_unvalidated_copy_answers_chord_queries_like_validated():
         for cid in V.signs:
             for kind in (INITIAL, TERMINAL):
                 assert L.locate(cid, kind) == V.locate(cid, kind)
-            assert L.is_free(cid) == V.is_free(cid)
-            assert L.chord_type(cid) == V.chord_type(cid)
+            assert is_free(L, cid) == is_free(V, cid)
+            assert chord_type(L, cid) == chord_type(V, cid)
             assert L.chord_circles(cid) == V.chord_circles(cid)
         with pytest.raises(UnknownChordId):
             L.locate("no such chord", INITIAL)
