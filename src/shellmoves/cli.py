@@ -151,6 +151,14 @@ _SPEC_KEYS = {"1": ("mu", "w"),
               "2": ("mu", "lambda", "a", "b", "c", "d", "shell_sum")}
 
 
+def _int_line(fields: dict[str, str], key: str) -> int:
+    try:
+        return int(fields.get(key, ""))
+    except ValueError:
+        raise GaussCodeError(f"link target needs an integer '{key}:' line") \
+            from None
+
+
 def _cmd_realize(args, out) -> int:
     fields: dict[str, str] = {}
     for raw in _read(args.spec).splitlines():
@@ -179,11 +187,7 @@ def _cmd_realize(args, out) -> int:
             raise GaussCodeError(str(e)) from None
         G = realize_knot(f)
     else:
-        try:
-            lam = int(fields.get("lambda", ""))
-        except ValueError:
-            raise GaussCodeError("link target needs an integer 'lambda:' line") \
-                from None
+        lam = _int_line(fields, "lambda")
         a = _parse_pairs(fields.get("a", ""), "a")
         b = _parse_pairs(fields.get("b", ""), "b")
         if lam == 0:
@@ -194,8 +198,8 @@ def _cmd_realize(args, out) -> int:
             dv = _parse_vector(fields.get("d", ""), "d")
             c = {m: v for m, v in enumerate(cv)}
             d = {m: v for m, v in enumerate(dv)}
-        ss = fields.get("shell_sum")
-        target_ss = int(ss) if ss else None
+        target_ss = (_int_line(fields, "shell_sum") if "shell_sum" in fields
+                     else None)
         G = realize_link(lam, a, b, c, d, target_ss)
     print(serialize(G), end="", file=out)
     return 0

@@ -29,8 +29,9 @@ from .errors import (
     NotRealizable,
     UnsupportedComponentCount,
 )
-from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints,
-                         linking_data, profile, self_writhe_tables)
+from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints, _off,
+                         link_slots, linking_data, profile,
+                         self_writhe_tables, shell_sum)
 from .moves import (_GROWTH, MoveSite, _fresh_ids, apply_move,
                     find_move_sites)
 from .normal_form import _snail_words, build_knot_form, build_link_diagram
@@ -97,9 +98,8 @@ def check_consistency(pr: LinkProfile) -> bool:
     lam = abs(pr.lam)
     if lam == 1:
         raise ValueError("consistency relation is undefined for |lambda| = 1")
-    total = (sum(n * v for n, v in pr.jn1.items())
-             + sum(n * v for n, v in pr.jn2.items())
-             + pr.f_prime)
+    total = LaurentPoly([*pr.jn1.items(), *pr.jn2.items()]
+                        ).derivative_at_one() + pr.f_prime
     return total == 0 if lam == 0 else total % lam == 0
 
 
@@ -164,17 +164,6 @@ def _append_gadget(G: GaussDiagram, circle: int, positive: bool
     return GaussDiagram({**G.signs, **signs}, circles, validate=False)
 
 
-def _apply_gadgets(G: GaussDiagram, circle: int, delta: int,
-                   flip: bool = False) -> GaussDiagram:
-    """Shift the targeted slot of ``circle`` by ``delta`` against its partner
-    slot.  ``flip`` targets the partner instead (used for the slot that the
-    positive gadget lowers)."""
-    positive = (delta > 0) != flip
-    for _ in range(abs(delta)):
-        G = _append_gadget(G, circle, positive)
-    return G
-
-
 def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
     """The first nonself chord in ``signs`` order, inserting a cancelling
     parallel pair if none."""
@@ -210,112 +199,77 @@ def realize_link(lam: int, a: Mapping[int, int], b: Mapping[int, int],
     0..lam-1 for lam >= 2.  Admissibility: (a) the coefficient sums must book
     the linking numbers consistently with lam, and (b) the index-weighted
     totals must cancel (mod lam where applicable).
+
+    Snails realize the targets off the shell slots of :func:`link_slots`; a
+    shell transfer and gadgets then fill the shell slots.
     """
     if lam < 0:
         raise NegativeLambda("realization targets assume lam >= 0")
     a = {n: v for n, v in a.items() if v}
     b = {n: v for n, v in b.items() if v}
-    if lam == 0:
-        return _realize_lam0(a, b, c, d, target_shell_sum)
+    (free1, shell1), (free2, shell2) = slots = link_slots(lam)
+    _check_support("component-1 writhe targets", a, free1)
+    _check_support("component-2 writhe targets", b, free2)
     if lam == 1:
-        return _realize_lam1(a, b, c, d, target_shell_sum)
-    return _realize_lam_ge2(lam, a, b, c, d, target_shell_sum)
-
-
-def _realize_lam0(a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0})
-    _check_support("component-2 writhe targets", b, {0})
+        if {m for m, v in c.items() if v} - {0} or \
+                {m for m, v in d.items() if v} - {0}:
+            raise ConstraintViolated("lam = 1 takes single linking numbers")
+        c0 = c.get(0, 0)
+        if 0 in d and d[0] != c0 - 1:
+            raise ConstraintViolated(
+                f"(a): second linking number is forced to {c0 - 1}")
+        c, d = {0: c0}, {0: c0 - 1}
     c = {m: v for m, v in c.items() if v}
     d = {m: v for m, v in d.items() if v}
-    if sum(c.values()) != sum(d.values()):
-        raise ConstraintViolated(
-            "(a): the two nonself coefficient sums must be equal, got "
-            f"{sum(c.values())} and {sum(d.values())}")
-    total = (sum(n * v for n, v in a.items())
-             + sum(n * v for n, v in b.items())
-             + sum(m * v for m, v in c.items())
-             + sum(m * v for m, v in d.items()))
-    if total != 0:
-        raise ConstraintViolated(
-            f"(b): the index-weighted target total must vanish, got {total}")
-    if target_shell_sum is not None and \
-            target_shell_sum != a.get(1, 0) + b.get(1, 0):
-        raise ConstraintViolated(
-            "shell-sum target conflicts with the slot-1 writhe targets")
-    G = build_link_diagram({n: v for n, v in a.items() if n != 1},
-                           {n: v for n, v in b.items() if n != 1}, c, d)
-    t1, _ = self_writhe_tables(G)
-    x = a.get(1, 0) - t1.get(1, 0)
-    if x:
-        G, anchor = _nonself_anchor(G)
-        G = _transfer_shells(G, anchor, x)
-    return G
-
-
-def _realize_lam1(a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0, -1})
-    _check_support("component-2 writhe targets", b, {0, 1})
-    if {m for m, v in c.items() if v} - {0} or \
-            {m for m, v in d.items() if v} - {0}:
-        raise ConstraintViolated("lam = 1 takes single linking numbers")
-    c0 = c.get(0, 0)
-    if 0 in d and d[0] != c0 - 1:
-        raise ConstraintViolated(
-            f"(a): second linking number is forced to {c0 - 1}")
-    if target_shell_sum is not None:
-        raise ConstraintViolated("no shell-sum invariant exists for lam = 1")
-    G = build_link_diagram({n: v for n, v in a.items() if n != 1},
-                           {n: v for n, v in b.items() if n != 2},
-                           {0: c0}, {0: c0 - 1})
-    t1, t2 = self_writhe_tables(G)
-    G = _apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
-    G = _apply_gadgets(G, 1, b.get(2, 0) - t2.get(2, 0), flip=True)
-    return G
-
-
-def _realize_lam_ge2(lam, a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0, -lam})
-    _check_support("component-2 writhe targets", b, {0, lam})
-    c = {m: v for m, v in c.items() if v}
-    d = {m: v for m, v in d.items() if v}
-    if (set(c) | set(d)) - set(range(lam)):
+    if lam >= 2 and any(m not in range(lam) for m in (*c, *d)):
         raise ConstraintViolated(
             f"nonself coefficients must be keyed 0..{lam - 1}")
     if sum(c.values()) - sum(d.values()) != lam:
         raise ConstraintViolated(
+            "(a): the two nonself coefficient sums must be equal, got "
+            f"{sum(c.values())} and {sum(d.values())}" if lam == 0 else
             "(a): nonself coefficient sums must differ by lam, got "
             f"{sum(c.values())} - {sum(d.values())}")
-    total = (sum(n * v for n, v in a.items())
-             + sum(n * v for n, v in b.items())
-             + sum(m * v for m, v in c.items())
-             - sum(m * v for m, v in d.items()))
-    if total % lam != 0:
+    if lam:
+        # for lam >= 1 the coefficient d_m sits at exponent -m
+        d = {-m: v for m, v in d.items()}
+    total = LaurentPoly([*a.items(), *b.items(), *c.items(), *d.items()]
+                        ).derivative_at_one()
+    if (total % lam if lam else total) != 0:
         raise ConstraintViolated(
+            f"(b): the index-weighted target total must vanish, got {total}"
+            if lam == 0 else
             f"(b): index-weighted target total must vanish mod lam, "
             f"got {total} mod {lam}")
-    four = (a.get(1, 0) + a.get(-lam + 1, 0)
-            + b.get(1, 0) + b.get(lam + 1, 0))
-    if target_shell_sum is not None and target_shell_sum != four:
+    target = shell_sum(lam, a, b)
+    if target_shell_sum is not None and target_shell_sum != target:
         raise ConstraintViolated(
-            "shell-sum target conflicts with the four slot targets")
-    k = total // lam
-    p = -k - a.get(-lam + 1, 0) + b.get(lam + 1, 0)
-    G = build_link_diagram(
-        {n: v for n, v in a.items() if n not in (1, -lam + 1)},
-        {n: v for n, v in b.items() if n not in (1, lam + 1)},
-        {p + m: v for m, v in c.items()},
-        {-p - m: v for m, v in d.items()})
-    t1, _ = self_writhe_tables(G)
-    # amount the component-1 shell slots are short; the anchor transfer
-    # moves exactly that much over from component 2
-    x = (a.get(1, 0) + a.get(-lam + 1, 0)
-         - t1.get(1, 0) - t1.get(-lam + 1, 0))
-    if x:
-        G, anchor = _nonself_anchor(G)
-        G = _transfer_shells(G, anchor, x)
-    t1, t2 = self_writhe_tables(G)
-    G = _apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
-    G = _apply_gadgets(G, 1, b.get(1, 0) - t2.get(1, 0))
+            f"no shell-sum invariant exists for lam = {lam}" if target is None
+            else "shell-sum target conflicts with the "
+            + ("slot-1 writhe targets" if lam == 0 else "four slot targets"))
+    a_core, b_core = _off(a, shell1), _off(b, shell2)
+    p = 0
+    if lam >= 2:
+        # the window start that gives the snail form the target shell sum
+        core = LaurentPoly([*a_core.items(), *b_core.items(), *c.items(),
+                            *d.items()])
+        p = -(core.derivative_at_one() + target) // lam
+    G = build_link_diagram(a_core, b_core, {p + m: v for m, v in c.items()},
+                           {n - p: v for n, v in d.items()})
+    tables = self_writhe_tables(G)
+    if target is not None:
+        # amount the component-1 shell slots are short; the anchor transfer
+        # moves exactly that much over from component 2
+        x = sum(a.get(n, 0) - tables[0].get(n, 0) for n in shell1)
+        if x:
+            G = _transfer_shells(*_nonself_anchor(G), x)
+            tables = self_writhe_tables(G)
+    for circle, (want, (_, shell), t) in enumerate(zip((a, b), slots, tables)):
+        # a positive gadget raises slot 1 and lowers its partner shell slot
+        n = 1 if 1 in shell else min(shell)
+        delta = want.get(n, 0) - t.get(n, 0)
+        for _ in range(abs(delta)):
+            G = _append_gadget(G, circle, (delta > 0) == (n == 1))
     return G
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "nonself_writhe_tables",
     "linking_data",
     "linking_class",
+    "link_slots",
+    "shell_sum",
     "profile",
 ]
 
@@ -155,6 +157,32 @@ def linking_class(G: GaussDiagram) -> LinkingClass:
     return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
 
 
+def link_slots(lam: int) -> tuple[tuple[set[int], set[int]], ...]:
+    """Per circle of a 2-component diagram with linking difference ``lam``,
+    the index-writhe slots that shell moves do not preserve: the free slots
+    ``{0, -lam}`` (circle 1) or ``{0, lam}`` (circle 2), and the shell slots
+    ``{1, 1 - lam}`` or ``{1, 1 + lam}`` minus the free ones.  A sliding shell
+    moves writhe between shell slots, so only their total is invariant."""
+    return tuple(({0, s}, {1, 1 + s} - {0, s}) for s in (-lam, lam))
+
+
+def shell_sum(lam: int, t1: dict[int, int], t2: dict[int, int]) -> int | None:
+    """Total of the per-circle index tables on their shell slots; None when
+    slot 1 is free on one circle (|lam| = 1), as a shell then slides in and
+    out of the count."""
+    slots = link_slots(lam)
+    if any(1 not in shell for _, shell in slots):
+        return None
+    return sum(t.get(n, 0) for t, (_, shell) in zip((t1, t2), slots)
+               for n in shell)
+
+
+def _off(table: dict[int, int], *banned: set[int]) -> dict[int, int]:
+    """``table`` without the slots in any of the ``banned`` sets."""
+    drop = set().union(*banned)
+    return {n: v for n, v in table.items() if n not in drop}
+
+
 class _Profile:
     """Equality and hashing derived from :meth:`fields`, the ordered
     ``(label, value)`` list that is the whole shell-move invariant.  Table
@@ -193,11 +221,10 @@ LAMBDA_LABEL = "virtual linking number"
 class LinkProfile(_Profile):
     """Invariants of an ordered 2-component diagram.
 
-    ``jn1``/``jn2`` are the per-circle self-chord index tables on the slots
-    where they are diagram-independent (n != 0, -lam for circle 1 and
-    n != 0, lam for circle 2).  :meth:`fields` lists the complete shell-move
-    invariant: lambda, the linking numbers, the tables restricted off the
-    slots a sliding shell can occupy, the twist class and the shell sum.
+    ``jn1``/``jn2`` are the per-circle self-chord index tables off the free
+    slots of :func:`link_slots`.  :meth:`fields` lists the complete
+    shell-move invariant: lambda, the linking numbers, the tables off the
+    shell slots as well, the twist class and the shell sum.
     ``f_prime`` is a function of the twist class, so it is not compared.
     """
 
@@ -215,12 +242,10 @@ class LinkProfile(_Profile):
         return 2
 
     def invariant_jn1(self) -> dict[int, int]:
-        banned = {0, 1, -self.lam, -self.lam + 1}
-        return {n: v for n, v in self.jn1.items() if n not in banned}
+        return _off(self.jn1, *link_slots(self.lam)[0])
 
     def invariant_jn2(self) -> dict[int, int]:
-        banned = {0, 1, self.lam, self.lam + 1}
-        return {n: v for n, v in self.jn2.items() if n not in banned}
+        return _off(self.jn2, *link_slots(self.lam)[1])
 
     def fields(self) -> tuple[tuple[str, object], ...]:
         return ((LAMBDA_LABEL, self.lam),
@@ -243,15 +268,8 @@ def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
             f"profiles cover 1 or 2 circles, not {G.mu}")
     lk12, lk21, lam = linking_data(G)
     t1, t2 = self_writhe_tables(G)
-    jn1 = {n: v for n, v in t1.items() if n not in (0, -lam)}
-    jn2 = {n: v for n, v in t2.items() if n not in (0, lam)}
-    if abs(lam) == 1:
-        shell_sum = None
-    elif lam == 0:
-        shell_sum = t1.get(1, 0) + t2.get(1, 0)
-    else:
-        shell_sum = (t1.get(1, 0) + t1.get(-lam + 1, 0)
-                     + t2.get(1, 0) + t2.get(lam + 1, 0))
+    (free1, _), (free2, _) = link_slots(lam)
     cls = linking_class(G)
     f_prime = None if abs(lam) == 1 else cls.derivative_sum()
-    return LinkProfile(lk12, lk21, lam, jn1, jn2, shell_sum, cls, f_prime)
+    return LinkProfile(lk12, lk21, lam, _off(t1, free1), _off(t2, free2),
+                       shell_sum(lam, t1, t2), cls, f_prime)

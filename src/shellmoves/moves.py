@@ -529,7 +529,11 @@ def _sites_s2_delete(G):
         n = len(word)
         if n < 6:
             continue
+        ids = [ep.chord for ep in word + word[:5]]
         for p in range(n):
+            # most positions already fail on the shell chords
+            if ids[p] != ids[p + 2] or ids[p + 3] != ids[p + 5]:
+                continue
             site = MoveSite(S2_DELETE, ((c, p),))
             try:
                 _validate_s2_delete(G, site)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .algebra import LaurentPoly
 from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, shell_layers
 from .errors import (
     BadSupport,
@@ -19,6 +20,7 @@ from .errors import (
     MalformedSnailForm,
     NegativeLambda,
 )
+from .invariants import KnotProfile, LinkProfile
 
 __all__ = [
     "KnotForm",
@@ -190,8 +192,6 @@ def canonical_form(profile) -> KnotForm | LinkForm:
     nonself coefficients come from the canonical linking-class representative;
     for lam >= 2 the window position p is solved from the shell-sum identity.
     """
-    from .invariants import KnotProfile, LinkProfile
-
     if isinstance(profile, KnotProfile):
         return KnotForm({n: v for n, v in profile.n_writhes.items() if n != 1})
     if not isinstance(profile, LinkProfile):
@@ -209,10 +209,9 @@ def canonical_form(profile) -> KnotForm | LinkForm:
         return LinkForm(1, a, b, {0: profile.lk12}, {0: profile.lk21}, 0)
     cvec = cls.f.vector(lam)
     dvec = tuple(cls.g.vector(lam)[(-m) % lam] for m in range(lam))
-    base = (-sum(n * v for n, v in a.items())
-            - sum(n * v for n, v in b.items())
-            - sum(m * cvec[m] for m in range(lam))
-            + sum(m * dvec[m] for m in range(lam)))
+    base = -LaurentPoly([*a.items(), *b.items(), *enumerate(cvec),
+                         *((-m, v) for m, v in enumerate(dvec))]
+                        ).derivative_at_one()
     if (base - profile.shell_sum) % lam != 0:
         raise InconsistentProfile(
             "shell sum is incompatible with the linking class")

@@ -132,6 +132,9 @@ def test_realize_rejects_bad_targets(files):
     assert code == 65
 
 
+LINK_SPEC = "mu: 2\nlambda: 2\na: 2:2 3:-1\nb: -1:2\nc: 3 1\nd: 2 0\n"
+
+
 @pytest.mark.parametrize("spec,message", [
     ("mu: 1\nw: t^-1 - 2*t + t^3\nw: 0\n", "'w' given twice"),
     ("mu: 1\nmu: 1\nw: 0\n", "'mu' given twice"),
@@ -141,6 +144,9 @@ def test_realize_rejects_bad_targets(files):
      "unknown target key 'shellsum'"),
     # a knot target takes no link keys
     ("mu: 1\nw: 0\nlambda: 3\na: 2:1\n", "unknown target key 'lambda'"),
+    # a shell_sum line, once given, must hold an integer
+    (LINK_SPEC + "shell_sum:\n", "needs an integer 'shell_sum:' line"),
+    (LINK_SPEC + "shell_sum: x\n", "needs an integer 'shell_sum:' line"),
 ])
 def test_realize_rejects_misread_spec_fields(files, capsys, spec, message):
     code, out = run("realize", "--spec", files("t.txt", spec))
@@ -149,7 +155,7 @@ def test_realize_rejects_misread_spec_fields(files, capsys, spec, message):
 
 
 def test_realize_checks_shell_sum(files):
-    spec = "mu: 2\nlambda: 2\na: 2:2 3:-1\nb: -1:2\nc: 3 1\nd: 2 0\n"
+    spec = LINK_SPEC
     code, out = run("realize", "--spec", files("t.txt", spec + "shell_sum: 0\n"))
     assert code == 0
     assert "shell_sum: 0" in run("invariants", files("o.gd", out))[1]

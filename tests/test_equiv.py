@@ -1,6 +1,7 @@
 """Equivalence decisions, realization, consistency, and the bounded oracle."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -170,6 +171,17 @@ def test_realize_link_sum_mismatch_names_clause_a():
         realize_link(0, {}, {}, {0: 1}, {})
     with pytest.raises(ConstraintViolated, match=r"\(a\)"):
         realize_link(2, {}, {}, {0: 1, 1: 1}, {0: 1})
+
+
+def test_realize_link_huge_lambda_is_rejected_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstraintViolated, match=r"\(a\)"):
+            realize_link(10 ** 6, {}, {}, {0: 1}, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_realize_link_weight_mismatch_names_clause_b():

@@ -485,8 +485,14 @@ def test_realize_link_matches_reference(monkeypatch):
 
 
 def test_detect_shells_matches_reference():
+    sites = 0
     for G in shelled_diagrams(400):
         assert detect_shells(G) == ref_detect_shells(G), G
+        # the S2_delete finder skips positions on their chords alone
+        found = find_move_sites(G, S2_DELETE)
+        assert found == ref_sites_s2_delete(G), G
+        sites += len(found)
+    assert sites >= 100, sites
 
 
 def test_s_sites_and_moves_match_reference():
