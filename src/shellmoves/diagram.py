@@ -73,6 +73,16 @@ class GaussDiagram:
         if validate:
             self._validate()
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GaussDiagram is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussDiagram is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting slots
+        return type(self), (self.signs, self.circles, False)
+
     def _validate(self) -> None:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:

@@ -32,8 +32,7 @@ from .errors import (
 from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints, _off,
                          link_slots, linking_data, profile,
                          self_writhe_tables, shell_sum)
-from .moves import (_GROWTH, MoveSite, _fresh_ids, apply_move,
-                    find_move_sites)
+from .moves import MoveSite, _fresh_ids, apply_move, find_move_sites, fits
 from .normal_form import _snail_words, build_knot_form, build_link_diagram
 
 __all__ = [
@@ -306,7 +305,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
         for idx in frontier:
             diagram = nodes[idx][0]
             for kind in _EXPANSION_ORDER:
-                if len(diagram) + _GROWTH.get(kind, 0) > chord_cap:
+                if not fits(diagram, kind, chord_cap):
                     continue
                 for site in find_move_sites(diagram, kind):
                     child = apply_move(diagram, site)

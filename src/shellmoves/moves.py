@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
                       is_shell_layer, shell_layers)
@@ -23,6 +24,7 @@ __all__ = [
     "MOVE_KINDS",
     "MoveSite",
     "find_move_sites",
+    "fits",
     "apply_move",
     "apply_move_with_inverse",
     "random_walk",
@@ -38,14 +40,6 @@ R3 = "R3"
 S1 = "S1"
 S2_INSERT = "S2_insert"
 S2_DELETE = "S2_delete"
-
-MOVE_KINDS = (R1_INSERT, R1_DELETE, R2_INSERT, R2_DELETE, R3,
-              S1, S2_INSERT, S2_DELETE)
-
-_GROWTH = {R1_INSERT: 1, R2_INSERT: 2, S2_INSERT: 2}
-
-# kinds whose anchors are gaps 0..len(word) rather than word positions
-_GAP_KINDS = (R1_INSERT, R2_INSERT)
 
 
 @dataclass(frozen=True)
@@ -83,24 +77,14 @@ def _fresh_ids(G: GaussDiagram, prefix: str, n: int) -> list[str]:
     return out
 
 
-def _insert_blocks(word, inserts):
-    """Insert blocks before the given gap indices (0..len(word)) of the
-    original word; a gap equal to the word length appends.  Blocks aimed at
-    the same gap land in list order.
-    """
-    out: list[Endpoint] = []
-    prev = 0
-    for g, blk in sorted(inserts, key=lambda ins: ins[0]):
-        out.extend(word[prev:g])
-        out.extend(blk)
-        prev = g
-    out.extend(word[prev:])
-    return tuple(out)
-
-
-def _delete_positions(word, positions):
-    drop = set(positions)
-    return tuple(ep for i, ep in enumerate(word) if i not in drop)
+def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
+    """``G`` with the named chords erased: their signs and endpoints."""
+    signs = dict(G.signs)
+    for cid in chords:
+        del signs[cid]
+    circles = [tuple([ep for ep in w if ep.chord not in chords])
+               for w in G.circles]
+    return GaussDiagram(signs, circles, validate=False)
 
 
 def _word(G: GaussDiagram, c: int) -> tuple[Endpoint, ...]:
@@ -132,18 +116,17 @@ def apply_move(G: GaussDiagram, site: MoveSite) -> GaussDiagram:
 def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
                             ) -> tuple[GaussDiagram, MoveSite]:
     """Apply a move and return the site that undoes it in the image."""
-    entry = _APPLY.get(site.kind)
-    if entry is None:
+    k = _KINDS.get(site.kind)
+    if k is None:
         raise StaleSite(f"unknown move kind {site.kind!r}")
-    handler, n_anchors, n_params = entry
-    if len(site.anchors) != n_anchors or len(site.params) not in n_params:
-        raise StaleSite(f"{site.kind} takes {n_anchors} anchor(s) and "
-                        f"{'/'.join(map(str, n_params))} parameter(s)")
-    if site.kind not in _GAP_KINDS:
+    if len(site.anchors) != k.n_anchors or len(site.params) not in k.n_params:
+        raise StaleSite(f"{site.kind} takes {k.n_anchors} anchor(s) and "
+                        f"{'/'.join(map(str, k.n_params))} parameter(s)")
+    if not k.gaps:
         for c, p in site.anchors:
             if not 0 <= p < len(_word(G, c)):
                 raise StaleSite(f"no position {p} on circle {c + 1}")
-    return handler(G, site)
+    return k.apply(G, site)
 
 
 def _apply_r1_insert(G, site):
@@ -154,11 +137,11 @@ def _apply_r1_insert(G, site):
     word = _word(G, c)
     _check(0 <= g <= len(word), "bad gap")
     cid, = _fresh_ids(G, "n", 1)
-    pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
+    pair = (Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL))
     if order == "TI":
-        pair.reverse()
+        pair = pair[::-1]
     circles = list(G.circles)
-    circles[c] = _insert_blocks(word, [(g, pair)])
+    circles[c] = word[:g] + pair + word[g:]
     signs = dict(G.signs)
     signs[cid] = eps
     return (GaussDiagram(signs, circles, validate=False),
@@ -170,17 +153,12 @@ def _apply_r1_delete(G, site):
     u, v = _pair(G, c, p)
     # on a one-endpoint circle u and v are the same endpoint
     _check(u.chord == v.chord and u != v, "tokens are not a free chord")
-    word = G.circles[c]
-    q = (p + 1) % len(word)
-    circles = list(G.circles)
-    circles[c] = _delete_positions(word, (p, q))
-    signs = dict(G.signs)
-    sign = signs.pop(u.chord)
-    gap = q - (1 if p < q else 0)
+    # the chord's endpoints close up into the gap where the earlier one stood
+    gap = min(p, (p + 1) % len(G.circles[c]))
     order = "IT" if u.kind == INITIAL else "TI"
     inv = MoveSite(R1_INSERT, ((c, gap),),
-                   ("+" if sign > 0 else "-", order))
-    return GaussDiagram(signs, circles, validate=False), inv
+                   ("+" if G.signs[u.chord] > 0 else "-", order))
+    return _without(G, u.chord), inv
 
 
 def _apply_r2_insert(G, site):
@@ -196,26 +174,18 @@ def _apply_r2_insert(G, site):
     for c, g in site.anchors:
         _check(0 <= g <= len(_word(G, c)), "bad gap")
     x, y = _fresh_ids(G, "n", 2)
-    head = [Endpoint(x, INITIAL), Endpoint(y, INITIAL)]
-    tail = [Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)]
+    head = (Endpoint(x, INITIAL), Endpoint(y, INITIAL))
+    tail = (Endpoint(x, TERMINAL), Endpoint(y, TERMINAL))
     if variant == "anti":
-        tail.reverse()
-    circles = list(G.circles)
-    if c1 == c2:
-        blocks = [(g2, tail), (g1, head)] if t_first else [(g1, head), (g2, tail)]
-        circles[c1] = _insert_blocks(G.circles[c1], blocks)
-        if g1 < g2:
-            p1, p2 = g1, g2 + 2
-        elif g1 > g2:
-            p1, p2 = g1 + 2, g2
-        elif t_first:
-            p1, p2 = g1 + 2, g1
-        else:
-            p1, p2 = g1, g1 + 2
+        tail = tail[::-1]
+    # (p1, p2): where the head and tail blocks start in the image
+    if c1 == c2 and (g2 < g1 or t_first):
+        p1, p2 = g1 + 2, g2
     else:
-        circles[c1] = _insert_blocks(G.circles[c1], [(g1, head)])
-        circles[c2] = _insert_blocks(G.circles[c2], [(g2, tail)])
-        p1, p2 = g1, g2
+        p1, p2 = g1, g2 + 2 * (c1 == c2)
+    circles = list(G.circles)
+    for c, g, block in ((c1, g1, head), (c2, p2, tail)):
+        circles[c] = circles[c][:g] + block + circles[c][g:]
     signs = dict(G.signs)
     signs[x] = eps
     signs[y] = -eps
@@ -249,15 +219,6 @@ def _apply_r2_delete(G, site):
     n1, n2 = len(G.circles[c1]), len(G.circles[c2])
     pos = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}
     _check(len(pos) == 4, "overlapping pairs")
-    circles = list(G.circles)
-    by_circle: dict[int, list[int]] = {}
-    for c, p in pos:
-        by_circle.setdefault(c, []).append(p)
-    for c, ps in by_circle.items():
-        circles[c] = _delete_positions(G.circles[c], ps)
-    signs = dict(G.signs)
-    eps = signs.pop(x)
-    signs.pop(y)
     variant = site.params[0]
 
     def _gap(c, p):
@@ -266,11 +227,11 @@ def _apply_r2_delete(G, site):
         return second - removed_before
 
     g1, g2 = _gap(c1, p1), _gap(c2, p2)
-    params = [variant, "+" if eps > 0 else "-"]
+    params = [variant, "+" if G.signs[x] > 0 else "-"]
     if c1 == c2 and g1 == g2 and (p2 + 2) % n1 == p1:
         params.append("tfirst")
     inv = MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), tuple(params))
-    return GaussDiagram(signs, circles, validate=False), inv
+    return _without(G, x, y), inv
 
 
 def _validate_r3(G, site):
@@ -389,19 +350,6 @@ def _apply_s2_delete(G, site):
     signs.pop(v.chord)
     return (GaussDiagram(signs, circles, validate=False),
             MoveSite(S2_INSERT, ((c, 0),)))
-
-
-# kind -> (handler, anchor count, allowed parameter counts)
-_APPLY = {
-    R1_INSERT: (_apply_r1_insert, 1, (2,)),
-    R1_DELETE: (_apply_r1_delete, 1, (0,)),
-    R2_INSERT: (_apply_r2_insert, 2, (2, 3)),
-    R2_DELETE: (_apply_r2_delete, 2, (1,)),
-    R3: (_apply_r3, 3, (0,)),
-    S1: (_apply_s1, 1, (0,)),
-    S2_INSERT: (_apply_s2_insert, 1, (0,)),
-    S2_DELETE: (_apply_s2_delete, 1, (0,)),
-}
 
 
 # -- site enumeration ----------------------------------------------------------
@@ -543,22 +491,41 @@ def _sites_s2_delete(G):
     return out
 
 
-_FINDERS = {
-    R1_INSERT: _sites_r1_insert,
-    R1_DELETE: _sites_r1_delete,
-    R2_INSERT: _sites_r2_insert,
-    R2_DELETE: _sites_r2_delete,
-    R3: _sites_r3,
-    S1: _sites_s1,
-    S2_INSERT: _sites_s2_insert,
-    S2_DELETE: _sites_s2_delete,
+# -- the kind table ----------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    apply: Callable[[GaussDiagram, MoveSite], tuple[GaussDiagram, MoveSite]]
+    find: Callable[[GaussDiagram], list[MoveSite]]
+    n_anchors: int
+    n_params: tuple[int, ...]  # allowed parameter counts
+    growth: int = 0            # chords the move adds
+    gaps: bool = False         # anchors are gaps 0..len(word), not positions
+
+
+_KINDS = {
+    R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, True),
+    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,)),
+    R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, True),
+    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,)),
+    R3: _Kind(_apply_r3, _sites_r3, 3, (0,)),
+    S1: _Kind(_apply_s1, _sites_s1, 1, (0,)),
+    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2),
+    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,)),
 }
+
+MOVE_KINDS = tuple(_KINDS)
+
+
+def fits(G: GaussDiagram, kind: str, chord_cap: int) -> bool:
+    """Whether a ``kind`` move on ``G`` stays within ``chord_cap`` chords."""
+    return len(G) + _KINDS[kind].growth <= chord_cap
 
 
 def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:
     """All occurrences of the given move pattern in ``G``."""
     try:
-        finder = _FINDERS[kind]
+        finder = _KINDS[kind].find
     except KeyError:
         raise ValueError(f"unknown move kind {kind!r}") from None
     return finder(G)
@@ -601,7 +568,7 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
         kinds = list(MOVE_KINDS)
         rng.shuffle(kinds)
         for kind in kinds:
-            if len(G) + _GROWTH.get(kind, 0) > chord_cap:
+            if not fits(G, kind, chord_cap):
                 continue
             site = _sample_site(G, kind, rng)
             if site is None:

@@ -231,6 +231,10 @@ MALFORMED_SITES = (
     "R1_delete @ 1:7",                  # anchors are not taken mod the length
     "R1_delete @ 1:-3",
     "R1_delete @ 1:2",
+    "R1_insert @ 1:3 + IT",             # gaps run 0..len(word)
+    "R1_insert @ 1:-1 + IT",
+    "R2_insert @ 1:0 1:3 par +",
+    "R2_insert @ 1:0 2:0 par +",        # no circle 2
 )
 
 

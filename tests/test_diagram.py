@@ -334,3 +334,22 @@ def test_isomorphism_matches_brute_force_oracle():
                 circles.append(w2[r:] + w2[:r])
             H = GaussDiagram(signs, circles)
         assert isomorphic(G, H) == _brute_isomorphic(G, H)
+
+
+def test_diagram_is_immutable_and_copies_round_trip():
+    import copy
+    import pickle
+
+    G = parse_gauss_code("circles: 2\nchord b -\nchord a +\n"
+                         "circle 1: a< b< b>\ncircle 2: a>\n")
+    for name in ("circles", "signs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(G, name, ())
+        with pytest.raises(AttributeError):
+            delattr(G, name)
+    assert serialize(G).count("chord") == 2
+    for H in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+        assert type(H) is GaussDiagram and H is not G
+        assert list(H.signs.items()) == list(G.signs.items())
+        assert H.circles == G.circles
+        assert serialize(H) == serialize(G)
