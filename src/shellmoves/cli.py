@@ -255,6 +255,18 @@ def _cmd_fmt(args, out) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """A non-negative int: a depth, chord cap, budget or step count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after."""
@@ -284,17 +296,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="random walk; assert profile preservation")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_bound, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_bound, required=True)
     p.set_defaults(run=_cmd_fuzz)
 
     p = sub.add_parser("witness", help="bounded search for a move sequence")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--depth", type=_bound, required=True)
+    p.add_argument("--cap", type=_bound, default=8)
+    p.add_argument("--budget", type=_bound, default=20000)
     p.set_defaults(run=_cmd_witness)
 
     p = sub.add_parser("replay", help="re-apply a recorded move trace")

@@ -32,7 +32,8 @@ from .errors import (
 from .invariants import (LAMBDA_LABEL, LinkProfile, _nonself_endpoints, _off,
                          link_slots, linking_data, profile,
                          self_writhe_tables, shell_sum)
-from .moves import MoveSite, _fresh_ids, apply_move, find_move_sites, fits
+from .moves import (MoveSite, _fresh_ids, apply_move, chord_change,
+                    find_move_sites, fits)
 from .normal_form import _snail_words, build_knot_form, build_link_diagram
 
 __all__ = [
@@ -288,31 +289,46 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     chords, shallow depth).  Returns a replayable trace, or None when the
     bounded graph holds no path.  Raises BudgetExceeded once ``node_budget``
     candidate diagrams have been generated without an answer, in which case
-    absence is not certified.
+    absence is not certified, and ValueError when ``G`` already has more
+    than ``chord_cap`` chords.
+
+    A child with the target's chord count is built and keyed as it is
+    generated, since only such a child can be ``H``.  Every other child is
+    held as (parent, site) and built once its level ends within the budget,
+    in generation order, so the next frontier is the one a build-everything
+    search would reach; the last level's held children are never built.
     """
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
+    if chord_cap < len(G):
+        raise ValueError("chord_cap below current chord count")
     target = canonical_key(H)
     start = canonical_key(G)
     if start == target:
         return []
+    size = len(H)
     nodes: list[tuple[GaussDiagram, int, MoveSite | None]] = [(G, -1, None)]
     seen = {start}
     frontier = [0]
     generated = 0
-    for _ in range(max_depth):
-        nxt: list[int] = []
+    for depth in range(max_depth):
+        # (parent idx, site, child, key); child and key are None until built
+        level: list[tuple] = []
         for idx in frontier:
             diagram = nodes[idx][0]
             for kind in _EXPANSION_ORDER:
                 if not fits(diagram, kind, chord_cap):
                     continue
+                may_hit = len(diagram) + chord_change(kind) == size
                 for site in find_move_sites(diagram, kind):
-                    child = apply_move(diagram, site)
                     generated += 1
                     if generated > node_budget:
                         raise BudgetExceeded(
                             f"{node_budget} candidates generated")
+                    if not may_hit:
+                        level.append((idx, site, None, None))
+                        continue
+                    child = apply_move(diagram, site)
                     key = canonical_key(child)
                     if key == target:
                         trace = [site]
@@ -322,12 +338,19 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                             back = nodes[back][1]
                         trace.reverse()
                         return trace
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nodes.append((child, idx, site))
-                    nxt.append(len(nodes) - 1)
-        if not nxt:
+                    level.append((idx, site, child, key))
+        if depth + 1 == max_depth:
             return None
-        frontier = nxt
+        frontier = []
+        for idx, site, child, key in level:
+            if child is None:
+                child = apply_move(nodes[idx][0], site)
+                key = canonical_key(child)
+            if key in seen:
+                continue
+            seen.add(key)
+            nodes.append((child, idx, site))
+            frontier.append(len(nodes) - 1)
+        if not frontier:
+            return None
     return None

@@ -24,6 +24,7 @@ __all__ = [
     "MOVE_KINDS",
     "MoveSite",
     "find_move_sites",
+    "chord_change",
     "fits",
     "apply_move",
     "apply_move_with_inverse",
@@ -499,27 +500,33 @@ class _Kind(NamedTuple):
     find: Callable[[GaussDiagram], list[MoveSite]]
     n_anchors: int
     n_params: tuple[int, ...]  # allowed parameter counts
-    growth: int = 0            # chords the move adds
+    change: int = 0            # signed change in chord count
     gaps: bool = False         # anchors are gaps 0..len(word), not positions
 
 
 _KINDS = {
     R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, True),
-    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,)),
+    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1),
     R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, True),
-    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,)),
+    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2),
     R3: _Kind(_apply_r3, _sites_r3, 3, (0,)),
     S1: _Kind(_apply_s1, _sites_s1, 1, (0,)),
     S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2),
-    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,)),
+    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2),
 }
 
 MOVE_KINDS = tuple(_KINDS)
 
 
+def chord_change(kind: str) -> int:
+    """How many chords a ``kind`` move adds (negative: removes)."""
+    return _KINDS[kind].change
+
+
 def fits(G: GaussDiagram, kind: str, chord_cap: int) -> bool:
     """Whether a ``kind`` move on ``G`` stays within ``chord_cap`` chords."""
-    return len(G) + _KINDS[kind].growth <= chord_cap
+    change = chord_change(kind)
+    return len(G) + (change if change > 0 else 0) <= chord_cap
 
 
 def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:

@@ -6,7 +6,7 @@ import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import Endpoint, GaussDiagram, INITIAL, TERMINAL, parse_gauss_code
-from shellmoves.normal_form import LinkForm, build_link_diagram
+from shellmoves.normal_form import LinkForm, build_link_diagram, encode_snail
 
 # Five-chord one-circle diagram with index writhes J_3 = J_-1 = 1, J_1 = -2,
 # hence writhe polynomial t^-1 - 2t + t^3 and odd writhe 0.  Chord indices,
@@ -150,3 +150,29 @@ def random_canonical_form(rng: random.Random, lam: int) -> LinkForm:
     p = rng.randint(-3, 3)
     return LinkForm(lam, a, b, {p + m: cvec[m] for m in range(lam)},
                     {-p - m: dvec[m] for m in range(lam)}, p)
+
+
+def oracle_pool() -> tuple[list[GaussDiagram], list[GaussDiagram]]:
+    """The desk-scale pool the witness oracle is checked on: 8 knots and 4
+    two-circle links, at most 3 chords each."""
+    knots = [
+        parse_gauss_code("circles: 1\ncircle 1:"),
+        parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>"),
+        parse_gauss_code("circles: 1\nchord g -\ncircle 1: g< g>"),
+        encode_snail("self", 1, 1),
+        parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
+                         "circle 1: x< y< x> y>"),
+        parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
+                         "circle 1: x< x> y< y>"),
+        parse_gauss_code("circles: 1\nchord x +\nchord y +\n"
+                         "circle 1: x< y< x> y>"),
+        encode_snail("self", 1, 2),
+    ]
+    links = [
+        parse_gauss_code("circles: 2\ncircle 1:\ncircle 2:"),
+        parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>"),
+        parse_gauss_code("circles: 2\nchord g -\ncircle 1: g<\ncircle 2: g>"),
+        parse_gauss_code("circles: 2\nchord x +\nchord y -\n"
+                         "circle 1: x< y<\ncircle 2: x> y>"),
+    ]
+    return knots, links

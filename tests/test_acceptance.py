@@ -18,13 +18,13 @@ from shellmoves.normal_form import (
     build_link_diagram,
     build_link_form,
     canonical_form,
-    encode_snail,
 )
 
 from conftest import (
     REFERENCE_KNOT_CODE,
     REFERENCE_LINK_SNAILS,
     chord_type,
+    oracle_pool,
     random_canonical_form,
     random_diagram,
     random_link_with_lambda,
@@ -132,34 +132,10 @@ def test_criterion_7_normal_form_roundtrip():
     _report(7, "500 canonical snail forms per regime round-trip exactly")
 
 
-def _oracle_pool():
-    knots = [
-        parse_gauss_code("circles: 1\ncircle 1:"),
-        parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>"),
-        parse_gauss_code("circles: 1\nchord g -\ncircle 1: g< g>"),
-        encode_snail("self", 1, 1),
-        parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
-                         "circle 1: x< y< x> y>"),
-        parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
-                         "circle 1: x< x> y< y>"),
-        parse_gauss_code("circles: 1\nchord x +\nchord y +\n"
-                         "circle 1: x< y< x> y>"),
-        encode_snail("self", 1, 2),
-    ]
-    links = [
-        parse_gauss_code("circles: 2\ncircle 1:\ncircle 2:"),
-        parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>"),
-        parse_gauss_code("circles: 2\nchord g -\ncircle 1: g<\ncircle 2: g>"),
-        parse_gauss_code("circles: 2\nchord x +\nchord y -\n"
-                         "circle 1: x< y<\ncircle 2: x> y>"),
-    ]
-    return knots, links
-
-
 def test_criterion_8_oracle_concordance():
     t0 = time.time()
     found = missed = skipped = 0
-    for pool in _oracle_pool():
+    for pool in oracle_pool():
         for i, A in enumerate(pool):
             for B in pool[i:]:
                 expected = s_equivalent(A, B).equivalent

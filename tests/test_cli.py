@@ -187,6 +187,30 @@ def test_witness_none(files):
     assert code == 1 and "none within bounds" in out
 
 
+def test_witness_cap_below_start_size_is_a_data_error(files, capsys):
+    two = files("two.gd", "circles: 1\nchord x +\nchord y -\n"
+                "circle 1: x< x> y< y>\n")
+    empty = files("empty.gd", EMPTY)
+    code, out = run("witness", two, empty, "--depth", "3", "--cap", "1")
+    assert code == 65 and out == ""
+    assert "chord_cap below current chord count" in capsys.readouterr().err
+    code, out = run("witness", two, empty, "--depth", "3", "--cap", "2")
+    assert code == 0 and out.count("R1_delete") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "A", "B", "--depth", "-2"),
+    ("witness", "A", "B", "--depth", "3", "--budget", "-1"),
+    ("witness", "A", "B", "--depth", "3", "--cap", "-1"),
+    ("fuzz", "A", "--steps", "-4", "--seed", "1", "--cap", "8"),
+])
+def test_negative_bounds_are_usage_errors(files, capsys, argv):
+    paths = {"A": files("a.gd", FREE), "B": files("b.gd", EMPTY)}
+    code, out = run(*(paths.get(arg, arg) for arg in argv))
+    assert code == 64 and out == ""
+    assert "must not be negative" in capsys.readouterr().err
+
+
 def test_replay_rejects_bad_trace(files):
     a = files("a.gd", FREE)
     bad = files("t.tr", "R2_delete @ 1:0 1:2 par\n")

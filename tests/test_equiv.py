@@ -338,6 +338,16 @@ def test_witness_none_when_graph_exhausted():
     assert bfs_witness(A, B, 4, 1, node_budget=10000) is None
 
 
+def test_witness_rejects_cap_below_start_size():
+    # deletions alone join the pair, but the start is already over the cap
+    A = parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
+                         "circle 1: x< x> y< y>")
+    B = parse_gauss_code(EMPTY)
+    with pytest.raises(ValueError, match="chord_cap below current chord count"):
+        bfs_witness(A, B, 3, 1)
+    assert [s.kind for s in bfs_witness(A, B, 3, 2)] == ["R1_delete"] * 2
+
+
 def test_witness_mu_mismatch():
     with pytest.raises(ComponentCountMismatch):
         bfs_witness(parse_gauss_code(EMPTY),

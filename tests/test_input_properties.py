@@ -1,9 +1,13 @@
 """Property-based input hardening: Gauss-code text and trace lines from
-outside the program give a result or a typed error, never a traceback."""
+outside the program give a result or a typed error, never a traceback, and
+a serialized diagram parses back to itself."""
+
+import string
 
 from hypothesis import given, settings, strategies as st
 
-from shellmoves.diagram import GaussDiagram, parse_gauss_code
+from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+                                parse_gauss_code, serialize)
 from shellmoves.errors import GaussCodeError, StaleSite
 from shellmoves.moves import MOVE_KINDS, apply_move, site_from_text
 
@@ -80,3 +84,30 @@ def test_trace_lines_parse_or_apply_or_go_stale(line):
         except StaleSite:
             continue
         GaussDiagram(H.signs, H.circles)  # the image is a valid diagram
+
+
+# chord ids free of whitespace and of the format's "<>#:" characters
+_IDS = st.text(string.ascii_letters + string.digits + "_.'+-", min_size=1,
+               max_size=3)
+
+
+@st.composite
+def _diagrams(draw):
+    """1- and 2-circle diagrams, chords declared in id order as
+    ``serialize`` writes them, endpoints in any order."""
+    ids = sorted(draw(st.sets(_IDS, max_size=7)))
+    signs = {cid: draw(st.sampled_from((1, -1))) for cid in ids}
+    eps = draw(st.permutations(
+        [Endpoint(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]))
+    if draw(st.booleans()):
+        return GaussDiagram(signs, [tuple(eps)])
+    cut = draw(st.integers(0, len(eps)))
+    return GaussDiagram(signs, [tuple(eps[:cut]), tuple(eps[cut:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams())
+def test_parse_inverts_serialize(G):
+    H = parse_gauss_code(serialize(G))
+    assert list(H.signs.items()) == list(G.signs.items())
+    assert H.circles == G.circles
