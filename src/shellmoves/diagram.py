@@ -83,6 +83,28 @@ class GaussDiagram:
         # copy and pickle rebuild through __init__, not by setting slots
         return type(self), (self.signs, self.circles, False)
 
+    def _edited(self, words: Mapping[int, Sequence[Endpoint]],
+                add: Mapping[str, int] | None = None,
+                drop: Sequence[str] = ()) -> GaussDiagram:
+        """A new diagram with local edits: circle ``c`` reads ``words[c]``,
+        the chords of ``add`` join after the others with their signs, in
+        ``add``'s order, and the chords in ``drop`` leave; the rest keep
+        their order.  Unvalidated: the caller keeps every chord's two
+        endpoints in the words.  The slots are set directly, since the
+        signs and words here are already fresh copies."""
+        signs = dict(self.signs)
+        for cid in drop:
+            del signs[cid]
+        if add:
+            signs.update(add)
+        circles = list(self.circles)
+        for c, word in words.items():
+            circles[c] = tuple(word)
+        out = object.__new__(GaussDiagram)
+        object.__setattr__(out, "signs", signs)
+        object.__setattr__(out, "circles", tuple(circles))
+        return out
+
     def _validate(self) -> None:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:
@@ -379,7 +401,7 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
 def swap_components(G: GaussDiagram) -> GaussDiagram:
     """Exchange the two circles (relabel the components)."""
     G.require_mu(2)
-    return GaussDiagram(G.signs, [G.circles[1], G.circles[0]], validate=False)
+    return G._edited({0: G.circles[1], 1: G.circles[0]})
 
 
 # -- isomorphism ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from .diagram import (
     TERMINAL,
     canonical_key,
     shell_layers,
-    swap_components,
 )
 from .errors import (
     BudgetExceeded,
@@ -71,7 +70,8 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     """Decide shell-move equivalence from the complete invariant suite.
 
     The verdict is profile equality; the reason names the first profile
-    field that differs (for a table, its lowest differing slot).
+    field that differs (for a table, its lowest differing slot), in the
+    inputs' own component order for every lambda, as ``profile`` reads.
     """
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
@@ -83,9 +83,6 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
         if lam_g != lam_h:
             # lambda is the first field, so this is the walk's own answer
             return Verdict(False, _mismatch(LAMBDA_LABEL, lam_g, lam_h))
-        if lam_g < 0:
-            # relabelling both components commutes with every move
-            G, H = swap_components(G), swap_components(H)
     for (label, a), (_, b) in zip(profile(G).fields(), profile(H).fields()):
         if a != b:
             return Verdict(False, _mismatch(label, a, b))
@@ -130,12 +127,9 @@ def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
     word = G.circles[c]
     ep = word[p]
     ids = _fresh_ids(G, "r", abs(total))
-    circles = list(G.circles)
-    circles[c] = (word[:p] + tuple(shell_layers(ep, G.endpoint_sign(ep), ids))
-                  + word[p + 1:])
-    signs = dict(G.signs)
-    signs.update(dict.fromkeys(ids, 1 if total > 0 else -1))
-    return GaussDiagram(signs, circles, validate=False)
+    layers = tuple(shell_layers(ep, G.endpoint_sign(ep), ids))
+    return G._edited({c: word[:p] + layers + word[p + 1:]},
+                     dict.fromkeys(ids, 1 if total > 0 else -1))
 
 
 def _transfer_shells(G: GaussDiagram, chord: str, x: int) -> GaussDiagram:
@@ -159,9 +153,7 @@ def _append_gadget(G: GaussDiagram, circle: int, positive: bool
     signs, word, _ = _snail_words(g, [s], 1 if positive else -1, 1, False)
     if positive:
         word = word[-1:] + word[:-1]
-    circles = list(G.circles)
-    circles[circle] += tuple(word)
-    return GaussDiagram({**G.signs, **signs}, circles, validate=False)
+    return G._edited({circle: G.circles[circle] + tuple(word)}, signs)
 
 
 def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
@@ -172,12 +164,10 @@ def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
         if cid in nonself:
             return G, cid
     q1, q2 = _fresh_ids(G, "r", 2)
-    circles = list(G.circles)
-    circles[0] = circles[0] + (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL))
-    circles[1] = circles[1] + (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))
-    signs = dict(G.signs)
-    signs.update({q1: 1, q2: -1})
-    return GaussDiagram(signs, circles, validate=False), q1
+    return G._edited(
+        {0: G.circles[0] + (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL)),
+         1: G.circles[1] + (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))},
+        {q1: 1, q2: -1}), q1
 
 
 def _check_support(name: str, coeffs: Mapping[int, int], banned: set[int]):

@@ -80,12 +80,8 @@ def _fresh_ids(G: GaussDiagram, prefix: str, n: int) -> list[str]:
 
 def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
     """``G`` with the named chords erased: their signs and endpoints."""
-    signs = dict(G.signs)
-    for cid in chords:
-        del signs[cid]
-    circles = [tuple([ep for ep in w if ep.chord not in chords])
-               for w in G.circles]
-    return GaussDiagram(signs, circles, validate=False)
+    return G._edited({c: [ep for ep in w if ep.chord not in chords]
+                      for c, w in enumerate(G.circles)}, drop=chords)
 
 
 def _word(G: GaussDiagram, c: int) -> tuple[Endpoint, ...]:
@@ -141,11 +137,7 @@ def _apply_r1_insert(G, site):
     pair = (Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL))
     if order == "TI":
         pair = pair[::-1]
-    circles = list(G.circles)
-    circles[c] = word[:g] + pair + word[g:]
-    signs = dict(G.signs)
-    signs[cid] = eps
-    return (GaussDiagram(signs, circles, validate=False),
+    return (G._edited({c: word[:g] + pair + word[g:]}, {cid: eps}),
             MoveSite(R1_DELETE, ((c, g),)))
 
 
@@ -184,14 +176,12 @@ def _apply_r2_insert(G, site):
         p1, p2 = g1 + 2, g2
     else:
         p1, p2 = g1, g2 + 2 * (c1 == c2)
-    circles = list(G.circles)
-    for c, g, block in ((c1, g1, head), (c2, p2, tail)):
-        circles[c] = circles[c][:g] + block + circles[c][g:]
-    signs = dict(G.signs)
-    signs[x] = eps
-    signs[y] = -eps
+    word = G.circles[c1]
+    words = {c1: word[:g1] + head + word[g1:]}
+    word = words[c1] if c1 == c2 else G.circles[c2]
+    words[c2] = word[:p2] + tail + word[p2:]
     inv = MoveSite(R2_DELETE, ((c1, p1), (c2, p2)), (variant,))
-    return GaussDiagram(signs, circles, validate=False), inv
+    return G._edited(words, {x: eps, y: -eps}), inv
 
 
 def _validate_r2_pattern(G, site):
@@ -266,12 +256,12 @@ def _apply_r3(G, site):
     for c, p in site.anchors:
         pos |= {(c, p), (c, (p + 1) % len(G.circles[c]))}
     _check(len(pos) == 6, "overlapping pairs")
-    circles = [list(w) for w in G.circles]
+    words = {}
     for c, p in site.anchors:
-        q = (p + 1) % len(G.circles[c])
-        circles[c][p], circles[c][q] = circles[c][q], circles[c][p]
-    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
-    return new, MoveSite(R3, site.anchors)
+        w = words.setdefault(c, list(G.circles[c]))
+        q = (p + 1) % len(w)
+        w[p], w[q] = w[q], w[p]
+    return G._edited(words), MoveSite(R3, site.anchors)
 
 
 def _apply_s1(G, site):
@@ -281,17 +271,14 @@ def _apply_s1(G, site):
     u, v = word[p - 1], word[(p + 1) % len(word)]
     _check(is_shell_layer(G, u, e, v), "no shell flanking this endpoint")
     shell = u.chord
-    base = e.chord
-    other_kind = TERMINAL if e.kind == INITIAL else INITIAL
-    circles = [[ep for ep in w if ep.chord != shell] for w in G.circles]
-    c2, p2 = next((ci, pi) for ci, w in enumerate(circles)
-                  for pi, ep in enumerate(w)
-                  if ep.chord == base and ep.kind == other_kind)
-    target = circles[c2][p2]
-    circles[c2][p2:p2 + 1] = shell_layers(target, G.endpoint_sign(target),
-                                          [shell])
-    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
-    return new, MoveSite(S1, ((c2, p2 + 1),))
+    # the shell's endpoints flank e, so only circle c loses them
+    words = {c: [ep for ep in word if ep.chord != shell]}
+    target = Endpoint(e.chord, TERMINAL if e.kind == INITIAL else INITIAL)
+    c2 = G.locate(*target)[0]
+    w = words.setdefault(c2, list(G.circles[c2]))
+    p2 = w.index(target)
+    w[p2:p2 + 1] = shell_layers(target, G.endpoint_sign(target), [shell])
+    return G._edited(words), MoveSite(S1, ((c2, p2 + 1),))
 
 
 def _apply_s2_insert(G, site):
@@ -302,19 +289,12 @@ def _apply_s2_insert(G, site):
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
     u, v = _fresh_ids(G, "n", 2)  # u shields f, v shields e
-    signs = dict(G.signs)
-    signs[v] = se * sf
-    signs[u] = -se * sf
-    block = shell_layers(f, sf, [u]) + shell_layers(e, se, [v])
-    circles = list(G.circles)
+    block = tuple(shell_layers(f, sf, [u]) + shell_layers(e, se, [v]))
     if p + 1 < n:
-        circles[c] = word[:p] + tuple(block) + word[p + 2:]
-        anchor = p
-    else:  # pair wraps around the basepoint; rotate it into view
-        rot = word[p:] + word[:p]
-        circles[c] = tuple(block) + rot[2:]
-        anchor = 0
-    return (GaussDiagram(signs, circles, validate=False),
+        new, anchor = word[:p] + block + word[p + 2:], p
+    else:  # pair wraps around the basepoint; the block starts the word
+        new, anchor = block + word[1:p], 0
+    return (G._edited({c: new}, {v: se * sf, u: -se * sf}),
             MoveSite(S2_DELETE, ((c, anchor),)))
 
 
@@ -344,12 +324,7 @@ def _apply_s2_delete(G, site):
     (c, p), = site.anchors
     word = G.circles[c]
     rot = word[p:] + word[:p]
-    circles = list(G.circles)
-    circles[c] = (e, f) + rot[6:]
-    signs = dict(G.signs)
-    signs.pop(u.chord)
-    signs.pop(v.chord)
-    return (GaussDiagram(signs, circles, validate=False),
+    return (G._edited({c: (e, f) + rot[6:]}, drop=(u.chord, v.chord)),
             MoveSite(S2_INSERT, ((c, 0),)))
 
 
@@ -420,37 +395,27 @@ def _sites_r2_delete(G):
 
 
 def _sites_r3(G):
-    tt, ii, it, ti = {}, {}, {}, {}
+    # the configuration (hp>, hq>), (hp<, x<), (hq<, x>) and its image
+    # (hq>, hp>), (x<, hp<), (x>, hq<), matched so the exchange is an
+    # involution; a TT pair's II partner is the pair starting or ending at hp<
+    tt, it, ti, ii_from, ii_to = {}, {}, {}, {}, {}
     for c, p, u, v in _adjacent_pairs(G):
-        key = (u.chord, v.chord)
-        spot = (c, p)
-        if u.kind == TERMINAL and v.kind == TERMINAL:
-            tt[key] = spot
-        elif u.kind == INITIAL and v.kind == INITIAL:
-            ii[key] = spot
-        elif u.kind == INITIAL:
-            it[key] = spot
+        if u.kind != v.kind:
+            (it if u.kind == INITIAL else ti)[u.chord, v.chord] = (c, p)
+        elif u.kind == TERMINAL:
+            tt[u.chord, v.chord] = (c, p)
         else:
-            ti[key] = spot
+            ii_from[u.chord] = (v.chord, (c, p))
+            ii_to[v.chord] = (u.chord, (c, p))
     out = []
-    for (hp, hq), a1 in tt.items():
-        if hp == hq or G.signs[hp] != -1 or G.signs[hq] != -1:
-            continue
-        # forward configuration
-        for (h, x), a2 in ii.items():
-            if h != hp or x in (hp, hq) or G.signs[x] != 1:
+    for image, ii, third in ((False, ii_from, it), (True, ii_to, ti)):
+        for (h1, h2), a1 in tt.items():
+            hp, hq = (h2, h1) if image else (h1, h2)
+            x, a2 = ii.get(hp, (hp, None))  # x = hp: no partner
+            if (hp == hq or x in (hp, hq) or G.signs[hp] != -1
+                    or G.signs[hq] != -1 or G.signs[x] != 1):
                 continue
-            a3 = it.get((hq, x))
-            if a3 is not None:
-                out.append(MoveSite(R3, (a1, a2, a3)))
-        # image configuration, matched so the exchange is an involution
-    for (hq, hp), a1 in tt.items():
-        if hp == hq or G.signs[hp] != -1 or G.signs[hq] != -1:
-            continue
-        for (x, h), a2 in ii.items():
-            if h != hp or x in (hp, hq) or G.signs[x] != 1:
-                continue
-            a3 = ti.get((x, hq))
+            a3 = third.get((x, hq) if image else (hq, x))
             if a3 is not None:
                 out.append(MoveSite(R3, (a1, a2, a3)))
     return out
@@ -543,8 +508,15 @@ def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:
 
 def _sample_site(G: GaussDiagram, kind: str, rng: random.Random
                  ) -> MoveSite | None:
-    """Uniform site of the given kind; insertion kinds are sampled directly
-    instead of enumerated."""
+    """A random site of the given kind, or None if it has none.
+
+    Insertions are drawn without enumerating: R1_insert draws its gap and
+    sign uniformly, which is uniform over the finder's sites; R2_insert
+    draws both gaps, the variant and the sign uniformly and, when the gaps
+    coincide, adds ``tfirst`` with probability 1/2.  With G gaps, an
+    R2_insert site on two gaps has probability 1/(4 G^2) and each of the two
+    orders on one gap 1/(8 G^2).  Other kinds are uniform over
+    :func:`find_move_sites`."""
     if kind == R1_INSERT:
         gaps = list(_gaps(G))
         return MoveSite(R1_INSERT, (rng.choice(gaps),),

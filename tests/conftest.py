@@ -63,6 +63,14 @@ def circle_sign_sum(G: GaussDiagram, circle: int) -> int:
     return sum(G.endpoint_sign(ep) for ep in G.circles[circle])
 
 
+# an R3 configuration, whose three adjacent endpoint pairs walks seldom
+# bring together: tests deal these blocks into diagrams by hand
+R3_SIGNS = {"p": -1, "q": -1, "x": 1}
+R3_BLOCKS = ((Endpoint("p", TERMINAL), Endpoint("q", TERMINAL)),
+             (Endpoint("p", INITIAL), Endpoint("x", INITIAL)),
+             (Endpoint("q", INITIAL), Endpoint("x", TERMINAL)))
+
+
 def random_diagram(rng: random.Random, mu: int, max_chords: int,
                    chords: int | None = None) -> GaussDiagram:
     """Uniform-ish random diagram: random chord signs and circle assignment,

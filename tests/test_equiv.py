@@ -73,6 +73,26 @@ def test_equiv_negative_lambda_pairs_reduce_by_swapping(reference_link):
     assert s_equivalent(A, B).equivalent
 
 
+def test_negative_lambda_reason_names_the_component_as_profile_does():
+    # the index-5 snail sits on component 1 of A, where invariants lists it
+    A = swap_components(build_link_diagram({}, {5: 1}, {0: 2}, {}))
+    B = swap_components(build_link_diagram({}, {}, {0: 2}, {}))
+    assert profile(A).lam == -2 and profile(A).jn1 == {1: -5, 5: 1}
+    assert profile(A).jn2 == {}
+    assert s_equivalent(A, B).reason == \
+        "component-1 index writhe mismatch at n=5: 1 vs 0"
+
+
+def test_negative_lambda_reason_prints_linking_numbers_as_profile_does():
+    A = swap_components(build_link_diagram({}, {}, {0: 2}, {}))
+    B = swap_components(build_link_diagram({}, {}, {0: 3}, {0: 1}))
+    pa, pb = profile(A), profile(B)
+    assert (pa.lam, pa.lk12, pa.lk21) == (-2, 0, 2)
+    assert (pb.lam, pb.lk12, pb.lk21) == (-2, 1, 3)
+    assert s_equivalent(A, B).reason == \
+        "linking number mismatch: (0, 2) vs (1, 3)"
+
+
 def test_equiv_reports_first_failing_slot():
     A = build_link_diagram({3: 1}, {}, {0: 1, 1: 1}, {0: 2})
     B = build_link_diagram({3: 2}, {}, {0: 1, 1: 1}, {0: 2})

@@ -1,10 +1,12 @@
 """The kind table against the per-kind registries it replaced.
 
 The references below are the earlier R1/R2 handlers, which inserted blocks
-through a sorted gap list and deleted endpoints by position, and the earlier
-growth rule.  The table's handlers must give the same images (signs order
-and words), the same inverse sites and the same errors; ``fits`` must
-answer as the growth rule did; and walks must take the same steps.
+through a sorted gap list and deleted endpoints by position, the earlier
+growth rule, and the earlier R3 handler and finder, which copied every word
+and matched each TT pair against every II pair.  The table's handlers must
+give the same images (signs order and words), the same inverse sites and
+the same errors; the R3 finder the same sites in the same order; ``fits``
+must answer as the growth rule did; and walks must take the same steps.
 """
 
 import random
@@ -15,10 +17,10 @@ from shellmoves import moves
 from shellmoves.diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, serialize
 from shellmoves.errors import StaleSite
 from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
-                              R2_INSERT, MoveSite, apply_move_with_inverse,
+                              R2_INSERT, R3, MoveSite, apply_move_with_inverse,
                               find_move_sites, fits, random_walk)
 
-from conftest import random_diagram
+from conftest import R3_BLOCKS, R3_SIGNS, random_diagram
 
 _check, _fresh_ids, _pair, _sgn, _word = (
     moves._check, moves._fresh_ids, moves._pair, moves._sgn, moves._word)
@@ -151,6 +153,55 @@ def ref_r2_delete(G, site):
     return GaussDiagram(signs, circles, validate=False), inv
 
 
+def ref_apply_r3(G, site):
+    moves._validate_r3(G, site)
+    pos = set()
+    for c, p in site.anchors:
+        pos |= {(c, p), (c, (p + 1) % len(G.circles[c]))}
+    _check(len(pos) == 6, "overlapping pairs")
+    circles = [list(w) for w in G.circles]
+    for c, p in site.anchors:
+        q = (p + 1) % len(G.circles[c])
+        circles[c][p], circles[c][q] = circles[c][q], circles[c][p]
+    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
+    return new, MoveSite(R3, site.anchors)
+
+
+def ref_sites_r3(G):
+    tt, ii, it, ti = {}, {}, {}, {}
+    for c, p, u, v in moves._adjacent_pairs(G):
+        key = (u.chord, v.chord)
+        spot = (c, p)
+        if u.kind == TERMINAL and v.kind == TERMINAL:
+            tt[key] = spot
+        elif u.kind == INITIAL and v.kind == INITIAL:
+            ii[key] = spot
+        elif u.kind == INITIAL:
+            it[key] = spot
+        else:
+            ti[key] = spot
+    out = []
+    for (hp, hq), a1 in tt.items():
+        if hp == hq or G.signs[hp] != -1 or G.signs[hq] != -1:
+            continue
+        for (h, x), a2 in ii.items():
+            if h != hp or x in (hp, hq) or G.signs[x] != 1:
+                continue
+            a3 = it.get((hq, x))
+            if a3 is not None:
+                out.append(MoveSite(R3, (a1, a2, a3)))
+    for (hq, hp), a1 in tt.items():
+        if hp == hq or G.signs[hp] != -1 or G.signs[hq] != -1:
+            continue
+        for (x, h), a2 in ii.items():
+            if h != hp or x in (hp, hq) or G.signs[x] != 1:
+                continue
+            a3 = ti.get((x, hq))
+            if a3 is not None:
+                out.append(MoveSite(R3, (a1, a2, a3)))
+    return out
+
+
 REF_HANDLERS = {R1_INSERT: ref_r1_insert, R1_DELETE: ref_r1_delete,
                 R2_INSERT: ref_r2_insert, R2_DELETE: ref_r2_delete}
 
@@ -240,7 +291,39 @@ def _hand_sites(G, rng):
                            (rng.choice(("par", "anti")),))
 
 
+def _r3_diagrams(count):
+    """Diagrams built to hold R3 configurations, which walks seldom reach:
+    the pairs (p>, q>), (p<, x<), (q<, x>) with x + and p, q -, and up to
+    four other chords, dealt as blocks onto one or two circles with each
+    word rotated (so a pair may straddle the basepoint) and the signs in
+    random order; then the image of each of their R3 sites, which holds
+    the swapped configuration."""
+    rng = random.Random(11)
+    out = []
+    for i in range(count):
+        signs = dict(R3_SIGNS)
+        blocks = list(R3_BLOCKS)
+        for k in range(rng.randint(0, 4)):
+            signs[f"c{k}"] = rng.choice((1, -1))
+            blocks += [(Endpoint(f"c{k}", INITIAL),),
+                       (Endpoint(f"c{k}", TERMINAL),)]
+        rng.shuffle(blocks)
+        words = [[] for _ in range(1 + i % 2)]
+        for block in blocks:
+            rng.choice(words).extend(block)
+        for w in words:
+            r = rng.randrange(max(len(w), 1))
+            w[:] = w[r:] + w[:r]
+        order = list(signs)
+        rng.shuffle(order)
+        G = GaussDiagram({cid: signs[cid] for cid in order}, words)
+        out.append(G)
+        out += [ref_apply_r3(G, site)[0] for site in ref_sites_r3(G)]
+    return out
+
+
 DIAGRAMS = _walked_diagrams(3000)
+R3_DIAGRAMS = _r3_diagrams(400)
 
 
 def test_kind_order_is_pinned():
@@ -307,3 +390,31 @@ def test_walks_match_reference():
         assert got[1] == want[1]
         assert list(got[0].signs.items()) == list(want[0].signs.items())
         assert got[0].circles == want[0].circles
+
+
+def test_r3_finder_matches_reference():
+    found = wrapped = 0
+    for G in R3_DIAGRAMS + DIAGRAMS:
+        sites = find_move_sites(G, R3)
+        assert sites == ref_sites_r3(G), G
+        found += len(sites)
+        wrapped += sum(p == len(G.circles[c]) - 1
+                       for site in sites for c, p in site.anchors)
+    assert found > 800 and wrapped > 100
+
+
+def test_r3_images_and_inverses_match_reference():
+    rng = random.Random(12)
+    applied = stale = 0
+    for G in R3_DIAGRAMS:
+        spots = [(c, p) for c, w in enumerate(G.circles) for p in range(len(w))]
+        sites = ref_sites_r3(G)
+        # the found sites, and the same anchors shuffled or moved, mostly stale
+        for site in sites + [MoveSite(R3, tuple(rng.sample(s.anchors, 3)))
+                             for s in sites] + [
+                MoveSite(R3, tuple(rng.choice(spots) for _ in range(3)))]:
+            got = _outcome(apply_move_with_inverse, G, site, text=True)
+            assert got == _outcome(ref_apply_r3, G, site, text=True), (G, site)
+            applied += got[0] != "stale"
+            stale += got[0] == "stale"
+    assert applied > 800 and stale > 300

@@ -21,9 +21,9 @@ from conftest import (
 
 
 def reference_s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
-    """Field-by-field decision: lambda before the component swap, then the
-    linking numbers, the two invariant-slot tables (lowest differing slot
-    first), the linking class, and the shell sum for lambda >= 2."""
+    """Field-by-field decision: lambda, then the linking numbers, the two
+    invariant-slot tables (lowest differing slot first), the linking class,
+    and the shell sum for |lambda| >= 2."""
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     if G.mu == 1:
@@ -38,8 +38,6 @@ def reference_s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     if lam != lam_h:
         return Verdict(
             False, f"virtual linking number mismatch: {lam} vs {lam_h}")
-    if lam < 0:
-        G, H = swap_components(G), swap_components(H)
     pg, ph = profile(G), profile(H)
     if (pg.lk12, pg.lk21) != (ph.lk12, ph.lk21):
         return Verdict(
@@ -55,7 +53,7 @@ def reference_s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     if pg.linking_class != ph.linking_class:
         return Verdict(False, "linking class mismatch: "
                        f"{pg.linking_class} vs {ph.linking_class}")
-    if pg.lam >= 2 and pg.shell_sum != ph.shell_sum:
+    if abs(pg.lam) >= 2 and pg.shell_sum != ph.shell_sum:
         return Verdict(False, "shell sum mismatch: "
                        f"{pg.shell_sum} vs {ph.shell_sum}")
     return Verdict(True, "all conditions met")
@@ -110,3 +108,19 @@ def test_field_walk_matches_reference_equality_and_hash():
         "all conditions met", "writhe polynomial", "virtual linking number",
         "linking number", "component-1 index writhe",
         "component-2 index writhe", "linking class", "shell sum"}
+
+
+def test_verdicts_are_unchanged_by_swapping_both_components():
+    rng = random.Random(405)
+    pool: list[GaussDiagram] = []
+    lams: Counter = Counter()
+    while len(pool) < 1200:
+        G = _base(rng)
+        if G.mu != 2:
+            continue
+        H = _partner(rng, G, pool)
+        pool.append(G)
+        assert s_equivalent(G, H).equivalent == s_equivalent(
+            swap_components(G), swap_components(H)).equivalent
+        lams[linking_data(G)[2]] += 1
+    assert set(range(-3, 4)) <= set(lams)
