@@ -4,7 +4,6 @@ invariants, shell moves, snail normal forms, and equivalence decisions."""
 from .algebra import LaurentPoly, LinkingClass, gamma_class, parse_poly
 from .diagram import (
     GaussDiagram,
-    detect_shells,
     isomorphic,
     parse_gauss_code,
     serialize,
@@ -22,12 +21,9 @@ from .equiv import (
 from .invariants import (
     KnotProfile,
     LinkProfile,
-    knot_index,
     linking_class,
     linking_data,
-    nonself_index,
     profile,
-    self_index,
     writhe_polynomial,
 )
 from .moves import MoveSite, apply_move, find_move_sites, random_walk
@@ -60,15 +56,12 @@ __all__ = [
     "build_link_form",
     "canonical_form",
     "check_consistency",
-    "detect_shells",
     "encode_snail",
     "find_move_sites",
     "gamma_class",
     "isomorphic",
-    "knot_index",
     "linking_class",
     "linking_data",
-    "nonself_index",
     "parse_gauss_code",
     "parse_poly",
     "profile",
@@ -76,7 +69,6 @@ __all__ = [
     "realize_knot",
     "realize_link",
     "s_equivalent",
-    "self_index",
     "serialize",
     "surgery",
     "swap_components",

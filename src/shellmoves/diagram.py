@@ -33,7 +33,6 @@ __all__ = [
     "serialize",
     "shell_layers",
     "is_shell_layer",
-    "detect_shells",
     "surgery",
     "swap_components",
     "canonical_key",
@@ -154,16 +153,14 @@ class GaussDiagram:
         """(circle of initial endpoint, circle of terminal endpoint)."""
         return self.locate(chord, INITIAL)[0], self.locate(chord, TERMINAL)[0]
 
-    def is_self_chord(self, chord: str) -> bool:
-        i, t = self.chord_circles(chord)
-        return i == t
-
     def arc_sign_sum(self, chord: str) -> int:
         """Endpoint-sign sum strictly between the chord's initial and
         terminal endpoints, walking the circle in its orientation.
 
-        Meaningful for self-chords; read from :func:`arc_sums`, the one index
-        computation shared by the knot and link index functions.
+        Meaningful for self-chords; read from :func:`arc_sums`.  No code in
+        the package asks for one chord's index (:func:`profile` reads every
+        index from :func:`arc_sums` at once); the benchmark's tracer wraps
+        this method by name, so it stays until that target list shrinks.
         """
         ci, ct = self.chord_circles(chord)
         if ci != ct:
@@ -334,48 +331,6 @@ def is_shell_layer(G: GaussDiagram, before: Endpoint, around: Endpoint,
     return (before.chord == after.chord != around.chord
             and (before.kind, after.kind)
             == _shell_kinds(G.endpoint_sign(around)))
-
-
-def _nest_around(G: GaussDiagram, circle: int, p: int) -> list[str]:
-    """Chords nested as shells around the endpoint at position ``p``,
-    innermost first; layer k pairs the tokens k+1 steps before and after."""
-    word = G.circles[circle]
-    n = len(word)
-    layers: list[str] = []
-    for k in range((n - 1) // 2):
-        a, b = word[(p - 1 - k) % n], word[(p + 1 + k) % n]
-        if not is_shell_layer(G, a, word[p], b):
-            break
-        layers.append(a.chord)
-    return layers
-
-
-def detect_shells(G: GaussDiagram) -> dict[str, str]:
-    """Map every shell chord to the base chord it ultimately surrounds.
-
-    A shell surrounds one endpoint either directly or through the other
-    shells nested around that same endpoint.  A chord qualifying around two
-    different endpoints is assigned to the one it surrounds innermost; a
-    chain of shells resolves to the underlying non-shell base when one
-    exists.
-    """
-    best: dict[str, tuple[int, str]] = {}
-    for ci, word in enumerate(G.circles):
-        for p in range(len(word)):
-            owner = word[p].chord
-            for depth, cid in enumerate(_nest_around(G, ci, p)):
-                if cid not in best or depth < best[cid][0]:
-                    best[cid] = (depth, owner)
-    bases: dict[str, str] = {}
-    for cid, (_, direct) in best.items():
-        owner = direct
-        hops = {cid}
-        while owner in best and owner not in hops:
-            hops.add(owner)
-            owner = best[owner][1]
-        # a cycle (chords mutually surrounding each other) keeps the direct owner
-        bases[cid] = direct if owner in best else owner
-    return bases
 
 
 # -- structural operations ----------------------------------------------------

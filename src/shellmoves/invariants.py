@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
 from .diagram import INITIAL, Endpoint, GaussDiagram, arc_sums, surgery
-from .errors import NotANonselfChord, UnsupportedComponentCount
+from .errors import UnsupportedComponentCount
 
 __all__ = [
     "KnotProfile",
     "LinkProfile",
-    "knot_index",
     "writhe_polynomial",
-    "self_index",
-    "nonself_index",
     "self_writhe_tables",
     "nonself_writhe_tables",
     "linking_data",
@@ -35,34 +32,6 @@ __all__ = [
     "shell_sum",
     "profile",
 ]
-
-
-def knot_index(G: GaussDiagram, chord: str) -> int:
-    """Index of a chord in a one-circle diagram."""
-    G.require_mu(1)
-    return G.arc_sign_sum(chord)
-
-
-def self_index(G: GaussDiagram, chord: str) -> int:
-    """Index of a self-chord in a two-circle diagram (arc on its own circle,
-    counting endpoints of self- and nonself-chords alike)."""
-    G.require_mu(2)
-    return G.arc_sign_sum(chord)
-
-
-def nonself_index(G: GaussDiagram, chord: str, gamma0: str) -> int:
-    """Index of a nonself chord relative to ``gamma0``.
-
-    Computed on the one-circle diagram obtained by merging along ``gamma0``,
-    where ``chord`` becomes a self-chord; ``gamma0`` itself gets index 0.
-    """
-    G.require_mu(2)
-    for c in (chord, gamma0):
-        if G.is_self_chord(c):
-            raise NotANonselfChord(f"chord {c!r} is a self-chord")
-    if chord == gamma0:
-        return 0
-    return surgery(G, gamma0).arc_sign_sum(chord)
 
 
 def _add(table: dict[int, int], n: int, sign: int) -> None:

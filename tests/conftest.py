@@ -6,6 +6,8 @@ import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import Endpoint, GaussDiagram, INITIAL, TERMINAL, parse_gauss_code
+from shellmoves.equiv import realize_link
+from shellmoves.invariants import profile
 from shellmoves.normal_form import LinkForm, build_link_diagram, encode_snail
 
 # Five-chord one-circle diagram with index writhes J_3 = J_-1 = 1, J_1 = -2,
@@ -61,6 +63,31 @@ def is_free(G: GaussDiagram, chord: str) -> bool:
 
 def circle_sign_sum(G: GaussDiagram, circle: int) -> int:
     return sum(G.endpoint_sign(ep) for ep in G.circles[circle])
+
+
+def ref_nest_around(G, circle, p):
+    word = G.circles[circle]
+    n = len(word)
+    e = word[p]
+    want_initial_first = G.endpoint_sign(e) > 0
+    layers = []
+    k = 0
+    while 2 * (k + 1) + 1 <= n:
+        a = word[(p - 1 - k) % n]
+        b = word[(p + 1 + k) % n]
+        if a.chord != b.chord or a.chord == e.chord or a.kind == b.kind:
+            break
+        if (a.kind == INITIAL) != want_initial_first:
+            break
+        layers.append(a.chord)
+        k += 1
+    return layers
+
+
+def ref_detect_shells(G):
+    """The chords nested as a shell around some endpoint."""
+    return {cid for ci, word in enumerate(G.circles) for p in range(len(word))
+            for cid in ref_nest_around(G, ci, p)}
 
 
 # an R3 configuration, whose three adjacent endpoint pairs walks seldom
@@ -158,6 +185,58 @@ def random_canonical_form(rng: random.Random, lam: int) -> LinkForm:
     p = rng.randint(-3, 3)
     return LinkForm(lam, a, b, {p + m: cvec[m] for m in range(lam)},
                     {-p - m: dvec[m] for m in range(lam)}, p)
+
+
+def random_link_targets(rng, lam):
+    """Random (a, b, c, d) that satisfy the realization constraints for
+    ``lam``: the sums balance and the weighted total is 0 (mod lam)."""
+    def slots(banned, k=4):
+        out = {}
+        for _ in range(rng.randint(0, k)):
+            n = rng.randint(-5, 6)
+            if n not in banned:
+                out[n] = rng.randint(-3, 3)
+        return {n: v for n, v in out.items() if v}
+
+    if lam == 0:
+        a, b = slots({0}), slots({0})
+        c, d = slots(set(), 3), slots(set(), 3)
+        diff = sum(c.values()) - sum(d.values())
+        if diff:
+            d[7] = d.get(7, 0) + diff
+            d = {m: v for m, v in d.items() if v}
+        tot = (sum(n * v for n, v in a.items())
+               + sum(n * v for n, v in b.items())
+               + sum(m * v for m, v in c.items())
+               + sum(m * v for m, v in d.items()))
+        a[1] = a.get(1, 0) - tot
+        return {n: v for n, v in a.items() if v}, b, c, d
+    if lam == 1:
+        return slots({0, -1}), slots({0, 1}), {0: rng.randint(-3, 4)}, {}
+    a, b = slots({0, -lam}), slots({0, lam})
+    c = {m: rng.randint(-2, 2) for m in range(lam)}
+    d = {m: rng.randint(-2, 2) for m in range(lam)}
+    d[0] = d.get(0, 0) + (sum(c.values()) - sum(d.values()) - lam)
+    tot = (sum(n * v for n, v in a.items()) + sum(n * v for n, v in b.items())
+           + sum(m * v for m, v in c.items()) - sum(m * v for m, v in d.items()))
+    a[1] = a.get(1, 0) - (tot % lam)
+    return ({n: v for n, v in a.items() if v}, b,
+            {m: v for m, v in c.items() if v},
+            {m: v for m, v in d.items() if v})
+
+
+def assert_link_targets_hit(lam, a, b, c, d):
+    pr = profile(realize_link(lam, a, b, c, d))
+    assert pr.lam == lam
+    assert pr.jn1 == a and pr.jn2 == b
+    if lam == 0:
+        assert pr.linking_class == gamma_class(0, LaurentPoly(c),
+                                               LaurentPoly(d))
+    elif lam == 1:
+        assert (pr.lk12, pr.lk21) == (c.get(0, 0), c.get(0, 0) - 1)
+    else:
+        assert pr.linking_class == gamma_class(
+            lam, LaurentPoly(c), LaurentPoly({-m: v for m, v in d.items()}))
 
 
 def oracle_pool() -> tuple[list[GaussDiagram], list[GaussDiagram]]:

@@ -23,10 +23,12 @@ from shellmoves.normal_form import (
 from conftest import (
     REFERENCE_KNOT_CODE,
     REFERENCE_LINK_SNAILS,
+    assert_link_targets_hit,
     chord_type,
     oracle_pool,
     random_canonical_form,
     random_diagram,
+    random_link_targets,
     random_link_with_lambda,
 )
 
@@ -161,66 +163,16 @@ def test_criterion_8_oracle_concordance():
             f"{missed} certified-absent logged, {elapsed:.1f}s")
 
 
-def _random_link_targets(rng, lam):
-    def slots(banned, k=4):
-        out = {}
-        for _ in range(rng.randint(0, k)):
-            n = rng.randint(-5, 6)
-            if n not in banned:
-                out[n] = rng.randint(-3, 3)
-        return {n: v for n, v in out.items() if v}
-
-    if lam == 0:
-        a, b = slots({0}), slots({0})
-        c, d = slots(set(), 3), slots(set(), 3)
-        diff = sum(c.values()) - sum(d.values())
-        if diff:
-            d[7] = d.get(7, 0) + diff
-            d = {m: v for m, v in d.items() if v}
-        tot = (sum(n * v for n, v in a.items())
-               + sum(n * v for n, v in b.items())
-               + sum(m * v for m, v in c.items())
-               + sum(m * v for m, v in d.items()))
-        a[1] = a.get(1, 0) - tot
-        return {n: v for n, v in a.items() if v}, b, c, d
-    if lam == 1:
-        return slots({0, -1}), slots({0, 1}), {0: rng.randint(-3, 4)}, {}
-    a, b = slots({0, -lam}), slots({0, lam})
-    c = {m: rng.randint(-2, 2) for m in range(lam)}
-    d = {m: rng.randint(-2, 2) for m in range(lam)}
-    d[0] = d.get(0, 0) + (sum(c.values()) - sum(d.values()) - lam)
-    tot = (sum(n * v for n, v in a.items()) + sum(n * v for n, v in b.items())
-           + sum(m * v for m, v in c.items()) - sum(m * v for m, v in d.items()))
-    a[1] = a.get(1, 0) - (tot % lam)
-    return ({n: v for n, v in a.items() if v}, b,
-            {m: v for m, v in c.items() if v},
-            {m: v for m, v in d.items() if v})
-
-
-def _assert_link_targets_hit(lam, a, b, c, d):
-    pr = profile(realize_link(lam, a, b, c, d))
-    assert pr.lam == lam
-    assert pr.jn1 == a and pr.jn2 == b
-    if lam == 0:
-        assert pr.linking_class == gamma_class(0, LaurentPoly(c),
-                                               LaurentPoly(d))
-    elif lam == 1:
-        assert (pr.lk12, pr.lk21) == (c.get(0, 0), c.get(0, 0) - 1)
-    else:
-        assert pr.linking_class == gamma_class(
-            lam, LaurentPoly(c), LaurentPoly({-m: v for m, v in d.items()}))
-
-
 def test_criterion_9_realization():
     rng = random.Random(2028)
     # 200 valid targets per constructor, re-profiled exactly
     for _ in range(200):
-        _assert_link_targets_hit(0, *_random_link_targets(rng, 0))
+        assert_link_targets_hit(0, *random_link_targets(rng, 0))
     for _ in range(200):
-        _assert_link_targets_hit(1, *_random_link_targets(rng, 1))
+        assert_link_targets_hit(1, *random_link_targets(rng, 1))
     for _ in range(200):
         lam = rng.choice((2, 3, 4))
-        _assert_link_targets_hit(lam, *_random_link_targets(rng, lam))
+        assert_link_targets_hit(lam, *random_link_targets(rng, lam))
     for _ in range(200):
         raw = {n: rng.randint(-3, 3) for n in rng.sample(range(-6, 8), 4)}
         f = LaurentPoly(raw)
@@ -229,7 +181,7 @@ def test_criterion_9_realization():
         assert writhe_polynomial(realize_knot(f)) == f
     # 50 violating targets per constructor, rejected naming the clause
     for _ in range(50):
-        a, b, c, d = _random_link_targets(rng, 0)
+        a, b, c, d = random_link_targets(rng, 0)
         c[0] = c.get(0, 0) + 1
         try:
             realize_link(0, a, b, c, d)
@@ -237,7 +189,7 @@ def test_criterion_9_realization():
         except ConstraintViolated as e:
             assert "(a)" in str(e)
     for _ in range(50):
-        a, b, c, d = _random_link_targets(rng, 1)
+        a, b, c, d = random_link_targets(rng, 1)
         d = {0: c.get(0, 0)}  # second number must be one less
         try:
             realize_link(1, a, b, c, d)
@@ -246,7 +198,7 @@ def test_criterion_9_realization():
             assert "(a)" in str(e)
     for _ in range(50):
         lam = rng.choice((2, 3, 4))
-        a, b, c, d = _random_link_targets(rng, lam)
+        a, b, c, d = random_link_targets(rng, lam)
         a[1] = a.get(1, 0) + 1  # shifts the weighted total off 0 mod lam
         try:
             realize_link(lam, a, b, c, d)

@@ -10,7 +10,7 @@ from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
     canonical_key,
-    detect_shells,
+    is_shell_layer,
     isomorphic,
     parse_gauss_code,
     serialize,
@@ -28,9 +28,10 @@ from shellmoves.errors import (
     WrongComponentCount,
 )
 from shellmoves.invariants import linking_data
-from shellmoves.normal_form import encode_snail
 
-from conftest import chord_type, circle_sign_sum, is_free, random_diagram
+from conftest import (chord_type, circle_sign_sum, is_free, random_diagram,
+                      ref_detect_shells)
+from test_iso_key import relabel_and_rotate
 
 
 def test_parse_free_chord():
@@ -42,7 +43,6 @@ def test_parse_free_chord():
 def test_parse_cross_circle_chord():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
     assert chord_type(G, "g") == (1, 2)
-    assert not G.is_self_chord("g")
 
 
 def test_parse_empty_diagram():
@@ -159,24 +159,19 @@ def test_circle_sums_match_linking_difference():
         assert circle_sign_sum(G, 1) == lam
 
 
-def test_detect_shells_on_double_shell_snail():
-    G = encode_snail("self", 1, 2)
-    assert detect_shells(G) == {"s1": "g", "s2": "g"}
-
-
 def test_detect_shells_trivial_cases():
-    assert detect_shells(parse_gauss_code(
-        "circles: 1\nchord g +\ncircle 1: g< g>")) == {}
-    assert detect_shells(parse_gauss_code(
-        "circles: 1\nchord g +\nchord h -\ncircle 1: g< g> h< h>")) == {}
+    assert ref_detect_shells(parse_gauss_code(
+        "circles: 1\nchord g +\ncircle 1: g< g>")) == set()
+    assert ref_detect_shells(parse_gauss_code(
+        "circles: 1\nchord g +\nchord h -\ncircle 1: g< g> h< h>")) == set()
 
 
 def test_detect_shells_never_marks_nonself():
     rng = random.Random(4)
     for _ in range(150):
         G = random_diagram(rng, 2, 6)
-        for shell in detect_shells(G):
-            assert G.is_self_chord(shell)
+        for shell in ref_detect_shells(G):
+            assert chord_type(G, shell) is None
 
 
 def test_shell_orientation_must_match_surrounded_sign():
@@ -185,21 +180,11 @@ def test_shell_orientation_must_match_surrounded_sign():
     good = parse_gauss_code(
         "circles: 1\nchord g +\nchord s -\nchord h -\n"
         "circle 1: s< g> s> h< g< h>")
-    assert detect_shells(good) == {"s": "g"}
+    assert is_shell_layer(good, *good.circles[0][:3])
     flipped = parse_gauss_code(
         "circles: 1\nchord g +\nchord s -\nchord h -\n"
         "circle 1: s> g> s< h< g< h>")
-    assert "s" not in detect_shells(flipped)
-
-
-def test_mutual_flanking_reports_both_relations():
-    # In the two-chord circle each chord surrounds the other's endpoint, so
-    # both count as shells; the base falls back to the directly surrounded
-    # chord rather than chasing the cycle.
-    G = parse_gauss_code("circles: 1\nchord g +\nchord s -\ncircle 1: g< s< g> s>")
-    assert detect_shells(G) == {"s": "g", "g": "s"}
-    again = parse_gauss_code(serialize(G))
-    assert detect_shells(again) == detect_shells(G)
+    assert not is_shell_layer(flipped, *flipped.circles[0][:3])
 
 
 def test_surgery_single_joining_chord():
@@ -213,7 +198,7 @@ def test_surgery_keeps_other_chords():
         "circles: 2\nchord g +\nchord h -\ncircle 1: g< h<\ncircle 2: g> h>")
     H = surgery(G, "g")
     assert H.mu == 1 and set(H.signs) == {"h"}
-    assert H.is_self_chord("h")
+    assert chord_type(H, "h") is None
 
 
 def test_surgery_requires_nonself_and_two_circles():
@@ -256,17 +241,7 @@ def test_canonical_key_invariant_under_renaming_and_rotation():
         G = random_diagram(rng, rng.choice((1, 2)), 4)
         if trial % 2:
             G = GaussDiagram({cid: 1 for cid in G.signs}, G.circles)
-        names = list(G.signs)
-        renamed = rng.sample(names, len(names))
-        table = dict(zip(names, renamed))
-        signs = {table[cid]: s for cid, s in G.signs.items()}
-        circles = []
-        for word in G.circles:
-            word = tuple(Endpoint(table[ep.chord], ep.kind) for ep in word)
-            r = rng.randrange(len(word)) if word else 0
-            circles.append(word[r:] + word[:r])
-        H = GaussDiagram(signs, circles)
-        assert canonical_key(H) == canonical_key(G)
+        assert canonical_key(relabel_and_rotate(rng, G)) == canonical_key(G)
 
 
 def test_canonical_key_tied_first_circle():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from shellmoves.algebra import LaurentPoly, gamma_class
+from shellmoves.algebra import LaurentPoly
 from shellmoves.diagram import isomorphic, parse_gauss_code, swap_components
 from shellmoves.equiv import (
     bfs_witness,
@@ -31,7 +31,8 @@ from shellmoves.normal_form import (
     encode_snail,
 )
 
-from conftest import random_diagram, random_link_with_lambda
+from conftest import (assert_link_targets_hit, random_diagram,
+                      random_link_targets, random_link_with_lambda)
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -66,7 +67,7 @@ def test_equiv_lambda_mismatch():
     assert not v.equivalent and "virtual linking number" in v.reason
 
 
-def test_equiv_negative_lambda_pairs_reduce_by_swapping(reference_link):
+def test_negative_lambda_link_is_equivalent_to_its_walk(reference_link):
     A = swap_components(reference_link)
     B, _ = random_walk(A, 20, seed=3, chord_cap=45)
     assert profile(A).lam == -2
@@ -230,59 +231,11 @@ def test_realize_link_lambda_one_rejects_wrong_second_number():
         realize_link(1, {}, {}, {0: 2}, {0: 2})
 
 
-def _random_targets(rng, lam):
-    def slots(banned, k=4):
-        out = {}
-        for _ in range(rng.randint(0, k)):
-            n = rng.randint(-5, 6)
-            if n not in banned:
-                out[n] = rng.randint(-3, 3)
-        return {n: v for n, v in out.items() if v}
-
-    if lam == 0:
-        a, b = slots({0}), slots({0})
-        c = slots(set(), 3)
-        d = slots(set(), 3)
-        diff = sum(c.values()) - sum(d.values())
-        if diff:
-            d[7] = d.get(7, 0) + diff
-            d = {m: v for m, v in d.items() if v}
-        tot = (sum(n * v for n, v in a.items())
-               + sum(n * v for n, v in b.items())
-               + sum(m * v for m, v in c.items())
-               + sum(m * v for m, v in d.items()))
-        a[1] = a.get(1, 0) - tot
-        return {n: v for n, v in a.items() if v}, b, c, d
-    if lam == 1:
-        return slots({0, -1}), slots({0, 1}), {0: rng.randint(-3, 4)}, {}
-    a, b = slots({0, -lam}), slots({0, lam})
-    c = {m: rng.randint(-2, 2) for m in range(lam)}
-    d = {m: rng.randint(-2, 2) for m in range(lam)}
-    d[0] = d.get(0, 0) + (sum(c.values()) - sum(d.values()) - lam)
-    tot = (sum(n * v for n, v in a.items()) + sum(n * v for n, v in b.items())
-           + sum(m * v for m, v in c.items()) - sum(m * v for m, v in d.items()))
-    a[1] = a.get(1, 0) - (tot % lam)
-    a = {n: v for n, v in a.items() if v}
-    return a, b, {m: v for m, v in c.items() if v}, \
-        {m: v for m, v in d.items() if v}
-
-
 @pytest.mark.parametrize("lam", [0, 1, 2, 3])
 def test_realize_link_random_targets_reprofile_exactly(lam):
     rng = random.Random(64 + lam)
     for _ in range(60):
-        a, b, c, d = _random_targets(rng, lam)
-        pr = profile(realize_link(lam, a, b, c, d))
-        assert pr.lam == lam
-        assert pr.jn1 == a and pr.jn2 == b
-        if lam == 0:
-            assert pr.linking_class == gamma_class(
-                0, LaurentPoly(c), LaurentPoly(d))
-        elif lam == 1:
-            assert (pr.lk12, pr.lk21) == (c.get(0, 0), c.get(0, 0) - 1)
-        else:
-            assert pr.linking_class == gamma_class(
-                lam, LaurentPoly(c), LaurentPoly({-m: v for m, v in d.items()}))
+        assert_link_targets_hit(lam, *random_link_targets(rng, lam))
 
 
 # -- consistency ------------------------------------------------------------------

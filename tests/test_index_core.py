@@ -17,11 +17,8 @@ from shellmoves.diagram import (
 )
 from shellmoves.errors import NotASelfChord
 from shellmoves.invariants import (
-    knot_index,
     linking_data,
-    nonself_index,
     nonself_writhe_tables,
-    self_index,
     self_writhe_tables,
     writhe_tables,
 )
@@ -31,9 +28,6 @@ from conftest import chord_type, is_free, random_diagram
 
 N_DIAGRAMS = 2000
 MAX_CHORDS = 60
-# every (chord, gamma0) pair through nonself_index up to this size; the
-# tables cover every gamma0 at every size
-PAIRWISE_MAX_CHORDS = 20
 
 
 def endpoint_index(G: GaussDiagram) -> dict[str, dict[str, tuple[int, int]]]:
@@ -112,8 +106,6 @@ def test_arc_sums_and_indices_match_the_walk():
             if ci == ct:
                 want = walk_arc_sum(G, where, cid)
                 assert G.arc_sign_sum(cid) == want, (seed, cid)
-                index = knot_index if G.mu == 1 else self_index
-                assert index(G, cid) == want, (seed, cid)
             else:
                 with pytest.raises(NotASelfChord):
                     G.arc_sign_sum(cid)
@@ -135,7 +127,7 @@ def test_tables_match_the_walk():
 
 
 def test_nonself_indices_match_the_walk_for_every_gamma0():
-    pairs = 0
+    tables = 0
     for seed in range(0, N_DIAGRAMS, 2):
         G = _diagram(seed)
         where = endpoint_index(G)
@@ -153,11 +145,8 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
             assert nonself_writhe_tables(G, gamma0) == tuple(
                 walk_table(G, chords, index) for chords in by_type
             ), (seed, gamma0)
-            if len(G) <= PAIRWISE_MAX_CHORDS:
-                for cid in nonself:
-                    assert nonself_index(G, cid, gamma0) == index(cid)
-                    pairs += 1
-    assert pairs > N_DIAGRAMS
+            tables += 1
+    assert tables > N_DIAGRAMS
 
 
 def test_arc_sums_wrap_past_the_basepoint():

@@ -1,11 +1,14 @@
-"""Property-based input hardening: Gauss-code text and trace lines from
-outside the program give a result or a typed error, never a traceback, and
-a serialized diagram parses back to itself."""
+"""Property-based input hardening: Gauss-code text, trace lines and whole
+command lines from outside the program give a result or a typed error (an
+exit code), never a traceback, and a serialized diagram parses back to
+itself."""
 
+import io
 import string
 
 from hypothesis import given, settings, strategies as st
 
+from shellmoves.cli import main
 from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
                                 parse_gauss_code, serialize)
 from shellmoves.errors import GaussCodeError, StaleSite
@@ -111,3 +114,60 @@ def test_parse_inverts_serialize(G):
     H = parse_gauss_code(serialize(G))
     assert list(H.signs.items()) == list(G.signs.items())
     assert H.circles == G.circles
+
+
+# each subcommand's arguments, "code", "other", "spec" and "trace" naming
+# the files the test writes; drawn values are bounded because output grows
+# with them by design (a knot target builds sum |a_n|(|n| + 1) chords)
+_COMMANDS = {"invariants": ["code"], "normalize": ["code"], "fmt": ["code"],
+             "equiv": ["code", "other"], "replay": ["code", "trace"],
+             "realize": ["--spec", "spec"],
+             "fuzz": ["code", "--steps", "--seed", "--cap"],
+             "witness": ["code", "other", "--depth", "--cap", "--budget"]}
+_VALUES = {"--depth": (0, 3), "--budget": (0, 500), "--steps": (0, 20),
+           "--cap": (0, 50), "--seed": (-50, 50)}
+_INTS = st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=4)
+_SPECS = st.one_of(
+    st.text(), st.integers(-50, 50).map(  # realizable
+        lambda n: f"mu: 1\nw: t^{n} - t^{n - 1} - t + 1"),
+    _INTS.map(lambda ts: "mu: 1\nw: " + " + ".join(f"{c}*t^{n}" for c, n in ts)),
+    st.tuples(st.integers(-2, 5), st.lists(st.tuples(st.sampled_from(
+        ("a", "b", "c", "d", "shell_sum", "e")), _INTS, st.booleans()), max_size=4)
+    ).map(lambda t: f"mu: 2\nlambda: {t[0]}\n" + "\n".join(
+        k + ": " + " ".join(f"{n}:{v}" if pairs else str(v) for n, v in ts)
+        for k, ts, pairs in t[1])))
+_VALID = _diagrams().map(serialize)
+_CODES = st.one_of(_texts(CODE_PIECES), _VALID, st.tuples(
+    _VALID, st.integers(0, 12), st.sampled_from(CODE_PIECES)).map(
+    lambda t: "\n".join(t[0].splitlines()[:t[1]] + [t[2]]  # a line replaced
+                        + t[0].splitlines()[t[1] + 1:])))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [cmd]
+    for arg in _COMMANDS[cmd]:
+        if arg in _VALUES:
+            argv += [arg, str(draw(st.integers(*_VALUES[arg])))]
+        else:
+            argv.append(draw(st.sampled_from((arg,) * 4 + ("code", "missing"))))
+    change = draw(st.integers(0, 9))
+    if change == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif change < 5:  # a stray flag; a later --cap overrides the first
+        argv += (["--json"], ["--help"], ["-x"], ["--cap", "-1"])[change - 1]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv(), _CODES, _CODES, _SPECS,
+       st.lists(st.one_of(_lines(), _texts(TRACE_PIECES)), max_size=4))
+def test_cli_ends_in_an_exit_code(tmp_path_factory, argv, code, other, spec,
+                                  trace):
+    files = dict(code=code, other=other, spec=spec, trace="\n".join(trace))
+    work = tmp_path_factory.getbasetemp()
+    for name, text in files.items():
+        (work / name).write_text(text, encoding="utf-8")
+    argv = [str(work / a) if a in (*files, "missing") else a for a in argv]
+    assert main(argv, out=io.StringIO()) in (0, 1, 2, 64, 65)

@@ -5,21 +5,13 @@ import random
 import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class
-from shellmoves.diagram import detect_shells, parse_gauss_code, swap_components
-from shellmoves.errors import (
-    NotANonselfChord,
-    NotASelfChord,
-    UnsupportedComponentCount,
-    WrongComponentCount,
-)
+from shellmoves.diagram import parse_gauss_code, swap_components
+from shellmoves.errors import NotASelfChord, UnsupportedComponentCount
 from shellmoves.invariants import (
-    knot_index,
     linking_class,
     linking_data,
-    nonself_index,
     nonself_writhe_tables,
     profile,
-    self_index,
     writhe_polynomial,
 )
 from shellmoves.moves import random_walk
@@ -31,16 +23,17 @@ from conftest import (
     is_free,
     random_diagram,
     random_link_with_lambda,
+    ref_detect_shells,
 )
 
 
 def test_knot_index_free_chord():
     G = parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>")
-    assert knot_index(G, "g") == 0
+    assert G.arc_sign_sum("g") == 0
 
 
 def test_knot_index_snail_base():
-    assert knot_index(encode_snail("self", 1, 2), "g") == 2
+    assert encode_snail("self", 1, 2).arc_sign_sum("g") == 2
 
 
 def test_knot_index_of_shells_is_one():
@@ -48,21 +41,15 @@ def test_knot_index_of_shells_is_one():
     seen = 0
     for _ in range(300):
         G = random_diagram(rng, 1, 6)
-        for shell in detect_shells(G):
-            assert knot_index(G, shell) == 1
+        for shell in ref_detect_shells(G):
+            assert G.arc_sign_sum(shell) == 1
             seen += 1
     assert seen > 50
 
 
-def test_knot_index_wrong_mu():
-    G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g< g>\ncircle 2:")
-    with pytest.raises(WrongComponentCount):
-        knot_index(G, "g")
-
-
 def test_reference_knot_indices_and_writhe(reference_knot):
     for cid, idx in REFERENCE_KNOT_INDICES.items():
-        assert knot_index(reference_knot, cid) == idx
+        assert reference_knot.arc_sign_sum(cid) == idx
     assert writhe_polynomial(reference_knot) == LaurentPoly({-1: 1, 1: -2, 3: 1})
     pr = profile(reference_knot)
     assert pr.odd_writhe == 0
@@ -95,10 +82,10 @@ def test_self_index_free_chord_two_values():
         G = random_link_with_lambda(rng, rng.choice([0, 1, 2, 3]))
         _, _, lam = linking_data(G)
         for cid in G.signs:
-            if G.is_self_chord(cid) and is_free(G, cid):
+            if chord_type(G, cid) is None and is_free(G, cid):
                 ci, _ = G.locate(cid, "<")
                 want = {0, -lam} if ci == 0 else {0, lam}
-                idx = self_index(G, cid)
+                idx = G.arc_sign_sum(cid)
                 assert idx in want
                 hits.add(idx == 0)
     assert hits  # at least one free chord seen
@@ -110,10 +97,10 @@ def test_self_index_shell_slots():
     for _ in range(400):
         G = random_diagram(rng, 2, 6)
         _, _, lam = linking_data(G)
-        for shell in detect_shells(G):
+        for shell in ref_detect_shells(G):
             ci, _ = G.locate(shell, "<")
             want = {1, -lam + 1} if ci == 0 else {1, lam + 1}
-            assert self_index(G, shell) in want
+            assert G.arc_sign_sum(shell) in want
             seen += 1
     assert seen > 40
 
@@ -121,31 +108,19 @@ def test_self_index_shell_slots():
 def test_self_index_rejects_nonself():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
     with pytest.raises(NotASelfChord):
-        self_index(G, "g")
+        G.arc_sign_sum("g")
 
 
-def test_nonself_index_reference_convention(reference_link):
-    chords12 = [c for c in reference_link.signs
-                if chord_type(reference_link, c) == (1, 2)]
-    assert nonself_index(reference_link, chords12[0], chords12[0]) == 0
-
-
-def test_nonself_index_rejects_self_chords(reference_link):
-    selfc = next(c for c in reference_link.signs
-                 if reference_link.is_self_chord(c))
-    other = next(c for c in reference_link.signs
-                 if not reference_link.is_self_chord(c))
-    with pytest.raises(NotANonselfChord):
-        nonself_index(reference_link, selfc, other)
-    with pytest.raises(NotANonselfChord):
-        nonself_index(reference_link, other, selfc)
+def test_nonself_index_reference_convention():
+    # gamma0 itself sits at index 0
+    G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
+    assert nonself_writhe_tables(G, "g") == ({0: 1}, {})
 
 
 def test_reference_link_nonself_tables(reference_link):
     # relative to the undressed chord from circle 1 to circle 2
     gamma0 = next(c for c in reference_link.signs
                   if chord_type(reference_link, c) == (1, 2)
-                  and nonself_index(reference_link, c, c) == 0
                   and all(not k.startswith(c + "s") for k in reference_link.signs
                           if k != c) and c + "s1" not in reference_link.signs)
     t12, t21 = nonself_writhe_tables(reference_link, gamma0)
@@ -185,7 +160,7 @@ def test_linking_class_independent_of_reference_chord():
     tried = 0
     for _ in range(200):
         G = random_link_with_lambda(rng, rng.choice([0, 1, 2, 3]))
-        nonself = [c for c in G.signs if not G.is_self_chord(c)]
+        nonself = [c for c in G.signs if chord_type(G, c) is not None]
         if len(nonself) < 2:
             continue
         _, _, lam = linking_data(G)
@@ -203,7 +178,7 @@ def test_nonself_polynomials_evaluate_to_linking_numbers():
     rng = random.Random(46)
     for _ in range(200):
         G = random_link_with_lambda(rng, rng.choice([0, 1, 2, 3]))
-        nonself = [c for c in G.signs if not G.is_self_chord(c)]
+        nonself = [c for c in G.signs if chord_type(G, c) is not None]
         if not nonself:
             continue
         lk12, lk21, _ = linking_data(G)

@@ -7,8 +7,11 @@ and matched each TT pair against every II pair.  The table's handlers must
 give the same images (signs order and words), the same inverse sites and
 the same errors; the R3 finder the same sites in the same order; ``fits``
 must answer as the growth rule did; and walks must take the same steps.
+The inputs are built on first use, by references only, so a defect in one
+kind fails the tests that touch it and not the module's collection.
 """
 
+import functools
 import random
 
 import pytest
@@ -17,10 +20,13 @@ from shellmoves import moves
 from shellmoves.diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, serialize
 from shellmoves.errors import StaleSite
 from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
-                              R2_INSERT, R3, MoveSite, apply_move_with_inverse,
-                              find_move_sites, fits, random_walk)
+                              R2_INSERT, R3, S1, S2_DELETE, S2_INSERT, MoveSite,
+                              apply_move_with_inverse, find_move_sites, fits,
+                              random_walk)
 
 from conftest import R3_BLOCKS, R3_SIGNS, random_diagram
+from test_index_core import per_chord_r1_delete_sites
+from test_shells import REF_APPLY, ref_sites_s1, ref_sites_s2_delete
 
 _check, _fresh_ids, _pair, _sgn, _word = (
     moves._check, moves._fresh_ids, moves._pair, moves._sgn, moves._word)
@@ -154,7 +160,7 @@ def ref_r2_delete(G, site):
 
 
 def ref_apply_r3(G, site):
-    moves._validate_r3(G, site)
+    _check(site in ref_sites_r3(G), "no triple-exchange pattern at the given pairs")
     pos = set()
     for c, p in site.anchors:
         pos |= {(c, p), (c, (p + 1) % len(G.circles[c]))}
@@ -167,9 +173,27 @@ def ref_apply_r3(G, site):
     return new, MoveSite(R3, site.anchors)
 
 
+def ref_adjacent_pairs(G):
+    for c, word in enumerate(G.circles):
+        if len(word) > 1:
+            for p, u in enumerate(word):
+                yield c, p, u, word[(p + 1) % len(word)]
+
+
+def ref_sites_r2_delete(G):
+    pairs = list(ref_adjacent_pairs(G))
+    tt = {(u.chord, v.chord): (c, p) for c, p, u, v in pairs
+          if u.kind == v.kind == TERMINAL}
+    return [MoveSite(R2_DELETE, ((c, p), tt[key]), (variant,))
+            for c, p, u, v in pairs if u.kind == v.kind == INITIAL
+            and u.chord != v.chord and G.signs[u.chord] == -G.signs[v.chord]
+            for variant, key in (("par", (u.chord, v.chord)),
+                                 ("anti", (v.chord, u.chord))) if key in tt]
+
+
 def ref_sites_r3(G):
     tt, ii, it, ti = {}, {}, {}, {}
-    for c, p, u, v in moves._adjacent_pairs(G):
+    for c, p, u, v in ref_adjacent_pairs(G):
         key = (u.chord, v.chord)
         spot = (c, p)
         if u.kind == TERMINAL and v.kind == TERMINAL:
@@ -204,13 +228,32 @@ def ref_sites_r3(G):
 
 REF_HANDLERS = {R1_INSERT: ref_r1_insert, R1_DELETE: ref_r1_delete,
                 R2_INSERT: ref_r2_insert, R2_DELETE: ref_r2_delete}
+REF_KINDS = {**REF_HANDLERS, R3: ref_apply_r3, **REF_APPLY}
+REF_FINDERS = {R1_DELETE: per_chord_r1_delete_sites,
+               R2_DELETE: ref_sites_r2_delete, R3: ref_sites_r3, S1: ref_sites_s1,
+               S2_INSERT: lambda G: [MoveSite(S2_INSERT, ((c, p),)) for c, p, u, v
+                                     in ref_adjacent_pairs(G) if u.chord != v.chord],
+               S2_DELETE: ref_sites_s2_delete}
 
 
 def ref_apply(G, site):
-    handler = REF_HANDLERS.get(site.kind)
-    if handler is None:
-        return apply_move_with_inverse(G, site)
-    return handler(G, site)
+    return REF_KINDS[site.kind](G, site)
+
+
+def ref_sample_site(G, kind, rng):
+    """A site drawn as ``random_walk`` draws one: insertions by their gaps,
+    other kinds uniformly from their sites."""
+    gaps = [(c, g) for c, w in enumerate(G.circles) for g in range(max(len(w), 1))]
+    if kind == R1_INSERT:
+        return MoveSite(R1_INSERT, (rng.choice(gaps),), (rng.choice("+-"), "IT"))
+    if kind == R2_INSERT:
+        a, b = rng.choice(gaps), rng.choice(gaps)
+        params = (rng.choice(["par", "anti"]), rng.choice("+-"))
+        if a == b and rng.random() < 0.5:
+            params += ("tfirst",)
+        return MoveSite(R2_INSERT, (a, b), params)
+    sites = REF_FINDERS[kind](G)
+    return rng.choice(sites) if sites else None
 
 
 def ref_random_walk(G, steps, seed, chord_cap):
@@ -222,7 +265,7 @@ def ref_random_walk(G, steps, seed, chord_cap):
         for kind in kinds:
             if len(G) + REF_GROWTH.get(kind, 0) > chord_cap:
                 continue
-            site = moves._sample_site(G, kind, rng)
+            site = ref_sample_site(G, kind, rng)
             if site is None:
                 continue
             G = ref_apply(G, site)[0]
@@ -252,7 +295,8 @@ def _same(G, site, text=False):
             == _outcome(ref_apply, G, site, text)), (G, site)
 
 
-def _walked_diagrams(count):
+@functools.cache
+def _walked_diagrams(count=3000):
     """1- and 2-circle diagrams of up to 3 chords reached by short walks
     (the reference walk, so the inputs do not depend on the code tested)."""
     rng = random.Random(8)
@@ -291,7 +335,8 @@ def _hand_sites(G, rng):
                            (rng.choice(("par", "anti")),))
 
 
-def _r3_diagrams(count):
+@functools.cache
+def _r3_diagrams(count=400):
     """Diagrams built to hold R3 configurations, which walks seldom reach:
     the pairs (p>, q>), (p<, x<), (q<, x>) with x + and p, q -, and up to
     four other chords, dealt as blocks onto one or two circles with each
@@ -322,10 +367,6 @@ def _r3_diagrams(count):
     return out
 
 
-DIAGRAMS = _walked_diagrams(3000)
-R3_DIAGRAMS = _r3_diagrams(400)
-
-
 def test_kind_order_is_pinned():
     assert MOVE_KINDS == REF_MOVE_KINDS
 
@@ -333,7 +374,7 @@ def test_kind_order_is_pinned():
 @pytest.mark.parametrize("kind", REF_HANDLERS)
 def test_r1_r2_images_and_inverses_match_reference(kind):
     applied = 0
-    for G in DIAGRAMS:
+    for G in _walked_diagrams():
         for site in find_move_sites(G, kind):
             _same(G, site)
             applied += 1
@@ -343,7 +384,7 @@ def test_r1_r2_images_and_inverses_match_reference(kind):
 def test_hand_built_sites_match_reference():
     rng = random.Random(3)
     kinds = set()
-    for G in DIAGRAMS[::5]:
+    for G in _walked_diagrams()[::5]:
         for site in _hand_sites(G, rng):
             _same(G, site, text=True)
             kinds.add(site.kind)
@@ -353,7 +394,7 @@ def test_hand_built_sites_match_reference():
 def test_each_kind_finds_with_its_own_finder():
     finders = {kind: getattr(moves, f"_sites_{kind.lower()}")
                for kind in REF_MOVE_KINDS}
-    for G in DIAGRAMS[::10]:
+    for G in _walked_diagrams()[::10]:
         for kind, finder in finders.items():
             assert find_move_sites(G, kind) == finder(G)
 
@@ -372,7 +413,7 @@ def test_finder_errors_are_not_reported_as_unknown_kind():
 
 
 def test_fits_matches_growth_rule():
-    for G in DIAGRAMS[::10]:
+    for G in _walked_diagrams()[::10]:
         n = len(G)
         for kind in REF_MOVE_KINDS:
             for cap in range(n - 1, n + 3):
@@ -382,7 +423,7 @@ def test_fits_matches_growth_rule():
 
 def test_walks_match_reference():
     rng = random.Random(5)
-    for G in DIAGRAMS[::10]:
+    for G in _walked_diagrams()[::10]:
         seed = rng.randrange(10**6)
         cap = len(G) + rng.randint(1, 3)
         got = random_walk(G, 20, seed, cap)
@@ -394,7 +435,7 @@ def test_walks_match_reference():
 
 def test_r3_finder_matches_reference():
     found = wrapped = 0
-    for G in R3_DIAGRAMS + DIAGRAMS:
+    for G in _r3_diagrams() + _walked_diagrams():
         sites = find_move_sites(G, R3)
         assert sites == ref_sites_r3(G), G
         found += len(sites)
@@ -406,7 +447,7 @@ def test_r3_finder_matches_reference():
 def test_r3_images_and_inverses_match_reference():
     rng = random.Random(12)
     applied = stale = 0
-    for G in R3_DIAGRAMS:
+    for G in _r3_diagrams():
         spots = [(c, p) for c, w in enumerate(G.circles) for p in range(len(w))]
         sites = ref_sites_r3(G)
         # the found sites, and the same anchors shuffled or moved, mostly stale

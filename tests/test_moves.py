@@ -6,7 +6,6 @@ import pytest
 
 from shellmoves.diagram import (
     GaussDiagram,
-    detect_shells,
     isomorphic,
     parse_gauss_code,
 )
@@ -29,7 +28,7 @@ from shellmoves.moves import (
 )
 from shellmoves.normal_form import encode_snail
 
-from conftest import random_diagram
+from conftest import chord_type, random_diagram, ref_detect_shells
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -82,16 +81,22 @@ def test_apply_rejects_stale_sites():
         apply_move(G, MoveSite("S2_delete", ((0, 0),)))
 
 
-def test_every_kind_round_trips_through_its_inverse():
-    rng = random.Random(31)
-    seen = {k: 0 for k in MOVE_KINDS}
-    for _ in range(3000):
+def random_sites(seed, trials, kinds=MOVE_KINDS):
+    """(G, kind, site) for each of ``trials`` random diagrams of at most 5
+    chords on which a randomly drawn kind has a site; the site is random."""
+    rng = random.Random(seed)
+    for _ in range(trials):
         G = random_diagram(rng, rng.choice((1, 2)), 5)
-        kind = rng.choice(MOVE_KINDS)
+        kind = rng.choice(kinds)
         sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H, inv = apply_move_with_inverse(G, rng.choice(sites))
+        if sites:
+            yield G, kind, rng.choice(sites)
+
+
+def test_every_kind_round_trips_through_its_inverse():
+    seen = {k: 0 for k in MOVE_KINDS}
+    for G, kind, site in random_sites(31, 3000):
+        H, inv = apply_move_with_inverse(G, site)
         assert isomorphic(apply_move(H, inv), G), (kind, G)
         seen[kind] += 1
     assert all(seen[k] > 10 for k in
@@ -101,14 +106,8 @@ def test_every_kind_round_trips_through_its_inverse():
 
 
 def test_moves_preserve_validity():
-    rng = random.Random(32)
-    for _ in range(400):
-        G = random_diagram(rng, rng.choice((1, 2)), 5)
-        kind = rng.choice(MOVE_KINDS)
-        sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H = apply_move(G, rng.choice(sites))
+    for G, _, site in random_sites(32, 400):
+        H = apply_move(G, site)
         GaussDiagram(H.signs, H.circles)  # full revalidation
 
 
@@ -116,46 +115,27 @@ def test_chord_count_deltas():
     deltas = {"R1_insert": 1, "R1_delete": -1, "R2_insert": 2,
               "R2_delete": -2, "R3": 0, "S1": 0, "S2_insert": 2,
               "S2_delete": -2}
-    rng = random.Random(33)
     seen = set()
-    for _ in range(2500):
-        G = random_diagram(rng, rng.choice((1, 2)), 5)
-        kind = rng.choice(MOVE_KINDS)
-        sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H = apply_move(G, rng.choice(sites))
+    for G, kind, site in random_sites(33, 2500):
+        H = apply_move(G, site)
         assert len(H) - len(G) == deltas[kind]
         seen.add(kind)
     assert len(seen) >= 7
 
 
 def test_single_moves_preserve_profile():
-    rng = random.Random(34)
-    for _ in range(1200):
-        G = random_diagram(rng, rng.choice((1, 2)), 5)
-        kind = rng.choice(MOVE_KINDS)
-        sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H = apply_move(G, rng.choice(sites))
+    for G, kind, site in random_sites(34, 1200):
+        H = apply_move(G, site)
         assert profile(H) == profile(G), kind
 
 
 def test_classical_moves_preserve_all_index_slots():
     # the three classical patterns fix every index-writhe slot, including
     # the slots that shell moves are allowed to shuffle
-    rng = random.Random(35)
-    for _ in range(800):
-        mu = rng.choice((1, 2))
-        G = random_diagram(rng, mu, 5)
-        kind = rng.choice(["R1_insert", "R1_delete", "R2_insert",
-                           "R2_delete", "R3"])
-        sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H = apply_move(G, rng.choice(sites))
-        if mu == 1:
+    for G, _, site in random_sites(35, 800, ("R1_insert", "R1_delete",
+                                             "R2_insert", "R2_delete", "R3")):
+        H = apply_move(G, site)
+        if G.mu == 1:
             strip = lambda t: {n: v for n, v in t.items() if n != 0}
             assert strip(writhe_tables(H)) == strip(writhe_tables(G))
         else:
@@ -168,19 +148,12 @@ def test_classical_moves_preserve_all_index_slots():
 
 
 def test_shell_moves_fix_indices_of_non_shell_chords():
-    rng = random.Random(36)
     checked = 0
-    for _ in range(800):
-        mu = rng.choice((1, 2))
-        G = random_diagram(rng, mu, 5)
-        kind = rng.choice(["S1", "S2_insert", "S2_delete"])
-        sites = find_move_sites(G, kind)
-        if not sites:
-            continue
-        H = apply_move(G, rng.choice(sites))
-        shells = set(detect_shells(G)) | set(detect_shells(H))
+    for G, kind, site in random_sites(36, 800, ("S1", "S2_insert", "S2_delete")):
+        H = apply_move(G, site)
+        shells = ref_detect_shells(G) | ref_detect_shells(H)
         for cid in set(G.signs) & set(H.signs):
-            if cid in shells or not G.is_self_chord(cid):
+            if cid in shells or chord_type(G, cid) is not None:
                 continue
             assert G.arc_sign_sum(cid) == H.arc_sign_sum(cid), (kind, cid)
             checked += 1

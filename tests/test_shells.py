@@ -1,6 +1,6 @@
 """One definition of a shell: ``diagram.shell_layers`` builds shell layers
 and ``diagram.is_shell_layer`` recognises them, for the snail builders, the
-S1 and S2 moves, shell detection and realization alike.
+S1 and S2 moves and realization alike.
 
 The code below is the earlier form of each of those places, which wrote the
 orientation rule out by hand; it lives only here, as the reference the
@@ -17,7 +17,6 @@ from shellmoves.diagram import (
     TERMINAL,
     Endpoint,
     GaussDiagram,
-    detect_shells,
     is_shell_layer,
     serialize,
     shell_layers,
@@ -191,44 +190,6 @@ def ref_flank_block(shell, around, sign_around):
     if sign_around > 0:
         return [Endpoint(shell, INITIAL), around, Endpoint(shell, TERMINAL)]
     return [Endpoint(shell, TERMINAL), around, Endpoint(shell, INITIAL)]
-
-
-def ref_nest_around(G, circle, p):
-    word = G.circles[circle]
-    n = len(word)
-    e = word[p]
-    want_initial_first = G.endpoint_sign(e) > 0
-    layers = []
-    k = 0
-    while 2 * (k + 1) + 1 <= n:
-        a = word[(p - 1 - k) % n]
-        b = word[(p + 1 + k) % n]
-        if a.chord != b.chord or a.chord == e.chord or a.kind == b.kind:
-            break
-        if (a.kind == INITIAL) != want_initial_first:
-            break
-        layers.append(a.chord)
-        k += 1
-    return layers
-
-
-def ref_detect_shells(G):
-    best = {}
-    for ci, word in enumerate(G.circles):
-        for p in range(len(word)):
-            owner = word[p].chord
-            for depth, cid in enumerate(ref_nest_around(G, ci, p)):
-                if cid not in best or depth < best[cid][0]:
-                    best[cid] = (depth, owner)
-    bases = {}
-    for cid, (_, direct) in best.items():
-        owner = direct
-        hops = {cid}
-        while owner in best and owner not in hops:
-            hops.add(owner)
-            owner = best[owner][1]
-        bases[cid] = direct if owner in best else owner
-    return bases
 
 
 def ref_sites_s1(G):
@@ -484,10 +445,9 @@ def test_realize_link_matches_reference(monkeypatch):
 # -- recognition and the S moves ---------------------------------------------------
 
 
-def test_detect_shells_matches_reference():
+def test_s2_delete_finder_matches_reference():
     sites = 0
     for G in shelled_diagrams(400):
-        assert detect_shells(G) == ref_detect_shells(G), G
         # the S2_delete finder skips positions on their chords alone
         found = find_move_sites(G, S2_DELETE)
         assert found == ref_sites_s2_delete(G), G
