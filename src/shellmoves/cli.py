@@ -9,6 +9,7 @@ error, 65 unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -324,7 +325,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        # help goes to ``out``; usage errors stay on stderr
+        with contextlib.redirect_stdout(out):
+            args = ap.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
     try:

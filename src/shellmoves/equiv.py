@@ -121,8 +121,6 @@ def realize_knot(f: LaurentPoly) -> GaussDiagram:
 def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
                     ) -> GaussDiagram:
     """Nest |total| shells of sign sgn(total) directly around an endpoint."""
-    if total == 0:
-        return G
     c, p = G.locate(chord, kind)
     word = G.circles[c]
     ep = word[p]

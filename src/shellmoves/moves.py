@@ -7,7 +7,14 @@ swapping two adjacent endpoints at the price of one shell on each chord (S2).
 
 A move site pins the rewrite to concrete positions in the current words, so
 sites can be serialized, replayed, and invalidated (StaleSite) once the
-diagram changes underneath them.
+diagram changes underneath them.  Every anchor of every kind is range-checked
+before any parameter.  Each pattern is stated once, so a deletion or exchange
+site applies exactly when its kind's finder lists it: R3's pattern is its
+finder, which the handler asks; R2_delete's (``_validate_r2_pattern``), S1's
+(``diagram.is_shell_layer``) and S2_delete's (``_validate_s2_delete``) is one
+check that finder and handler share.  The one site applied but not listed is
+R1_delete at the second endpoint of a circle holding one chord alone, whose
+finder lists the first.
 """
 
 from __future__ import annotations
@@ -84,14 +91,6 @@ def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
                       for c, w in enumerate(G.circles)}, drop=chords)
 
 
-def _word(G: GaussDiagram, c: int) -> tuple[Endpoint, ...]:
-    """Word of circle ``c`` (0-based); StaleSite naming it 1-based, as in
-    trace text, when the diagram has no such circle."""
-    if not 0 <= c < G.mu:
-        raise StaleSite(f"no circle {c + 1}")
-    return G.circles[c]
-
-
 def _pair(G: GaussDiagram, c: int, p: int) -> tuple[Endpoint, Endpoint]:
     word = G.circles[c]
     return word[p], word[(p + 1) % len(word)]
@@ -119,10 +118,14 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
     if len(site.anchors) != k.n_anchors or len(site.params) not in k.n_params:
         raise StaleSite(f"{site.kind} takes {k.n_anchors} anchor(s) and "
                         f"{'/'.join(map(str, k.n_params))} parameter(s)")
-    if not k.gaps:
-        for c, p in site.anchors:
-            if not 0 <= p < len(_word(G, c)):
-                raise StaleSite(f"no position {p} on circle {c + 1}")
+    for c, p in site.anchors:
+        if not 0 <= c < G.mu:
+            raise StaleSite(f"no circle {c + 1}")
+        n = len(G.circles[c])
+        if k.gaps:
+            _check(0 <= p <= n, "bad gap")
+        elif not 0 <= p < n:
+            raise StaleSite(f"no position {p} on circle {c + 1}")
     return k.apply(G, site)
 
 
@@ -131,8 +134,7 @@ def _apply_r1_insert(G, site):
     sgn, order = site.params
     eps = _sgn(sgn)
     _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
-    word = _word(G, c)
-    _check(0 <= g <= len(word), "bad gap")
+    word = G.circles[c]
     cid, = _fresh_ids(G, "n", 1)
     pair = (Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL))
     if order == "TI":
@@ -164,8 +166,6 @@ def _apply_r2_insert(G, site):
     eps = _sgn(sgn)
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
-    for c, g in site.anchors:
-        _check(0 <= g <= len(_word(G, c)), "bad gap")
     x, y = _fresh_ids(G, "n", 2)
     head = (Endpoint(x, INITIAL), Endpoint(y, INITIAL))
     tail = (Endpoint(x, TERMINAL), Endpoint(y, TERMINAL))
@@ -185,6 +185,8 @@ def _apply_r2_insert(G, site):
 
 
 def _validate_r2_pattern(G, site):
+    """Initials of opposite-signed chords x, y at the first anchor, their
+    terminals at the second in the same (par) or swapped (anti) order."""
     (c1, p1), (c2, p2) = site.anchors
     variant, = site.params
     a, b = _pair(G, c1, p1)
@@ -208,8 +210,8 @@ def _apply_r2_delete(G, site):
     x, y = _validate_r2_pattern(G, site)
     (c1, p1), (c2, p2) = site.anchors
     n1, n2 = len(G.circles[c1]), len(G.circles[c2])
+    # four distinct endpoints, so four distinct positions
     pos = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}
-    _check(len(pos) == 4, "overlapping pairs")
     variant = site.params[0]
 
     def _gap(c, p):
@@ -225,37 +227,9 @@ def _apply_r2_delete(G, site):
     return _without(G, x, y), inv
 
 
-def _validate_r3(G, site):
-    """The exchange acts on three mutually adjacent endpoint pairs:
-    (hp>, hq>), (hp<, x<), (hq<, x>) with signs x:+, hp:-, hq:-, or the
-    swapped image of that configuration."""
-    pairs = [_pair(G, c, p) for c, p in site.anchors]
-    for cfg in ("A", "B"):
-        pr = pairs if cfg == "A" else [(b, a) for a, b in pairs]
-        (t1a, t1b), (t2a, t2b), (t3a, t3b) = pr
-        if (t1a.kind, t1b.kind) != (TERMINAL, TERMINAL):
-            continue
-        if (t2a.kind, t2b.kind) != (INITIAL, INITIAL):
-            continue
-        if (t3a.kind, t3b.kind) != (INITIAL, TERMINAL):
-            continue
-        hp, hq = t1a.chord, t1b.chord
-        x = t2b.chord
-        if t2a.chord != hp or t3a.chord != hq or t3b.chord != x:
-            continue
-        if len({x, hp, hq}) != 3:
-            continue
-        if G.signs[x] == 1 and G.signs[hp] == -1 and G.signs[hq] == -1:
-            return
-    raise StaleSite("no triple-exchange pattern at the given pairs")
-
-
 def _apply_r3(G, site):
-    _validate_r3(G, site)
-    pos = set()
-    for c, p in site.anchors:
-        pos |= {(c, p), (c, (p + 1) % len(G.circles[c]))}
-    _check(len(pos) == 6, "overlapping pairs")
+    # the finder states the pattern; its six endpoints sit at six positions
+    _check(site in _sites_r3(G), "no triple-exchange pattern at the given pairs")
     words = {}
     for c, p in site.anchors:
         w = words.setdefault(c, list(G.circles[c]))
@@ -303,7 +277,7 @@ def _validate_s2_delete(G, site):
     around f and v around e, oriented by the signs they surround, with
     cancelling signs.  Returns the window (u, f, u2, v, e, v2)."""
     (c, p), = site.anchors
-    word = _word(G, c)
+    word = G.circles[c]
     n = len(word)
     _check(n >= 6, "word too short")
     t = [word[(p + i) % n] for i in range(6)]
@@ -375,22 +349,22 @@ def _sites_r2_insert(G):
 
 
 def _sites_r2_delete(G):
-    where = {}
-    for c, p, u, v in _adjacent_pairs(G):
-        where[(u.chord, u.kind, v.chord, v.kind)] = (c, p)
+    tt = {(u.chord, v.chord): (c, p) for c, p, u, v in _adjacent_pairs(G)
+          if u.kind == v.kind == TERMINAL}
     out = []
     for c, p, u, v in _adjacent_pairs(G):
-        if u.kind != INITIAL or v.kind != INITIAL or u.chord == v.chord:
+        if u.kind != INITIAL or v.kind != INITIAL:
             continue
-        x, y = u.chord, v.chord
-        if G.signs[x] != -G.signs[y]:
-            continue
-        spot = where.get((x, TERMINAL, y, TERMINAL))
-        if spot is not None:
-            out.append(MoveSite(R2_DELETE, ((c, p), spot), ("par",)))
-        spot = where.get((y, TERMINAL, x, TERMINAL))
-        if spot is not None:
-            out.append(MoveSite(R2_DELETE, ((c, p), spot), ("anti",)))
+        for variant, key in (("par", (u.chord, v.chord)),
+                             ("anti", (v.chord, u.chord))):
+            spot = tt.get(key)
+            if spot is not None:
+                site = MoveSite(R2_DELETE, ((c, p), spot), (variant,))
+                try:
+                    _validate_r2_pattern(G, site)
+                except StaleSite:
+                    continue
+                out.append(site)
     return out
 
 

@@ -293,6 +293,15 @@ def test_usage_error_exit_code():
     assert run("equiv", "onearg")[0] == 64
 
 
+def test_help_goes_to_out_and_usage_errors_to_stderr(capsys):
+    for argv in (["--help"], ["witness", "--help"]):
+        code, out = run(*argv)
+        assert code == 0 and out.startswith("usage: shellmoves"), argv
+    assert capsys.readouterr().out == ""
+    assert run("frobnicate") == (64, "")
+    assert "usage: shellmoves" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(files):
     bad = files("bad.gd", "circles: 1\nchord g +\ncircle 1: g<\n")
     assert run("invariants", bad)[0] == 65

@@ -1,7 +1,8 @@
 """The kind table against the per-kind registries it replaced.
 
 The references below are the earlier R1/R2 handlers, which inserted blocks
-through a sorted gap list and deleted endpoints by position, the earlier
+through a sorted gap list and deleted endpoints by position (with their own
+copy of the R2 cancelling-pair check and its five messages), the earlier
 growth rule, and the earlier R3 handler and finder, which copied every word
 and matched each TT pair against every II pair.  The table's handlers must
 give the same images (signs order and words), the same inverse sites and
@@ -26,10 +27,10 @@ from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
 
 from conftest import R3_BLOCKS, R3_SIGNS, random_diagram
 from test_index_core import per_chord_r1_delete_sites
-from test_shells import REF_APPLY, ref_sites_s1, ref_sites_s2_delete
+from test_shells import REF_APPLY, _word, ref_sites_s1, ref_sites_s2_delete
 
-_check, _fresh_ids, _pair, _sgn, _word = (
-    moves._check, moves._fresh_ids, moves._pair, moves._sgn, moves._word)
+_check, _fresh_ids, _pair, _sgn = (
+    moves._check, moves._fresh_ids, moves._pair, moves._sgn)
 
 REF_MOVE_KINDS = ("R1_insert", "R1_delete", "R2_insert", "R2_delete", "R3",
                   "S1", "S2_insert", "S2_delete")
@@ -129,8 +130,28 @@ def ref_r2_insert(G, site):
     return GaussDiagram(signs, circles, validate=False), inv
 
 
+def ref_validate_r2_pattern(G, site):
+    (c1, p1), (c2, p2) = site.anchors
+    variant, = site.params
+    a, b = _pair(G, c1, p1)
+    _check(a.kind == INITIAL and b.kind == INITIAL, "first pair must be initials")
+    _check(a.chord != b.chord, "pair needs two chords")
+    x, y = a.chord, b.chord
+    _check(G.signs[x] == -G.signs[y], "chords must have opposite signs")
+    u, v = _pair(G, c2, p2)
+    if variant == "par":
+        _check((u.chord, u.kind) == (x, TERMINAL)
+               and (v.chord, v.kind) == (y, TERMINAL), "terminal pair mismatch")
+    elif variant == "anti":
+        _check((u.chord, u.kind) == (y, TERMINAL)
+               and (v.chord, v.kind) == (x, TERMINAL), "terminal pair mismatch")
+    else:
+        raise StaleSite(f"bad variant {variant!r}")
+    return x, y
+
+
 def ref_r2_delete(G, site):
-    x, y = moves._validate_r2_pattern(G, site)
+    x, y = ref_validate_r2_pattern(G, site)
     (c1, p1), (c2, p2) = site.anchors
     n1, n2 = len(G.circles[c1]), len(G.circles[c2])
     pos = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}

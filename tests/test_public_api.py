@@ -1,8 +1,12 @@
-"""The public API: every name a module exports resolves, and the package's
-exports are pinned, so adding or removing a public name is a visible diff."""
+"""The public API: every name a module exports resolves, the package's
+exports are pinned, so adding or removing a public name is a visible diff,
+and the runtime imports nothing outside the standard library."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +31,19 @@ def test_every_exported_name_resolves(module):
 
 def test_package_exports_are_pinned():
     assert shellmoves.__all__ == PUBLIC
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(Path(shellmoves.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    foreign = {}
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0}
+        top = {name.split(".")[0] for name in names}
+        if top - sys.stdlib_module_names:
+            foreign[path.name] = sorted(top - sys.stdlib_module_names)
+    assert foreign == {}

@@ -31,7 +31,6 @@ from shellmoves.moves import (
     _check,
     _fresh_ids,
     _pair,
-    _word,
     apply_move_with_inverse,
     find_move_sites,
     random_walk,
@@ -45,6 +44,14 @@ from shellmoves.normal_form import (
 )
 
 from conftest import random_diagram, random_link_with_lambda
+
+
+def _word(G, c):
+    """Word of circle ``c`` (0-based); StaleSite naming it 1-based, as in
+    trace text, when the diagram has no such circle."""
+    if not 0 <= c < G.mu:
+        raise StaleSite(f"no circle {c + 1}")
+    return G.circles[c]
 
 
 # -- reference: snail words and builders ------------------------------------------
