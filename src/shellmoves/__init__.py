@@ -10,14 +10,7 @@ from .diagram import (
     surgery,
     swap_components,
 )
-from .equiv import (
-    Verdict,
-    bfs_witness,
-    check_consistency,
-    realize_knot,
-    realize_link,
-    s_equivalent,
-)
+from .equiv import Verdict, bfs_witness, check_consistency, s_equivalent
 from .invariants import (
     KnotProfile,
     LinkProfile,
@@ -35,6 +28,8 @@ from .normal_form import (
     build_link_form,
     canonical_form,
     encode_snail,
+    realize_knot,
+    realize_link,
 )
 
 __version__ = "0.1.0"

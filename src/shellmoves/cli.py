@@ -25,10 +25,11 @@ from .errors import (
     ShellmovesError,
     StaleSite,
 )
-from .equiv import bfs_witness, realize_knot, realize_link, s_equivalent
+from .equiv import bfs_witness, s_equivalent
 from .invariants import KnotProfile, linking_data, profile
 from .moves import apply_move, random_walk, site_from_text, site_to_text
-from .normal_form import build_knot_form, build_link_form, canonical_form
+from .normal_form import (build_knot_form, build_link_form, canonical_form,
+                          realize_knot, realize_link)
 
 USAGE_ERROR = 64
 DATA_ERROR = 65

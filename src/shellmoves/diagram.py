@@ -104,6 +104,18 @@ class GaussDiagram:
         object.__setattr__(out, "circles", tuple(circles))
         return out
 
+    def _fresh_ids(self, prefix: str, n: int) -> list[str]:
+        """``n`` unused chord ids ``<prefix><k>``, k counting up past the
+        chord count: the one naming scheme for chords that edits add."""
+        out: list[str] = []
+        k = len(self.signs)
+        while len(out) < n:
+            k += 1
+            cid = f"{prefix}{k}"
+            if cid not in self.signs:
+                out.append(cid)
+        return out
+
     def _validate(self) -> None:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:

@@ -40,40 +40,27 @@ def _add(table: dict[int, int], n: int, sign: int) -> None:
         del table[n]
 
 
-def writhe_tables(G: GaussDiagram) -> dict[int, int]:
-    """n -> signed count of chords of index n, for a one-circle diagram."""
-    G.require_mu(1)
-    index = arc_sums(G.circles[0], G.signs)
-    out: dict[int, int] = {}
-    for cid, sign in G.signs.items():
-        _add(out, index[cid], sign)
-    return out
+def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], ...]:
+    """Per circle, n -> signed count of the self-chords of index n on it."""
+    out = []
+    for word in G.circles:
+        table: dict[int, int] = {}
+        for cid, n in arc_sums(word, G.signs).items():
+            _add(table, n, G.signs[cid])
+        out.append(table)
+    return tuple(out)
 
 
 def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
     """W(t) = sum_{n != 0} J_n t^n - sum_{n != 0} J_n."""
-    return _writhe_polynomial(writhe_tables(G))
+    G.require_mu(1)
+    return _writhe_polynomial(self_writhe_tables(G)[0])
 
 
 def _writhe_polynomial(J: dict[int, int]) -> LaurentPoly:
     terms = {n: v for n, v in J.items() if n != 0}
     total = sum(terms.values())
     return LaurentPoly(terms) - LaurentPoly.const(total)
-
-
-def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], dict[int, int]]:
-    """Index tables of the self-chords on each circle of a 2-circle diagram."""
-    G.require_mu(2)
-    index1 = arc_sums(G.circles[0], G.signs)
-    index2 = arc_sums(G.circles[1], G.signs)
-    t1: dict[int, int] = {}
-    t2: dict[int, int] = {}
-    for cid, sign in G.signs.items():
-        if cid in index1:
-            _add(t1, index1[cid], sign)
-        elif cid in index2:
-            _add(t2, index2[cid], sign)
-    return t1, t2
 
 
 def _nonself_endpoints(G: GaussDiagram) -> list[Endpoint]:
@@ -228,7 +215,7 @@ class LinkProfile(_Profile):
 def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
     """Assemble the full invariant profile of a 1- or 2-circle diagram."""
     if G.mu == 1:
-        J = writhe_tables(G)
+        J = self_writhe_tables(G)[0]
         n_writhes = {n: v for n, v in J.items() if n != 0}
         odd = sum(v for n, v in n_writhes.items() if n % 2)
         return KnotProfile(_writhe_polynomial(J), n_writhes, odd)

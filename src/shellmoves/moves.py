@@ -73,18 +73,6 @@ def _sgn(s: str) -> int:
     raise StaleSite(f"bad sign parameter {s!r}")
 
 
-def _fresh_ids(G: GaussDiagram, prefix: str, n: int) -> list[str]:
-    """``n`` unused chord ids ``<prefix><k>``, k counting up past len(G)."""
-    out: list[str] = []
-    k = len(G.signs)
-    while len(out) < n:
-        k += 1
-        cid = f"{prefix}{k}"
-        if cid not in G.signs:
-            out.append(cid)
-    return out
-
-
 def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
     """``G`` with the named chords erased: their signs and endpoints."""
     return G._edited({c: [ep for ep in w if ep.chord not in chords]
@@ -135,7 +123,7 @@ def _apply_r1_insert(G, site):
     eps = _sgn(sgn)
     _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
     word = G.circles[c]
-    cid, = _fresh_ids(G, "n", 1)
+    cid, = G._fresh_ids("n", 1)
     pair = (Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL))
     if order == "TI":
         pair = pair[::-1]
@@ -166,7 +154,7 @@ def _apply_r2_insert(G, site):
     eps = _sgn(sgn)
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
-    x, y = _fresh_ids(G, "n", 2)
+    x, y = G._fresh_ids("n", 2)
     head = (Endpoint(x, INITIAL), Endpoint(y, INITIAL))
     tail = (Endpoint(x, TERMINAL), Endpoint(y, TERMINAL))
     if variant == "anti":
@@ -262,7 +250,7 @@ def _apply_s2_insert(G, site):
     word = G.circles[c]
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    u, v = _fresh_ids(G, "n", 2)  # u shields f, v shields e
+    u, v = G._fresh_ids("n", 2)  # u shields f, v shields e
     block = tuple(shell_layers(f, sf, [u]) + shell_layers(e, se, [v]))
     if p + 1 < n:
         new, anchor = word[:p] + block + word[p + 2:], p

@@ -1,10 +1,12 @@
-"""Snail encodings and canonical snail-form diagrams.
+"""Snail encodings, canonical snail-form diagrams, and realization.
 
 A snail is a chord dressed with nested shells: the main chord of sign eps
 carries |n| shells of sign -eps*sgn(n), which pins the main chord's index at
 n.  Knots normalize to a concatenation of self snails indexed by the writhe
 coefficients; 2-component links additionally carry two families of nonself
-snails laid out in parallel between the circles.
+snails laid out in parallel between the circles.  :func:`canonical_form`
+(profile to form) and :func:`realize_link` (target to diagram) place them by
+one window rule, :func:`_placed`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from .algebra import LaurentPoly
 from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, shell_layers
 from .errors import (
     BadSupport,
+    ConstraintViolated,
     InconsistentProfile,
     MalformedSnailForm,
     NegativeLambda,
+    NotRealizable,
 )
-from .invariants import KnotProfile, LinkProfile
+from .invariants import (KnotProfile, LinkProfile, link_slots,
+                         self_writhe_tables, shell_sum)
 
 __all__ = [
     "KnotForm",
@@ -30,6 +35,8 @@ __all__ = [
     "build_link_diagram",
     "build_link_form",
     "canonical_form",
+    "realize_knot",
+    "realize_link",
 ]
 
 
@@ -185,6 +192,25 @@ def build_link_form(form: LinkForm) -> GaussDiagram:
 # -- canonical form from a profile -------------------------------------------
 
 
+def _placed(lam: int, a: Mapping[int, int], b: Mapping[int, int],
+            c: Mapping[int, int], d: Mapping[int, int],
+            ss: int | None) -> LinkForm:
+    """The snail form with nonself coefficients ``c``/``d`` at their
+    indices: as keyed for lam < 2; for lam >= 2, windows (``c`` keyed
+    0..lam-1, ``d`` by exponent -m) placed at the start p that gives shell
+    sum ``ss``, as lam * p + (index-weighted total) + ss = 0."""
+    if lam < 2:
+        return LinkForm(lam, a, b, c, d)
+    total = LaurentPoly([*a.items(), *b.items(), *c.items(), *d.items()]
+                        ).derivative_at_one() + ss
+    if total % lam:
+        raise InconsistentProfile(
+            "shell sum is incompatible with the linking class")
+    p = -total // lam
+    return LinkForm(lam, a, b, {p + m: v for m, v in c.items()},
+                    {n - p: v for n, v in d.items()}, p)
+
+
 def canonical_form(profile) -> KnotForm | LinkForm:
     """Extract the unique canonical snail form from an invariant profile.
 
@@ -200,22 +226,170 @@ def canonical_form(profile) -> KnotForm | LinkForm:
     if lam < 0:
         raise NegativeLambda(
             "canonical forms are defined for lam >= 0; swap components first")
-    a = profile.invariant_jn1()
-    b = profile.invariant_jn2()
     cls = profile.linking_class
     if lam == 0:
-        return LinkForm(0, a, b, cls.f.coeffs(), cls.g.coeffs(), 0)
+        c, d = cls.f.coeffs(), cls.g.coeffs()
+    elif lam == 1:
+        c, d = {0: profile.lk12}, {0: profile.lk21}
+    else:
+        g = cls.g.vector(lam)
+        c = dict(enumerate(cls.f.vector(lam)))
+        d = {-m: g[-m % lam] for m in range(lam)}
+    return _placed(lam, profile.invariant_jn1(), profile.invariant_jn2(), c, d,
+                   profile.shell_sum)
+
+
+# -- realization of target invariants ---------------------------------------
+
+
+def realize_knot(f: LaurentPoly) -> GaussDiagram:
+    """A one-circle diagram whose writhe polynomial is ``f``.
+
+    Realizable exactly when f(1) = f'(1) = 0; the snail coefficients are the
+    coefficients of f away from exponents 0 and 1.
+    """
+    if f.eval_at_one() != 0:
+        raise NotRealizable(f"value at 1 is {f.eval_at_one()}, not 0")
+    if f.derivative_at_one() != 0:
+        raise NotRealizable(
+            f"derivative at 1 is {f.derivative_at_one()}, not 0")
+    return build_knot_form({n: c for n, c in f.coeffs().items()
+                            if n not in (0, 1)})
+
+
+def _dress_endpoint(G: GaussDiagram, chord: str, kind: str, total: int
+                    ) -> GaussDiagram:
+    """Nest |total| shells of sign sgn(total) directly around an endpoint."""
+    c, p = G.locate(chord, kind)
+    word = G.circles[c]
+    ep = word[p]
+    ids = G._fresh_ids("r", abs(total))
+    layers = tuple(shell_layers(ep, G.endpoint_sign(ep), ids))
+    return G._edited({c: word[:p] + layers + word[p + 1:]},
+                     dict.fromkeys(ids, 1 if total > 0 else -1))
+
+
+def _transfer_shells(G: GaussDiagram, chord: str, x: int) -> GaussDiagram:
+    """Add shells of sign sum x around a nonself chord's endpoint on the
+    first circle and -x around its endpoint on the second; the chord's own
+    index and every other chord's index are unchanged, while the per-circle
+    shell slots move by x and -x."""
+    ini_circle, _ = G.chord_circles(chord)
+    first, second = (x, -x) if ini_circle == 0 else (-x, x)
+    G = _dress_endpoint(G, chord, INITIAL, first)
+    return _dress_endpoint(G, chord, TERMINAL, second)
+
+
+def _append_gadget(G: GaussDiagram, circle: int, positive: bool
+                   ) -> GaussDiagram:
+    """An index-1 self snail of sign + (``positive``) or -, which moves one
+    unit of index writhe between the slot-1 count and the partner shell slot
+    of the given circle.  The positive one is appended starting at its
+    shell's terminal endpoint."""
+    g, s = G._fresh_ids("r", 2)
+    signs, word, _ = _snail_words(g, [s], 1 if positive else -1, 1, False)
+    if positive:
+        word = word[-1:] + word[:-1]
+    return G._edited({circle: G.circles[circle] + tuple(word)}, signs)
+
+
+def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
+    """The first nonself chord (one found on both circles) in ``signs``
+    order, inserting a cancelling parallel pair if none."""
+    nonself = ({chord for chord, _ in G.circles[0]}
+               & {chord for chord, _ in G.circles[1]})
+    for cid in G.signs:
+        if cid in nonself:
+            return G, cid
+    q1, q2 = G._fresh_ids("r", 2)
+    return G._edited(
+        {0: G.circles[0] + (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL)),
+         1: G.circles[1] + (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))},
+        {q1: 1, q2: -1}), q1
+
+
+def _check_support(name: str, coeffs: Mapping[int, int], banned: set[int]):
+    hit = sorted(set(coeffs) & banned)
+    if any(coeffs[n] for n in hit):
+        raise ConstraintViolated(
+            f"{name} must vanish on slots {sorted(banned)}; got {hit}")
+
+
+def realize_link(lam: int, a: Mapping[int, int], b: Mapping[int, int],
+                 c: Mapping[int, int], d: Mapping[int, int],
+                 target_shell_sum: int | None = None) -> GaussDiagram:
+    """A 2-component diagram with the given index writhes and linking class.
+
+    ``a``/``b`` are the full index-writhe targets of the two components on
+    their defined slots, ``c``/``d`` the linking-class coefficients: arbitrary
+    finite maps for lam = 0, a single value c (with the second entry forced
+    to c - 1) encoded as {0: c} for lam = 1, and length-lam vectors keyed
+    0..lam-1 for lam >= 2.  Admissibility: (a) the coefficient sums must book
+    the linking numbers consistently with lam, and (b) the index-weighted
+    totals must cancel (mod lam where applicable).
+
+    Snails realize the targets off the shell slots of :func:`link_slots`; a
+    shell transfer and gadgets then fill the shell slots.
+    """
+    if lam < 0:
+        raise NegativeLambda("realization targets assume lam >= 0")
+    a = {n: v for n, v in a.items() if v}
+    b = {n: v for n, v in b.items() if v}
+    (free1, shell1), (free2, shell2) = slots = link_slots(lam)
+    _check_support("component-1 writhe targets", a, free1)
+    _check_support("component-2 writhe targets", b, free2)
     if lam == 1:
-        return LinkForm(1, a, b, {0: profile.lk12}, {0: profile.lk21}, 0)
-    cvec = cls.f.vector(lam)
-    dvec = tuple(cls.g.vector(lam)[(-m) % lam] for m in range(lam))
-    base = -LaurentPoly([*a.items(), *b.items(), *enumerate(cvec),
-                         *((-m, v) for m, v in enumerate(dvec))]
+        if {m for m, v in c.items() if v} - {0} or \
+                {m for m, v in d.items() if v} - {0}:
+            raise ConstraintViolated("lam = 1 takes single linking numbers")
+        c0 = c.get(0, 0)
+        if 0 in d and d[0] != c0 - 1:
+            raise ConstraintViolated(
+                f"(a): second linking number is forced to {c0 - 1}")
+        c, d = {0: c0}, {0: c0 - 1}
+    c = {m: v for m, v in c.items() if v}
+    d = {m: v for m, v in d.items() if v}
+    if lam >= 2 and any(m not in range(lam) for m in (*c, *d)):
+        raise ConstraintViolated(
+            f"nonself coefficients must be keyed 0..{lam - 1}")
+    if sum(c.values()) - sum(d.values()) != lam:
+        raise ConstraintViolated(
+            "(a): the two nonself coefficient sums must be equal, got "
+            f"{sum(c.values())} and {sum(d.values())}" if lam == 0 else
+            "(a): nonself coefficient sums must differ by lam, got "
+            f"{sum(c.values())} - {sum(d.values())}")
+    if lam:
+        # for lam >= 1 the coefficient d_m sits at exponent -m
+        d = {-m: v for m, v in d.items()}
+    total = LaurentPoly([*a.items(), *b.items(), *c.items(), *d.items()]
                         ).derivative_at_one()
-    if (base - profile.shell_sum) % lam != 0:
-        raise InconsistentProfile(
-            "shell sum is incompatible with the linking class")
-    p = (base - profile.shell_sum) // lam
-    c = {p + m: cvec[m] for m in range(lam)}
-    d = {-p - m: dvec[m] for m in range(lam)}
-    return LinkForm(lam, a, b, c, d, p)
+    if (total % lam if lam else total) != 0:
+        raise ConstraintViolated(
+            f"(b): the index-weighted target total must vanish, got {total}"
+            if lam == 0 else
+            f"(b): index-weighted target total must vanish mod lam, "
+            f"got {total} mod {lam}")
+    target = shell_sum(lam, a, b)
+    if target_shell_sum is not None and target_shell_sum != target:
+        raise ConstraintViolated(
+            f"no shell-sum invariant exists for lam = {lam}" if target is None
+            else "shell-sum target conflicts with the "
+            + ("slot-1 writhe targets" if lam == 0 else "four slot targets"))
+    G = build_link_form(_placed(
+        lam, {n: v for n, v in a.items() if n not in shell1},
+        {n: v for n, v in b.items() if n not in shell2}, c, d, target))
+    tables = self_writhe_tables(G)
+    if target is not None:
+        # amount the component-1 shell slots are short; the anchor transfer
+        # moves exactly that much over from component 2
+        x = sum(a.get(n, 0) - tables[0].get(n, 0) for n in shell1)
+        if x:
+            G = _transfer_shells(*_nonself_anchor(G), x)
+            tables = self_writhe_tables(G)
+    for circle, (want, (_, shell), t) in enumerate(zip((a, b), slots, tables)):
+        # a positive gadget raises slot 1 and lowers its partner shell slot
+        n = 1 if 1 in shell else min(shell)
+        delta = want.get(n, 0) - t.get(n, 0)
+        for _ in range(abs(delta)):
+            G = _append_gadget(G, circle, (delta > 0) == (n == 1))
+    return G

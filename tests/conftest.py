@@ -6,9 +6,10 @@ import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import Endpoint, GaussDiagram, INITIAL, TERMINAL, parse_gauss_code
-from shellmoves.equiv import realize_link
+from shellmoves.errors import ConstraintViolated
 from shellmoves.invariants import profile
-from shellmoves.normal_form import LinkForm, build_link_diagram, encode_snail
+from shellmoves.normal_form import (LinkForm, build_link_diagram, encode_snail,
+                                    realize_link)
 
 # Five-chord one-circle diagram with index writhes J_3 = J_-1 = 1, J_1 = -2,
 # hence writhe polynomial t^-1 - 2t + t^3 and odd writhe 0.  Chord indices,
@@ -88,6 +89,93 @@ def ref_detect_shells(G):
     """The chords nested as a shell around some endpoint."""
     return {cid for ci, word in enumerate(G.circles) for p in range(len(word))
             for cid in ref_nest_around(G, ci, p)}
+
+
+# -- realization blocks, written out by hand ------------------------------------
+#
+# References for the package's private realization helpers and its fresh-id
+# scheme; tests that rebuild ``realize_link`` call these, never the code
+# they check.
+
+
+def ref_fresh_ids(G, prefix, n):
+    """The first ``n`` ids ``<prefix><k>`` not in use, for k > len(G)."""
+    out = []
+    k = len(G.signs)
+    while len(out) < n:
+        k += 1
+        if f"{prefix}{k}" not in G.signs:
+            out.append(f"{prefix}{k}")
+    return out
+
+
+def ref_check_support(name, coeffs, banned):
+    hit = sorted(set(coeffs) & banned)
+    if any(coeffs[n] for n in hit):
+        raise ConstraintViolated(
+            f"{name} must vanish on slots {sorted(banned)}; got {hit}")
+
+
+def ref_dress_endpoint(G, chord, kind, total):
+    if total == 0:
+        return G
+    c, p = G.locate(chord, kind)
+    ep = G.circles[c][p]
+    s_ep = G.endpoint_sign(ep)
+    sigma = 1 if total > 0 else -1
+    ids = ref_fresh_ids(G, "r", abs(total))
+    near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
+    seg = [ep]
+    for sid in ids:
+        seg = [Endpoint(sid, near)] + seg + [Endpoint(sid, far)]
+    word = G.circles[c]
+    circles = list(G.circles)
+    circles[c] = word[:p] + tuple(seg) + word[p + 1:]
+    signs = dict(G.signs)
+    signs.update({sid: sigma for sid in ids})
+    return GaussDiagram(signs, circles, validate=False)
+
+
+def ref_transfer_shells(G, chord, x):
+    """x shells around the nonself chord's circle-1 endpoint and -x around
+    its circle-2 endpoint, the initial endpoint dressed first."""
+    on_first = G.locate(chord, INITIAL)[0] == 0
+    G = ref_dress_endpoint(G, chord, INITIAL, x if on_first else -x)
+    return ref_dress_endpoint(G, chord, TERMINAL, -x if on_first else x)
+
+
+def ref_append_gadget(G, circle, positive):
+    g, s = ref_fresh_ids(G, "r", 2)
+    if positive:
+        block = (Endpoint(s, TERMINAL), Endpoint(g, INITIAL),
+                 Endpoint(s, INITIAL), Endpoint(g, TERMINAL))
+        signs = {g: 1, s: -1}
+    else:
+        block = (Endpoint(g, INITIAL), Endpoint(s, TERMINAL),
+                 Endpoint(g, TERMINAL), Endpoint(s, INITIAL))
+        signs = {g: -1, s: 1}
+    circles = list(G.circles)
+    circles[circle] = circles[circle] + block
+    allsigns = dict(G.signs)
+    allsigns.update(signs)
+    return GaussDiagram(allsigns, circles, validate=False)
+
+
+def ref_nonself_anchor(G):
+    """The first chord in ``signs`` order whose endpoints lie on different
+    circles; with none, a new pair q1 +, q2 - running in parallel from the
+    end of circle 1 to the end of circle 2, and q1."""
+    for cid in G.signs:
+        ci, ct = G.chord_circles(cid)
+        if ci != ct:
+            return G, cid
+    q1, q2 = ref_fresh_ids(G, "r", 2)
+    circles = list(G.circles)
+    circles[0] += (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL))
+    circles[1] += (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))
+    signs = dict(G.signs)
+    signs.update({q1: 1, q2: -1})
+    return GaussDiagram(signs, circles, validate=False), q1
 
 
 # an R3 configuration, whose three adjacent endpoint pairs walks seldom

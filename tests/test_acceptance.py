@@ -9,7 +9,7 @@ import time
 
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import isomorphic, parse_gauss_code
-from shellmoves.equiv import bfs_witness, check_consistency, realize_knot, realize_link, s_equivalent
+from shellmoves.equiv import bfs_witness, check_consistency, s_equivalent
 from shellmoves.errors import BudgetExceeded, ConstraintViolated, NotRealizable
 from shellmoves.invariants import nonself_writhe_tables, profile, writhe_polynomial
 from shellmoves.moves import apply_move, random_walk
@@ -18,6 +18,8 @@ from shellmoves.normal_form import (
     build_link_diagram,
     build_link_form,
     canonical_form,
+    realize_knot,
+    realize_link,
 )
 
 from conftest import (

@@ -8,13 +8,7 @@ import pytest
 
 from shellmoves.algebra import LaurentPoly
 from shellmoves.diagram import isomorphic, parse_gauss_code, swap_components
-from shellmoves.equiv import (
-    bfs_witness,
-    check_consistency,
-    realize_knot,
-    realize_link,
-    s_equivalent,
-)
+from shellmoves.equiv import bfs_witness, check_consistency, s_equivalent
 from shellmoves.errors import (
     BudgetExceeded,
     ComponentCountMismatch,
@@ -29,6 +23,8 @@ from shellmoves.normal_form import (
     build_link_form,
     canonical_form,
     encode_snail,
+    realize_knot,
+    realize_link,
 )
 
 from conftest import (assert_link_targets_hit, random_diagram,

@@ -6,7 +6,9 @@ index-writhe slots are free and which are shell slots, and ``profile``,
 The code below is the earlier form of each of those places, which wrote the
 slot sets, the shell-sum formula and the index-weighted totals out per lambda
 regime; it lives only here, as the reference the shared code is compared
-against on seeded inputs.
+against on seeded inputs.  It builds with the test-only realization blocks
+of ``conftest`` (``ref_nonself_anchor``, ``ref_transfer_shells``,
+``ref_append_gadget``), never with the private helpers it checks.
 """
 
 import random
@@ -14,9 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from shellmoves import equiv
 from shellmoves.diagram import serialize
-from shellmoves.equiv import check_consistency, realize_link
+from shellmoves.equiv import check_consistency
 from shellmoves.errors import (
     ConstraintViolated,
     InconsistentProfile,
@@ -31,11 +32,12 @@ from shellmoves.invariants import (
     shell_sum,
 )
 from shellmoves.moves import random_walk
-from shellmoves.normal_form import LinkForm, build_link_diagram, canonical_form
+from shellmoves.normal_form import (LinkForm, build_link_diagram,
+                                    canonical_form, realize_link)
 
-from conftest import random_link_with_lambda
-
-_check_support = equiv._check_support
+from conftest import (random_link_with_lambda, ref_append_gadget,
+                      ref_check_support, ref_nonself_anchor,
+                      ref_transfer_shells)
 
 
 # -- the reference: slot rules written out per regime ------------------------------
@@ -44,7 +46,7 @@ _check_support = equiv._check_support
 def ref_apply_gadgets(G, circle, delta, flip=False):
     positive = (delta > 0) != flip
     for _ in range(abs(delta)):
-        G = equiv._append_gadget(G, circle, positive)
+        G = ref_append_gadget(G, circle, positive)
     return G
 
 
@@ -61,8 +63,8 @@ def ref_realize_link(lam, a, b, c, d, target_shell_sum=None):
 
 
 def ref_realize_lam0(a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0})
-    _check_support("component-2 writhe targets", b, {0})
+    ref_check_support("component-1 writhe targets", a, {0})
+    ref_check_support("component-2 writhe targets", b, {0})
     c = {m: v for m, v in c.items() if v}
     d = {m: v for m, v in d.items() if v}
     if sum(c.values()) != sum(d.values()):
@@ -85,14 +87,14 @@ def ref_realize_lam0(a, b, c, d, target_shell_sum):
     t1, _ = self_writhe_tables(G)
     x = a.get(1, 0) - t1.get(1, 0)
     if x:
-        G, anchor = equiv._nonself_anchor(G)
-        G = equiv._transfer_shells(G, anchor, x)
+        G, anchor = ref_nonself_anchor(G)
+        G = ref_transfer_shells(G, anchor, x)
     return G
 
 
 def ref_realize_lam1(a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0, -1})
-    _check_support("component-2 writhe targets", b, {0, 1})
+    ref_check_support("component-1 writhe targets", a, {0, -1})
+    ref_check_support("component-2 writhe targets", b, {0, 1})
     if {m for m, v in c.items() if v} - {0} or \
             {m for m, v in d.items() if v} - {0}:
         raise ConstraintViolated("lam = 1 takes single linking numbers")
@@ -112,8 +114,8 @@ def ref_realize_lam1(a, b, c, d, target_shell_sum):
 
 
 def ref_realize_lam_ge2(lam, a, b, c, d, target_shell_sum):
-    _check_support("component-1 writhe targets", a, {0, -lam})
-    _check_support("component-2 writhe targets", b, {0, lam})
+    ref_check_support("component-1 writhe targets", a, {0, -lam})
+    ref_check_support("component-2 writhe targets", b, {0, lam})
     c = {m: v for m, v in c.items() if v}
     d = {m: v for m, v in d.items() if v}
     if (set(c) | set(d)) - set(range(lam)):
@@ -147,8 +149,8 @@ def ref_realize_lam_ge2(lam, a, b, c, d, target_shell_sum):
     x = (a.get(1, 0) + a.get(-lam + 1, 0)
          - t1.get(1, 0) - t1.get(-lam + 1, 0))
     if x:
-        G, anchor = equiv._nonself_anchor(G)
-        G = equiv._transfer_shells(G, anchor, x)
+        G, anchor = ref_nonself_anchor(G)
+        G = ref_transfer_shells(G, anchor, x)
     t1, t2 = self_writhe_tables(G)
     G = ref_apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
     G = ref_apply_gadgets(G, 1, b.get(1, 0) - t2.get(1, 0))

@@ -25,12 +25,11 @@ from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
                               apply_move_with_inverse, find_move_sites, fits,
                               random_walk)
 
-from conftest import R3_BLOCKS, R3_SIGNS, random_diagram
+from conftest import R3_BLOCKS, R3_SIGNS, random_diagram, ref_fresh_ids
 from test_index_core import per_chord_r1_delete_sites
 from test_shells import REF_APPLY, _word, ref_sites_s1, ref_sites_s2_delete
 
-_check, _fresh_ids, _pair, _sgn = (
-    moves._check, moves._fresh_ids, moves._pair, moves._sgn)
+_check, _pair, _sgn = moves._check, moves._pair, moves._sgn
 
 REF_MOVE_KINDS = ("R1_insert", "R1_delete", "R2_insert", "R2_delete", "R3",
                   "S1", "S2_insert", "S2_delete")
@@ -58,12 +57,12 @@ def ref_delete_positions(word, positions):
 
 def ref_r1_insert(G, site):
     (c, g), = site.anchors
+    word = _word(G, c)
+    _check(0 <= g <= len(word), "bad gap")
     sgn, order = site.params
     eps = _sgn(sgn)
     _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
-    word = _word(G, c)
-    _check(0 <= g <= len(word), "bad gap")
-    cid, = _fresh_ids(G, "n", 1)
+    cid, = ref_fresh_ids(G, "n", 1)
     pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
     if order == "TI":
         pair.reverse()
@@ -93,6 +92,8 @@ def ref_r1_delete(G, site):
 
 def ref_r2_insert(G, site):
     (c1, g1), (c2, g2) = site.anchors
+    for c, g in site.anchors:
+        _check(0 <= g <= len(_word(G, c)), "bad gap")
     variant, sgn = site.params[:2]
     t_first = site.params[2:] == ("tfirst",)
     if len(site.params) == 3 and not t_first:
@@ -100,9 +101,7 @@ def ref_r2_insert(G, site):
     eps = _sgn(sgn)
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
-    for c, g in site.anchors:
-        _check(0 <= g <= len(_word(G, c)), "bad gap")
-    x, y = _fresh_ids(G, "n", 2)
+    x, y = ref_fresh_ids(G, "n", 2)
     head = [Endpoint(x, INITIAL), Endpoint(y, INITIAL)]
     tail = [Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)]
     if variant == "anti":
@@ -332,8 +331,9 @@ def _walked_diagrams(count=3000):
 
 def _hand_sites(G, rng):
     """Insertions the finders never list (the gap at a word's end, the TI
-    order, tfirst, gaps on two circles) and delete sites at arbitrary
-    positions, most of them stale."""
+    order, tfirst, gaps on two circles), insertions with both a bad anchor
+    and a bad parameter (the anchor is reported), and delete sites at
+    arbitrary positions, most of them stale."""
     gaps = [(c, g) for c, w in enumerate(G.circles) for g in range(len(w) + 1)]
     for c, w in enumerate(G.circles):
         for s in "+-":
@@ -341,6 +341,10 @@ def _hand_sites(G, rng):
             yield MoveSite(R1_INSERT, ((c, rng.randint(0, len(w))),), (s, "TI"))
         yield MoveSite(R1_INSERT, ((c, len(w) + 1),), ("+", "IT"))
         yield MoveSite(R1_INSERT, ((c, -1),), ("+", "IT"))
+        yield MoveSite(R1_INSERT, ((c, len(w) + 1),), ("x", "IT"))
+        yield MoveSite(R2_INSERT, (rng.choice(gaps), (c, len(w) + 1)),
+                       ("zz", "+"))
+    yield MoveSite(R1_INSERT, ((G.mu, 0),), ("x", "IT"))
     for _ in range(8):
         a, b = rng.choice(gaps), rng.choice(gaps)
         params = (rng.choice(("par", "anti")), rng.choice("+-"))

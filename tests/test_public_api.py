@@ -47,3 +47,17 @@ def test_runtime_imports_only_the_standard_library():
         if top - sys.stdlib_module_names:
             foreign[path.name] = sorted(top - sys.stdlib_module_names)
     assert foreign == {}
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A rule two modules need lives behind one of them, so no relative
+    import in the package names an underscore symbol."""
+    private = {}
+    for path in sorted(Path(shellmoves.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level
+                 for a in node.names if a.name.startswith("_")]
+        if names:
+            private[path.name] = names
+    assert private == {}

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from shellmoves import equiv
+from shellmoves import normal_form
 from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
@@ -29,7 +29,6 @@ from shellmoves.moves import (
     S2_INSERT,
     MoveSite,
     _check,
-    _fresh_ids,
     _pair,
     apply_move_with_inverse,
     find_move_sites,
@@ -43,7 +42,8 @@ from shellmoves.normal_form import (
     encode_snail,
 )
 
-from conftest import random_diagram, random_link_with_lambda
+from conftest import (random_diagram, random_link_with_lambda,
+                      ref_append_gadget, ref_dress_endpoint, ref_fresh_ids)
 
 
 def _word(G, c):
@@ -150,46 +150,6 @@ def ref_build_link_diagram(a, b, c, d):
     return bld.diagram()
 
 
-# -- reference: realization blocks ------------------------------------------------
-
-
-def ref_dress_endpoint(G, chord, kind, total):
-    if total == 0:
-        return G
-    c, p = G.locate(chord, kind)
-    ep = G.circles[c][p]
-    s_ep = G.endpoint_sign(ep)
-    sigma = 1 if total > 0 else -1
-    ids = _fresh_ids(G, "r", abs(total))
-    near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
-    seg = [ep]
-    for sid in ids:
-        seg = [Endpoint(sid, near)] + seg + [Endpoint(sid, far)]
-    word = G.circles[c]
-    circles = list(G.circles)
-    circles[c] = word[:p] + tuple(seg) + word[p + 1:]
-    signs = dict(G.signs)
-    signs.update({sid: sigma for sid in ids})
-    return GaussDiagram(signs, circles, validate=False)
-
-
-def ref_append_gadget(G, circle, positive):
-    g, s = _fresh_ids(G, "r", 2)
-    if positive:
-        block = (Endpoint(s, TERMINAL), Endpoint(g, INITIAL),
-                 Endpoint(s, INITIAL), Endpoint(g, TERMINAL))
-        signs = {g: 1, s: -1}
-    else:
-        block = (Endpoint(g, INITIAL), Endpoint(s, TERMINAL),
-                 Endpoint(g, TERMINAL), Endpoint(s, INITIAL))
-        signs = {g: -1, s: 1}
-    circles = list(G.circles)
-    circles[circle] = circles[circle] + block
-    allsigns = dict(G.signs)
-    allsigns.update(signs)
-    return GaussDiagram(allsigns, circles, validate=False)
-
-
 # -- reference: shell recognition and the S moves --------------------------------
 
 
@@ -245,7 +205,7 @@ def ref_apply_s2_insert(G, site):
     word = G.circles[c]
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    u, v = _fresh_ids(G, "n", 2)
+    u, v = ref_fresh_ids(G, "n", 2)
     signs = dict(G.signs)
     signs[v] = se * sf
     signs[u] = -se * sf
@@ -426,7 +386,7 @@ def test_realize_link_matches_reference(monkeypatch):
         targets.append(realize_targets(random_walk(G, 4, k, 40)[0]))
 
     def realize_all():
-        return [equiv.realize_link(*t) for t in targets]
+        return [normal_form.realize_link(*t) for t in targets]
 
     got = realize_all()
     calls = {"dress": 0, "gadget": 0}
@@ -438,10 +398,10 @@ def test_realize_link_matches_reference(monkeypatch):
         return run
 
     with monkeypatch.context() as m:
-        m.setattr(equiv, "build_link_diagram", ref_build_link_diagram)
-        m.setattr(equiv, "_dress_endpoint",
+        m.setattr(normal_form, "build_link_diagram", ref_build_link_diagram)
+        m.setattr(normal_form, "_dress_endpoint",
                   counted("dress", ref_dress_endpoint))
-        m.setattr(equiv, "_append_gadget",
+        m.setattr(normal_form, "_append_gadget",
                   counted("gadget", ref_append_gadget))
         want = realize_all()
     for g, w, t in zip(got, want, targets):
