@@ -1,9 +1,10 @@
 """Exact integer Laurent polynomials and the twist-quotient of pairs.
 
 A Laurent polynomial is stored sparsely as exponent -> coefficient with no
-zero coefficients.  On top of the ring arithmetic this module provides the
-quotient structure used for linking classes: pairs (f, g) of polynomials
-reduced mod t^s - 1, identified under the simultaneous twist
+zero coefficients; it offers sums, differences, shifts by t^k, the value
+and derivative at t = 1, and reduction mod t^s - 1.  On these this module
+builds the quotient structure used for linking classes: pairs (f, g) of
+polynomials reduced mod t^s - 1, identified under the simultaneous twist
 (f, g) ~ (t^k f, t^(-k) g), with a deterministic canonical representative.
 """
 
@@ -36,22 +37,8 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (exponent, coefficient) pairs, zero coefficients omitted."""
-        return self._terms
-
     def coeffs(self) -> dict[int, int]:
         return dict(self._terms)
-
-    def coeff(self, e: int) -> int:
-        for ee, c in self._terms:
-            if ee == e:
-                return c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def min_exp(self) -> int:
         if not self._terms:
@@ -91,17 +78,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly((e, c * other) for e, c in self._terms)
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self._terms == other._terms
@@ -182,9 +158,6 @@ class LinkingClass:
     f: LaurentPoly
     g: LaurentPoly
 
-    def eval_at_one(self) -> tuple[int, int]:
-        return self.f.eval_at_one(), self.g.eval_at_one()
-
     def derivative_sum(self) -> int:
         """f'(1) + g'(1) of the stored representative.
 
@@ -202,9 +175,9 @@ def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
     """Canonicalize the pair (f, g) under (f, g) ~ (t^k f, t^(-k) g) mod t^s - 1.
 
     Canonical twist: for s = 0 shift so the first nonzero entry of the pair
-    has minimum exponent 0 (f takes priority); for s = 1 collapse to the
-    integer pair; for s >= 2 pick the rotation whose concatenated
-    coefficient vectors are lexicographically minimal.
+    has minimum exponent 0 (f takes priority); for s >= 1 pick the rotation
+    whose concatenated coefficient vectors are lexicographically minimal
+    (for s = 1 the one rotation, which leaves the integer pair).
     """
     if s < 0:
         raise ValueError("modulus must be nonnegative")
@@ -216,9 +189,6 @@ def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
         else:
             k = 0
         return LinkingClass(0, f.shift(k), g.shift(-k))
-    if s == 1:
-        return LinkingClass(1, LaurentPoly.const(f.eval_at_one()),
-                            LaurentPoly.const(g.eval_at_one()))
     fv, gv = f.vector(s), g.vector(s)
     best: tuple[int, ...] | None = None
     for k in range(s):

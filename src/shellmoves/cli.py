@@ -101,11 +101,10 @@ def _cmd_normalize(args, out) -> int:
         G = swap_components(G)
     pr = profile(G)
     sf = canonical_form(pr)
+    print(f"a: {_fmt_table(sf.a)}", file=out)
     if isinstance(pr, KnotProfile):
-        print(f"a: {_fmt_table(sf.a)}", file=out)
         rebuilt = build_knot_form(sf.a)
     else:
-        print(f"a: {_fmt_table(sf.a)}", file=out)
         print(f"b: {_fmt_table(sf.b)}", file=out)
         if sf.lam == 0:
             print(f"c: {_fmt_table(sf.c)}", file=out)
@@ -333,9 +332,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 0 if e.code == 0 else USAGE_ERROR
     try:
         return args.run(args, out)
-    except GaussCodeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return DATA_ERROR
     except (NotRealizable, ConstraintViolated, NegativeLambda) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

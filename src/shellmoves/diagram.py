@@ -64,13 +64,22 @@ class GaussDiagram:
 
     __slots__ = ("signs", "circles")
 
-    def __init__(self, signs: Mapping[str, int], circles: Iterable[Word],
-                 validate: bool = True):
+    def __init__(self, signs: Mapping[str, int], circles: Iterable[Word]):
         object.__setattr__(self, "signs", dict(signs))
         object.__setattr__(self, "circles",
                            tuple(tuple(w) for w in circles))
-        if validate:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _unchecked(cls, signs: dict[str, int],
+                   circles: tuple[Word, ...]) -> GaussDiagram:
+        """A diagram on ``signs`` and ``circles`` as given: no check and no
+        copy, so the caller hands over fresh objects that keep every
+        chord's two endpoints in the words."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "signs", signs)
+        object.__setattr__(out, "circles", circles)
+        return out
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"GaussDiagram is immutable; cannot set {name!r}")
@@ -79,8 +88,8 @@ class GaussDiagram:
         raise AttributeError(f"GaussDiagram is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting slots
-        return type(self), (self.signs, self.circles, False)
+        # copy and pickle rebuild through the checking constructor
+        return type(self), (self.signs, self.circles)
 
     def _edited(self, words: Mapping[int, Sequence[Endpoint]],
                 add: Mapping[str, int] | None = None,
@@ -88,9 +97,8 @@ class GaussDiagram:
         """A new diagram with local edits: circle ``c`` reads ``words[c]``,
         the chords of ``add`` join after the others with their signs, in
         ``add``'s order, and the chords in ``drop`` leave; the rest keep
-        their order.  Unvalidated: the caller keeps every chord's two
-        endpoints in the words.  The slots are set directly, since the
-        signs and words here are already fresh copies."""
+        their order.  Unchecked: the caller keeps every chord's two
+        endpoints in the words."""
         signs = dict(self.signs)
         for cid in drop:
             del signs[cid]
@@ -99,10 +107,7 @@ class GaussDiagram:
         circles = list(self.circles)
         for c, word in words.items():
             circles[c] = tuple(word)
-        out = object.__new__(GaussDiagram)
-        object.__setattr__(out, "signs", signs)
-        object.__setattr__(out, "circles", tuple(circles))
-        return out
+        return GaussDiagram._unchecked(signs, tuple(circles))
 
     def _fresh_ids(self, prefix: str, n: int) -> list[str]:
         """``n`` unused chord ids ``<prefix><k>``, k counting up past the
@@ -362,7 +367,7 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     a, b = G.circles[ci], G.circles[ct]
     merged = a[pi + 1:] + a[:pi] + b[pt + 1:] + b[:pt]
     signs = {cid: s for cid, s in G.signs.items() if cid != gamma0}
-    return GaussDiagram(signs, [merged], validate=False)
+    return GaussDiagram._unchecked(signs, (merged,))
 
 
 def swap_components(G: GaussDiagram) -> GaussDiagram:

@@ -215,8 +215,10 @@ def canonical_form(profile) -> KnotForm | LinkForm:
     """Extract the unique canonical snail form from an invariant profile.
 
     For knots this is just the writhe table off slots {0, 1}.  For links the
-    nonself coefficients come from the canonical linking-class representative;
-    for lam >= 2 the window position p is solved from the shell-sum identity.
+    nonself coefficients come from the canonical linking-class representative
+    (read off by exponent for lam = 0, and as length-lam vectors for lam >= 1,
+    where Gamma(1) holds just the linking numbers); for lam >= 2 the window
+    position p is solved from the shell-sum identity.
     """
     if isinstance(profile, KnotProfile):
         return KnotForm({n: v for n, v in profile.n_writhes.items() if n != 1})
@@ -229,8 +231,6 @@ def canonical_form(profile) -> KnotForm | LinkForm:
     cls = profile.linking_class
     if lam == 0:
         c, d = cls.f.coeffs(), cls.g.coeffs()
-    elif lam == 1:
-        c, d = {0: profile.lk12}, {0: profile.lk21}
     else:
         g = cls.g.vector(lam)
         c = dict(enumerate(cls.f.vector(lam)))

@@ -133,7 +133,7 @@ def ref_dress_endpoint(G, chord, kind, total):
     circles[c] = word[:p] + tuple(seg) + word[p + 1:]
     signs = dict(G.signs)
     signs.update({sid: sigma for sid in ids})
-    return GaussDiagram(signs, circles, validate=False)
+    return GaussDiagram(signs, circles)
 
 
 def ref_transfer_shells(G, chord, x):
@@ -158,7 +158,7 @@ def ref_append_gadget(G, circle, positive):
     circles[circle] = circles[circle] + block
     allsigns = dict(G.signs)
     allsigns.update(signs)
-    return GaussDiagram(allsigns, circles, validate=False)
+    return GaussDiagram(allsigns, circles)
 
 
 def ref_nonself_anchor(G):
@@ -175,7 +175,7 @@ def ref_nonself_anchor(G):
     circles[1] += (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))
     signs = dict(G.signs)
     signs.update({q1: 1, q2: -1})
-    return GaussDiagram(signs, circles, validate=False), q1
+    return GaussDiagram(signs, circles), q1
 
 
 # an R3 configuration, whose three adjacent endpoint pairs walks seldom

@@ -328,3 +328,19 @@ def test_diagram_is_immutable_and_copies_round_trip():
         assert list(H.signs.items()) == list(G.signs.items())
         assert H.circles == G.circles
         assert serialize(H) == serialize(G)
+
+
+def test_copies_rebuild_through_the_checking_constructor():
+    import copy
+    import inspect
+    import pickle
+
+    assert list(inspect.signature(GaussDiagram).parameters) == [
+        "signs", "circles"]
+    G = parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>")
+    object.__setattr__(G, "signs", {})  # tamper: chord g loses its sign
+    data = pickle.dumps(G)
+    with pytest.raises(UnknownChordId):
+        pickle.loads(data)
+    with pytest.raises(UnknownChordId):
+        copy.copy(G)

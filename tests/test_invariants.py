@@ -140,7 +140,7 @@ def test_linking_class_no_nonself_chords():
     G = parse_gauss_code(
         "circles: 2\nchord g +\ncircle 1: g< g>\ncircle 2:")
     cls = linking_class(G)
-    assert cls.s == 0 and cls.f.is_zero() and cls.g.is_zero()
+    assert cls.s == 0 and not cls.f and not cls.g
 
 
 def test_linking_class_reference(reference_link):
@@ -152,7 +152,8 @@ def test_linking_class_reference(reference_link):
 def test_linking_class_single_chord_is_linking_pair():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
     cls = linking_class(G)
-    assert cls.s == 1 and cls.eval_at_one() == (1, 0)
+    assert cls.s == 1
+    assert (cls.f, cls.g) == (LaurentPoly({0: 1}), LaurentPoly())
 
 
 def test_linking_class_independent_of_reference_chord():
@@ -200,7 +201,7 @@ def test_profile_reference_link(reference_link):
 
 def test_profile_empty_knot():
     pr = profile(parse_gauss_code("circles: 1\ncircle 1:"))
-    assert pr.writhe.is_zero() and pr.odd_writhe == 0
+    assert not pr.writhe and pr.odd_writhe == 0
 
 
 def test_profile_swap_antisymmetry(reference_link):

@@ -231,7 +231,7 @@ def test_unvalidated_copy_answers_chord_queries_like_validated():
     for _ in range(200):
         V = three_circles(rng, 8) if rng.random() < 0.3 else \
             random_diagram(rng, rng.choice((1, 2)), 8)
-        L = GaussDiagram(V.signs, V.circles, validate=False)
+        L = GaussDiagram._unchecked(dict(V.signs), V.circles)
         for cid in V.signs:
             for kind in (INITIAL, TERMINAL):
                 assert L.locate(cid, kind) == V.locate(cid, kind)

@@ -70,7 +70,7 @@ def ref_r1_insert(G, site):
     circles[c] = ref_insert_blocks(word, [(g, pair)])
     signs = dict(G.signs)
     signs[cid] = eps
-    return (GaussDiagram(signs, circles, validate=False),
+    return (GaussDiagram(signs, circles),
             MoveSite(R1_DELETE, ((c, g),)))
 
 
@@ -87,7 +87,7 @@ def ref_r1_delete(G, site):
     gap = q - (1 if p < q else 0)
     order = "IT" if u.kind == INITIAL else "TI"
     inv = MoveSite(R1_INSERT, ((c, gap),), ("+" if sign > 0 else "-", order))
-    return GaussDiagram(signs, circles, validate=False), inv
+    return GaussDiagram(signs, circles), inv
 
 
 def ref_r2_insert(G, site):
@@ -126,7 +126,7 @@ def ref_r2_insert(G, site):
     signs[x] = eps
     signs[y] = -eps
     inv = MoveSite(R2_DELETE, ((c1, p1), (c2, p2)), (variant,))
-    return GaussDiagram(signs, circles, validate=False), inv
+    return GaussDiagram(signs, circles), inv
 
 
 def ref_validate_r2_pattern(G, site):
@@ -176,7 +176,7 @@ def ref_r2_delete(G, site):
     if c1 == c2 and g1 == g2 and (p2 + 2) % n1 == p1:
         params.append("tfirst")
     inv = MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), tuple(params))
-    return GaussDiagram(signs, circles, validate=False), inv
+    return GaussDiagram(signs, circles), inv
 
 
 def ref_apply_r3(G, site):
@@ -189,7 +189,7 @@ def ref_apply_r3(G, site):
     for c, p in site.anchors:
         q = (p + 1) % len(G.circles[c])
         circles[c][p], circles[c][q] = circles[c][q], circles[c][p]
-    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
+    new = GaussDiagram(G.signs, [tuple(w) for w in circles])
     return new, MoveSite(R3, site.anchors)
 
 
@@ -428,9 +428,9 @@ def test_finder_errors_are_not_reported_as_unknown_kind():
     # an unchecked diagram whose chords lack signs makes the finder itself
     # raise KeyError
     x, y = "x", "y"
-    G = GaussDiagram({}, [(Endpoint(x, INITIAL), Endpoint(y, INITIAL),
-                           Endpoint(x, TERMINAL), Endpoint(y, TERMINAL))],
-                     validate=False)
+    G = GaussDiagram._unchecked({}, (
+        (Endpoint(x, INITIAL), Endpoint(y, INITIAL),
+         Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)),))
     with pytest.raises(KeyError):
         find_move_sites(G, R2_DELETE)
     with pytest.raises(ValueError, match="unknown move kind"):

@@ -61,3 +61,33 @@ def test_no_module_imports_another_modules_private_names():
         if names:
             private[path.name] = names
     assert private == {}
+
+
+# called only by the benchmark's tracer targets (perfbench/spans.py)
+BENCHMARK_ONLY = {"GaussDiagram.arc_sign_sum"}
+
+
+def test_every_member_has_a_caller_in_the_package():
+    """Each module-level function is used as a name, and each method other
+    than a dunder as an attribute, somewhere in the package; the exported
+    names are the public API and need no caller of their own."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(shellmoves.__file__).parent.glob("*.py"))]
+    names = {node.id for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    attrs = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    idle = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in names:
+                idle.append(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")
+                        and member.name not in attrs):
+                    idle.append(f"{node.name}.{member.name}")
+    assert [n for n in idle if n not in shellmoves.__all__
+            and n not in BENCHMARK_ONLY] == []

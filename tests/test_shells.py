@@ -43,7 +43,8 @@ from shellmoves.normal_form import (
 )
 
 from conftest import (random_diagram, random_link_with_lambda,
-                      ref_append_gadget, ref_dress_endpoint, ref_fresh_ids)
+                      ref_append_gadget, ref_fresh_ids,
+                      ref_nonself_anchor, ref_transfer_shells)
 
 
 def _word(G, c):
@@ -194,7 +195,7 @@ def ref_apply_s1(G, site):
     target = circles[c2][p2]
     circles[c2][p2:p2 + 1] = ref_flank_block(shell, target,
                                              G.endpoint_sign(target))
-    new = GaussDiagram(G.signs, [tuple(w) for w in circles], validate=False)
+    new = GaussDiagram(G.signs, [tuple(w) for w in circles])
     return new, MoveSite(S1, ((c2, p2 + 1),))
 
 
@@ -218,7 +219,7 @@ def ref_apply_s2_insert(G, site):
         rot = word[p:] + word[:p]
         circles[c] = tuple(block) + rot[2:]
         anchor = 0
-    return (GaussDiagram(signs, circles, validate=False),
+    return (GaussDiagram(signs, circles),
             MoveSite(S2_DELETE, ((c, anchor),)))
 
 
@@ -264,7 +265,7 @@ def ref_apply_s2_delete(G, site):
     signs = dict(G.signs)
     signs.pop(u.chord)
     signs.pop(v.chord)
-    return (GaussDiagram(signs, circles, validate=False),
+    return (GaussDiagram(signs, circles),
             MoveSite(S2_INSERT, ((c, 0),)))
 
 
@@ -378,18 +379,29 @@ def realize_targets(G):
     return lam, pr.jn1, pr.jn2, c, d
 
 
+def split_targets(rng):
+    """``realize_link`` arguments for lambda = 0 with no nonself
+    coefficients and a nonzero split of the slot-1 writhe between the
+    circles, so the shell transfer needs a nonself anchor inserted."""
+    a, b = coefficients(rng, (0, 1)), coefficients(rng, (0, 1))
+    k = rng.choice((-3, -2, -1, 1, 2, 3))
+    total = sum(n * v for t in (a, b) for n, v in t.items())
+    return 0, {**a, 1: k}, {**b, 1: -total - k}, {}, {}
+
+
 def test_realize_link_matches_reference(monkeypatch):
     rng = random.Random(7)
     targets = []
     for k in range(300):
         G = random_link_with_lambda(rng, k % 4, max_self=6)
         targets.append(realize_targets(random_walk(G, 4, k, 40)[0]))
+    targets += [split_targets(rng) for _ in range(60)]
 
     def realize_all():
         return [normal_form.realize_link(*t) for t in targets]
 
     got = realize_all()
-    calls = {"dress": 0, "gadget": 0}
+    calls = {"gadget": 0, "transfer": 0, "anchor pair": 0}
 
     def counted(name, fn):
         def run(*args):
@@ -397,16 +409,23 @@ def test_realize_link_matches_reference(monkeypatch):
             return fn(*args)
         return run
 
+    def anchor(G):
+        H, cid = ref_nonself_anchor(G)
+        calls["anchor pair"] += len(H) > len(G)
+        return H, cid
+
     with monkeypatch.context() as m:
         m.setattr(normal_form, "build_link_diagram", ref_build_link_diagram)
-        m.setattr(normal_form, "_dress_endpoint",
-                  counted("dress", ref_dress_endpoint))
         m.setattr(normal_form, "_append_gadget",
                   counted("gadget", ref_append_gadget))
+        m.setattr(normal_form, "_nonself_anchor", anchor)
+        m.setattr(normal_form, "_transfer_shells",
+                  counted("transfer", ref_transfer_shells))
         want = realize_all()
     for g, w, t in zip(got, want, targets):
         assert same(g, w), t
-    assert min(calls.values()) >= 100, calls
+    assert min(calls["gadget"], calls["transfer"]) >= 100, calls
+    assert calls["anchor pair"] >= 20, calls
 
 
 # -- recognition and the S moves ---------------------------------------------------
