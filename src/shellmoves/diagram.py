@@ -9,6 +9,7 @@ terminal endpoints +eps, where eps is the chord sign.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -41,6 +42,8 @@ __all__ = [
 
 INITIAL = "<"
 TERMINAL = ">"
+_SIGNS = {"+": 1, "-": -1}
+_CHORD_ID = re.compile(r"[^\s<>#:]+")  # an id the text format carries
 
 
 class Endpoint(NamedTuple):
@@ -141,6 +144,14 @@ class GaussDiagram:
         for cid, _ in seen:
             if cid not in self.signs:
                 raise UnknownChordId(f"endpoint references unknown chord {cid!r}")
+        # seen holds each chord's two endpoints; any more have another kind
+        if len(seen) != 2 * len(self.signs):
+            cid, kind = next(ep for ep in seen if ep[1] not in (INITIAL, TERMINAL))
+            raise GaussCodeError(f"chord {cid!r} has an endpoint of kind {kind!r}")
+        for cid in self.signs:  # an alphanumeric id needs no regex
+            if not (isinstance(cid, str)
+                    and (cid.isalnum() or _CHORD_ID.fullmatch(cid))):
+                raise GaussCodeError(f"bad chord id {cid!r}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -258,7 +269,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         raise CircleCountMismatch("circle count must be positive")
 
     signs: dict[str, int] = {}
-    words: list[list[Endpoint]] = []
+    tokens: dict[str, Endpoint] = {}  # "g<" and "g>" for each chord g
+    words: list[Word] = []
     for line in lines[1:]:
         keyword = line.split(None, 1)[0]
         if keyword == "chord":
@@ -268,17 +280,14 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if len(parts) != 3:
                 raise GaussCodeError(f"bad chord declaration {line!r}")
             _, cid, sgn = parts
-            if any(ch in cid for ch in "<>#:") :
-                raise GaussCodeError(f"bad chord id {cid!r}")
-            if sgn == "+":
-                s = 1
-            elif sgn == "-":
-                s = -1
-            else:
+            sign = _SIGNS.get(sgn)
+            if sign is None:
                 raise BadSign(f"chord {cid!r}: sign must be + or -, got {sgn!r}")
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
-            signs[cid] = s
+            signs[cid] = sign
+            for kind in (INITIAL, TERMINAL):
+                tokens[cid + kind] = Endpoint(cid, kind)
         elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()
@@ -291,22 +300,20 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if idx != len(words) + 1:
                 raise CircleCountMismatch(
                     f"expected circle {len(words) + 1}, got {idx}")
-            word: list[Endpoint] = []
-            for tok in body.split():
-                kind = tok[-1]
-                if kind not in (INITIAL, TERMINAL) or len(tok) < 2:
-                    raise GaussCodeError(f"bad endpoint token {tok!r}")
-                cid = tok[:-1]
-                if cid not in signs:
-                    raise UnknownChordId(f"token {tok!r} references undeclared chord")
-                word.append(Endpoint(cid, kind))
-            words.append(word)
+            try:
+                words.append(tuple([tokens[tok] for tok in body.split()]))
+            except KeyError as miss:
+                tok = miss.args[0]
+                if tok[-1] not in (INITIAL, TERMINAL) or len(tok) < 2:
+                    raise GaussCodeError(f"bad endpoint token {tok!r}") from None
+                raise UnknownChordId(
+                    f"token {tok!r} references undeclared chord") from None
         else:
             raise GaussCodeError(f"unrecognized line {line!r}")
     if len(words) != mu:
         raise CircleCountMismatch(
             f"declared {mu} circles but found {len(words)} circle lines")
-    return GaussDiagram(signs, [tuple(w) for w in words])
+    return GaussDiagram(signs, words)
 
 
 def serialize(G: GaussDiagram) -> str:
@@ -358,8 +365,6 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     ``gamma0``, deleting it.  The merged circle follows each original circle
     in its own orientation, spliced at the removed endpoints."""
     G.require_mu(2)
-    if gamma0 not in G.signs:
-        raise UnknownChordId(f"no chord {gamma0!r}")
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)
     if ci == ct:

@@ -38,9 +38,6 @@ class Verdict:
         return self.equivalent
 
 
-_OK = "all conditions met"
-
-
 def _mismatch(label: str, a, b) -> str:
     """Reason text for a differing field; a table names its lowest
     differing slot."""
@@ -70,7 +67,7 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     for (label, a), (_, b) in zip(profile(G).fields(), profile(H).fields()):
         if a != b:
             return Verdict(False, _mismatch(label, a, b))
-    return Verdict(True, _OK)
+    return Verdict(True, "all conditions met")
 
 
 def check_consistency(pr: LinkProfile) -> bool:

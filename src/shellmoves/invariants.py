@@ -54,13 +54,7 @@ def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], ...]:
 def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
     """W(t) = sum_{n != 0} J_n t^n - sum_{n != 0} J_n."""
     G.require_mu(1)
-    return _writhe_polynomial(self_writhe_tables(G)[0])
-
-
-def _writhe_polynomial(J: dict[int, int]) -> LaurentPoly:
-    terms = {n: v for n, v in J.items() if n != 0}
-    total = sum(terms.values())
-    return LaurentPoly(terms) - LaurentPoly.const(total)
+    return profile(G).writhe
 
 
 def _nonself_endpoints(G: GaussDiagram) -> list[Endpoint]:
@@ -160,10 +154,6 @@ class KnotProfile(_Profile):
     n_writhes: dict[int, int]
     odd_writhe: int
 
-    @property
-    def mu(self) -> int:
-        return 1
-
     def fields(self) -> tuple[tuple[str, object], ...]:
         return (("writhe polynomial", self.writhe),)
 
@@ -193,10 +183,6 @@ class LinkProfile(_Profile):
     linking_class: LinkingClass
     f_prime: int | None
 
-    @property
-    def mu(self) -> int:
-        return 2
-
     def invariant_jn1(self) -> dict[int, int]:
         return _off(self.jn1, *link_slots(self.lam)[0])
 
@@ -218,7 +204,8 @@ def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
         J = self_writhe_tables(G)[0]
         n_writhes = {n: v for n, v in J.items() if n != 0}
         odd = sum(v for n, v in n_writhes.items() if n % 2)
-        return KnotProfile(_writhe_polynomial(J), n_writhes, odd)
+        total = LaurentPoly.const(sum(n_writhes.values()))
+        return KnotProfile(LaurentPoly(n_writhes) - total, n_writhes, odd)
     if G.mu != 2:
         raise UnsupportedComponentCount(
             f"profiles cover 1 or 2 circles, not {G.mu}")

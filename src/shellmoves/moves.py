@@ -20,7 +20,6 @@ finder lists the first.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
@@ -50,14 +49,14 @@ S2_INSERT = "S2_insert"
 S2_DELETE = "S2_delete"
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """A concrete occurrence of a move pattern.
 
     ``anchors`` are (circle, position) pairs into the current words: gap
     positions for insertions, first-token positions of the matched adjacent
     pairs or windows otherwise.  ``params`` carries the kind-specific extras
-    (sign, insertion order, R2 variant).
+    (sign, insertion order, R2 variant).  A site equals the plain tuple of
+    its three fields.
     """
 
     kind: str

@@ -113,6 +113,41 @@ def test_constructor_validates(signs, words, err, message):
     assert str(caught.value) == message
 
 
+def _pairs(*words):
+    """Words of (chord, kind) pairs, for ids and kinds ``_eps`` cannot spell."""
+    return [tuple(Endpoint(cid, kind) for cid, kind in w) for w in words]
+
+
+@pytest.mark.parametrize("signs, words, err, message", [
+    # a stray endpoint of a third kind, which arc sums read as initial
+    ({"a": 1, "b": 1},
+     _pairs([("a", "<"), ("b", "<"), ("a", ">"), ("b", "?"), ("b", ">")]),
+     GaussCodeError, "chord 'b' has an endpoint of kind '?'"),
+    ({"a b": 1}, _pairs([("a b", "<"), ("a b", ">")]), GaussCodeError,
+     "bad chord id 'a b'"),
+    ({"": 1}, _pairs([("", "<"), ("", ">")]), GaussCodeError,
+     "bad chord id ''"),
+    ({"g<": 1}, _pairs([("g<", "<"), ("g<", ">")]), GaussCodeError,
+     "bad chord id 'g<'"),
+    ({7: 1}, _pairs([(7, "<"), (7, ">")]), GaussCodeError, "bad chord id 7"),
+    # these checks come last: bad sign first, then kinds, then ids
+    ({"a b": 2}, _pairs([("a b", "<"), ("a b", "?"), ("a b", ">")]), BadSign,
+     "chord 'a b' has sign 2"),
+    ({"a b": 1}, _pairs([("a b", "<"), ("a b", "?"), ("a b", ">")]),
+     GaussCodeError, "chord 'a b' has an endpoint of kind '?'"),
+])
+def test_constructor_accepts_only_what_the_text_format_carries(
+        signs, words, err, message):
+    import pickle
+
+    with pytest.raises(GaussCodeError) as caught:
+        GaussDiagram(signs, words)
+    assert type(caught.value) is err and str(caught.value) == message
+    data = pickle.dumps(GaussDiagram._unchecked(dict(signs), tuple(words)))
+    with pytest.raises(err):
+        pickle.loads(data)
+
+
 def test_serialize_empty():
     G = parse_gauss_code("circles: 1\ncircle 1:")
     assert serialize(G) == "circles: 1\ncircle 1:\n"

@@ -116,6 +116,39 @@ def test_parse_inverts_serialize(G):
     assert H.circles == G.circles
 
 
+@st.composite
+def _any_diagrams(draw):
+    """Signs and words as a caller may hand them to the constructor: ids
+    from ``_IDS`` or from a wider alphabet (empty, whitespace, "<>#:"),
+    each chord's two endpoints plus at times a stray one of kind "<", ">"
+    or "?", on one or two circles."""
+    wide = st.text("ab <>#:\t\r\x1f\x85\u2028\u200bé", max_size=3)
+    ids = draw(st.lists(st.one_of(_IDS, wide), max_size=5, unique=True))
+    signs = {cid: draw(st.sampled_from((1, -1))) for cid in ids}
+    eps = [Endpoint(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]
+    if ids and draw(st.booleans()):
+        eps.append(Endpoint(draw(st.sampled_from(ids)),
+                            draw(st.sampled_from("<>?"))))
+    eps = draw(st.permutations(eps))
+    if draw(st.booleans()):
+        return signs, [tuple(eps)]
+    cut = draw(st.integers(0, len(eps)))
+    return signs, [tuple(eps[:cut]), tuple(eps[cut:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_diagrams())
+def test_constructor_accepts_only_what_reads_back(raw):
+    """Every diagram the constructor accepts serializes to text that the
+    reader reads back to the same signs and words."""
+    try:
+        G = GaussDiagram(*raw)
+    except GaussCodeError:
+        return
+    H = parse_gauss_code(serialize(G))
+    assert H.signs == G.signs and H.circles == G.circles
+
+
 # each subcommand's arguments, "code", "other", "spec" and "trace" naming
 # the files the test writes; drawn values are bounded because output grows
 # with them by design (a knot target builds sum |a_n|(|n| + 1) chords)

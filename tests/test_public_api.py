@@ -91,3 +91,31 @@ def test_every_member_has_a_caller_in_the_package():
                     idle.append(f"{node.name}.{member.name}")
     assert [n for n in idle if n not in shellmoves.__all__
             and n not in BENCHMARK_ONLY] == []
+
+
+# member names that more than one class defines, each with its reason
+SHARED_MEMBERS = {
+    "fields": "the profiles' shared interface, read by _Profile and equiv",
+}
+
+
+def test_no_member_name_is_defined_twice():
+    """A method or property name that two classes, or a class and a module
+    function, both define is listed with its reason: the caller check above
+    matches by name, so an idle member sharing a called name passes it."""
+    owners: dict[str, set[tuple[str, str]]] = {}
+    for path in sorted(Path(shellmoves.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                owners.setdefault(node.name, set()).add(("module", path.stem))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")):
+                    owners.setdefault(member.name, set()).add(
+                        ("class", node.name))
+    shared = {name for name, where in owners.items() if len(where) > 1
+              and any(kind == "class" for kind, _ in where)}
+    assert shared == set(SHARED_MEMBERS)
