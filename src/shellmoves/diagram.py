@@ -128,6 +128,8 @@ class GaussDiagram:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:
             for ep in word:
+                if type(ep) is not Endpoint:
+                    raise GaussCodeError(f"word element {ep!r} is not an Endpoint")
                 if ep in seen:
                     raise DuplicateEndpoint(
                         f"chord {ep.chord!r} has two {ep.kind!r} endpoints")
@@ -148,9 +150,8 @@ class GaussDiagram:
         if len(seen) != 2 * len(self.signs):
             cid, kind = next(ep for ep in seen if ep[1] not in (INITIAL, TERMINAL))
             raise GaussCodeError(f"chord {cid!r} has an endpoint of kind {kind!r}")
-        for cid in self.signs:  # an alphanumeric id needs no regex
-            if not (isinstance(cid, str)
-                    and (cid.isalnum() or _CHORD_ID.fullmatch(cid))):
+        for cid in self.signs:
+            if not (isinstance(cid, str) and _CHORD_ID.fullmatch(cid)):
                 raise GaussCodeError(f"bad chord id {cid!r}")
 
     # -- basic queries ----------------------------------------------------
@@ -286,8 +287,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
             signs[cid] = sign
-            for kind in (INITIAL, TERMINAL):
-                tokens[cid + kind] = Endpoint(cid, kind)
+            tokens.update({cid + k: Endpoint(cid, k) for k in (INITIAL, TERMINAL)})
         elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()

@@ -84,6 +84,9 @@ def _eps(text: str) -> tuple[Endpoint, ...]:
     return tuple(Endpoint(tok[:-1], tok[-1]) for tok in text.split())
 
 
+E = Endpoint
+
+
 @pytest.mark.parametrize("signs, words, err, message", [
     ({"a": 1}, ["a< a< a>"], DuplicateEndpoint,
      "chord 'a' has two '<' endpoints"),
@@ -106,40 +109,36 @@ def _eps(text: str) -> tuple[Endpoint, ...]:
      "chord 'a' lacks its '>' endpoint"),
     ({"a": 1}, ["a< y<", "z> a>"], UnknownChordId,
      "endpoint references unknown chord 'y'"),
-])
-def test_constructor_validates(signs, words, err, message):
-    with pytest.raises(err) as caught:
-        GaussDiagram(signs, [_eps(w) for w in words])
-    assert str(caught.value) == message
-
-
-def _pairs(*words):
-    """Words of (chord, kind) pairs, for ids and kinds ``_eps`` cannot spell."""
-    return [tuple(Endpoint(cid, kind) for cid, kind in w) for w in words]
-
-
-@pytest.mark.parametrize("signs, words, err, message", [
-    # a stray endpoint of a third kind, which arc sums read as initial
-    ({"a": 1, "b": 1},
-     _pairs([("a", "<"), ("b", "<"), ("a", ">"), ("b", "?"), ("b", ">")]),
-     GaussCodeError, "chord 'b' has an endpoint of kind '?'"),
-    ({"a b": 1}, _pairs([("a b", "<"), ("a b", ">")]), GaussCodeError,
+    # only what the text format carries: a stray endpoint of a third kind
+    # (which arc sums would read as initial), then ids tokens cannot spell,
+    # given as tuples of endpoints; a plain tuple is not an endpoint
+    ({"a": 1, "b": 1}, ["a< b< a> b? b>"], GaussCodeError,
+     "chord 'b' has an endpoint of kind '?'"),
+    ({"a b": 1}, [(E("a b", "<"), E("a b", ">"))], GaussCodeError,
      "bad chord id 'a b'"),
-    ({"": 1}, _pairs([("", "<"), ("", ">")]), GaussCodeError,
-     "bad chord id ''"),
-    ({"g<": 1}, _pairs([("g<", "<"), ("g<", ">")]), GaussCodeError,
+    ({"": 1}, [(E("", "<"), E("", ">"))], GaussCodeError, "bad chord id ''"),
+    ({"g<": 1}, [(E("g<", "<"), E("g<", ">"))], GaussCodeError,
      "bad chord id 'g<'"),
-    ({7: 1}, _pairs([(7, "<"), (7, ">")]), GaussCodeError, "bad chord id 7"),
-    # these checks come last: bad sign first, then kinds, then ids
-    ({"a b": 2}, _pairs([("a b", "<"), ("a b", "?"), ("a b", ">")]), BadSign,
+    ({7: 1}, [(E(7, "<"), E(7, ">"))], GaussCodeError, "bad chord id 7"),
+    ({"a": 1}, [(("a", "<"), ("a", ">"))], GaussCodeError,
+     "word element ('a', '<') is not an Endpoint"),
+    ({"a": 1}, [(E("a", "<"), E("a", ">"), "b")], GaussCodeError,
+     "word element 'b' is not an Endpoint"),
+    # a non-endpoint element fails as it is read; the kind and id checks
+    # come last: bad sign first, then kinds, then ids
+    ({"a": 2}, [(E("a", "<"), ("a", ">"), E("a", "<"))], GaussCodeError,
+     "word element ('a', '>') is not an Endpoint"),
+    ({"a b": 2}, [(E("a b", "<"), E("a b", "?"), E("a b", ">"))], BadSign,
      "chord 'a b' has sign 2"),
-    ({"a b": 1}, _pairs([("a b", "<"), ("a b", "?"), ("a b", ">")]),
+    ({"a b": 1}, [(E("a b", "<"), E("a b", "?"), E("a b", ">"))],
      GaussCodeError, "chord 'a b' has an endpoint of kind '?'"),
 ])
-def test_constructor_accepts_only_what_the_text_format_carries(
-        signs, words, err, message):
+def test_constructor_validates(signs, words, err, message):
+    """Each fault raises its own error, and so does rebuilding it from a
+    pickle; a word is given as tokens or as a tuple handed over as is."""
     import pickle
 
+    words = [_eps(w) if isinstance(w, str) else w for w in words]
     with pytest.raises(GaussCodeError) as caught:
         GaussDiagram(signs, words)
     assert type(caught.value) is err and str(caught.value) == message

@@ -121,7 +121,8 @@ def _any_diagrams(draw):
     """Signs and words as a caller may hand them to the constructor: ids
     from ``_IDS`` or from a wider alphabet (empty, whitespace, "<>#:"),
     each chord's two endpoints plus at times a stray one of kind "<", ">"
-    or "?", on one or two circles."""
+    or "?", at times one endpoint as a plain tuple, on one or two
+    circles."""
     wide = st.text("ab <>#:\t\r\x1f\x85\u2028\u200bé", max_size=3)
     ids = draw(st.lists(st.one_of(_IDS, wide), max_size=5, unique=True))
     signs = {cid: draw(st.sampled_from((1, -1))) for cid in ids}
@@ -130,6 +131,9 @@ def _any_diagrams(draw):
         eps.append(Endpoint(draw(st.sampled_from(ids)),
                             draw(st.sampled_from("<>?"))))
     eps = draw(st.permutations(eps))
+    if eps and draw(st.booleans()):
+        i = draw(st.integers(0, len(eps) - 1))
+        eps[i] = tuple(eps[i])
     if draw(st.booleans()):
         return signs, [tuple(eps)]
     cut = draw(st.integers(0, len(eps)))
