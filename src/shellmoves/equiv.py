@@ -9,6 +9,7 @@ with the snail forms, in :mod:`shellmoves.normal_form`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
@@ -19,7 +20,8 @@ from .errors import (
     UnsupportedComponentCount,
 )
 from .invariants import LAMBDA_LABEL, LinkProfile, linking_data, profile
-from .moves import MoveSite, apply_move, chord_change, find_move_sites, fits
+from .moves import (MoveSite, apply_move, chord_change, count_move_sites,
+                    find_move_sites, fits)
 
 __all__ = [
     "Verdict",
@@ -101,10 +103,15 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     than ``chord_cap`` chords.
 
     A child with the target's chord count is built and keyed as it is
-    generated, since only such a child can be ``H``.  Every other child is
-    held as (parent, site) and built once its level ends within the budget,
-    in generation order, so the next frontier is the one a build-everything
-    search would reach; the last level's held children are never built.
+    generated, since only such a child can be ``H``.  Every other kind a
+    node expands by is held: its sites are counted toward the budget
+    (:func:`~shellmoves.moves.count_move_sites`), so BudgetExceeded falls
+    at the same count, and listed only when the next level reaches them.
+    The next level reads its frontier from a generator that builds, keys
+    and numbers the held children in generation order as that level asks
+    for its next node, so it is the frontier a build-everything search
+    would reach; whatever lies past a hit, the budget or the last level is
+    never built.
     """
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
@@ -115,27 +122,30 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     if start == target:
         return []
     size = len(H)
+    spent = f"{node_budget} candidates generated"
     nodes: list[tuple[GaussDiagram, int, MoveSite | None]] = [(G, -1, None)]
     seen = {start}
-    frontier = [0]
+    frontier: Iterable[int] = [0]
     generated = 0
     for depth in range(max_depth):
-        # (parent idx, site, child, key); child and key are None until built
-        level: list[tuple] = []
+        # (parent idx, kind, the children built as generated or None if held)
+        level: list[tuple[int, str, list | None]] = []
         for idx in frontier:
             diagram = nodes[idx][0]
             for kind in _EXPANSION_ORDER:
                 if not fits(diagram, kind, chord_cap):
                     continue
-                may_hit = len(diagram) + chord_change(kind) == size
+                if len(diagram) + chord_change(kind) != size:
+                    generated += count_move_sites(diagram, kind)
+                    if generated > node_budget:
+                        raise BudgetExceeded(spent)
+                    level.append((idx, kind, None))
+                    continue
+                built = []
                 for site in find_move_sites(diagram, kind):
                     generated += 1
                     if generated > node_budget:
-                        raise BudgetExceeded(
-                            f"{node_budget} candidates generated")
-                    if not may_hit:
-                        level.append((idx, site, None, None))
-                        continue
+                        raise BudgetExceeded(spent)
                     child = apply_move(diagram, site)
                     key = canonical_key(child)
                     if key == target:
@@ -146,19 +156,27 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                             back = nodes[back][1]
                         trace.reverse()
                         return trace
-                    level.append((idx, site, child, key))
-        if depth + 1 == max_depth:
+                    built.append((site, child, key))
+                level.append((idx, kind, built))
+        if depth + 1 == max_depth or not level:
             return None
-        frontier = []
-        for idx, site, child, key in level:
-            if child is None:
-                child = apply_move(nodes[idx][0], site)
-                key = canonical_key(child)
-            if key in seen:
-                continue
-            seen.add(key)
-            nodes.append((child, idx, site))
-            frontier.append(len(nodes) - 1)
-        if not frontier:
-            return None
+        frontier = _frontier(nodes, seen, level)
     return None
+
+
+def _frontier(nodes: list, seen: set, level: list) -> Iterator[int]:
+    """Number the unseen children of ``level`` as nodes, in generation
+    order, building and keying a held child only when it is reached."""
+    for idx, kind, built in level:
+        diagram = nodes[idx][0]
+        if built is None:
+            built = [(site, None, None)
+                     for site in find_move_sites(diagram, kind)]
+        for site, child, key in built:
+            if child is None:
+                child = apply_move(diagram, site)
+                key = canonical_key(child)
+            if key not in seen:
+                seen.add(key)
+                nodes.append((child, idx, site))
+                yield len(nodes) - 1

@@ -30,6 +30,7 @@ __all__ = [
     "MOVE_KINDS",
     "MoveSite",
     "find_move_sites",
+    "count_move_sites",
     "chord_change",
     "fits",
     "apply_move",
@@ -464,6 +465,18 @@ def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:
     return finder(G)
 
 
+def count_move_sites(G: GaussDiagram, kind: str) -> int:
+    """``len(find_move_sites(G, kind))``; the insertions are counted without
+    listing them.  With g gaps (one per endpoint, one for an empty circle),
+    R1_insert has a sign per gap, 2g sites, and R2_insert a variant and a
+    sign per ordered pair of gaps plus a ``tfirst`` twin per shared gap,
+    4g^2 + 4g sites."""
+    if kind in (R1_INSERT, R2_INSERT):
+        g = sum(1 for _ in _gaps(G))
+        return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
+    return len(find_move_sites(G, kind))
+
+
 # -- random walks ---------------------------------------------------------------
 
 
@@ -476,7 +489,8 @@ def _sample_site(G: GaussDiagram, kind: str, rng: random.Random
     draws both gaps, the variant and the sign uniformly and, when the gaps
     coincide, adds ``tfirst`` with probability 1/2.  With G gaps, an
     R2_insert site on two gaps has probability 1/(4 G^2) and each of the two
-    orders on one gap 1/(8 G^2).  Other kinds are uniform over
+    orders on one gap 1/(8 G^2); :func:`count_move_sites` counts these
+    sites from the same G.  Other kinds are uniform over
     :func:`find_move_sites`."""
     if kind == R1_INSERT:
         gaps = list(_gaps(G))

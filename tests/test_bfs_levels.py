@@ -1,13 +1,15 @@
 """The witness search builds and keys a child when it is generated only if
-the child has the target's chord count; every other child waits until its
-level ends within the budget, and a level the budget or the depth cuts off
-is never built.  The build-everything search below is the reference: both
-must give the same trace, the same None and the same BudgetExceeded."""
+the child has the target's chord count; every other kind is held, its sites
+counted toward the budget, and its children listed and built only when the
+next level reaches them, so whatever lies past a hit, the budget or the
+last level is never built.  The build-everything search below is the
+reference: both must give the same trace, the same None and the same
+BudgetExceeded."""
 
 import random
 import sys
 
-from shellmoves import equiv
+from shellmoves import equiv, moves
 from shellmoves.diagram import GaussDiagram, canonical_key
 from shellmoves.equiv import _EXPANSION_ORDER, bfs_witness
 from shellmoves.errors import BudgetExceeded, ComponentCountMismatch
@@ -136,24 +138,72 @@ def test_random_pair_outcomes_match_reference():
     assert {1, 2, 3} <= cut_depths
 
 
+def _count(monkeypatch, counts, key, owners, name, fn, size=lambda res: 1):
+    """Replace ``name`` in each of ``owners`` by ``fn`` adding ``size`` of
+    each result to ``counts[key]``."""
+    counts[key] = 0
+
+    def wrapped(*args):
+        res = fn(*args)
+        counts[key] += size(res)
+        return res
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapped)
+
+
 def test_held_children_are_not_built_past_the_budget(monkeypatch):
     knots, _ = oracle_pool()
     k3, k5 = knots[3], knots[5]
-    module = sys.modules[__name__]
-    apply, counts = apply_move, {}
-
-    def counting(owner, name):
-        def wrapped(G, site):
-            counts[name] += 1
-            return apply(G, site)
-        counts[name] = 0
-        monkeypatch.setattr(owner, "apply_move", wrapped)
-
-    counting(module, "reference")
-    counting(equiv, "search")
+    counts = {}
+    _count(monkeypatch, counts, "reference", [sys.modules[__name__]],
+           "apply_move", moves.apply_move)
+    _count(monkeypatch, counts, "search", [equiv], "apply_move",
+           moves.apply_move)
     want = _outcome(ref_bfs_witness, k3, k5, 6, 8, 9000)
     assert _outcome(bfs_witness, k3, k5, 6, 8, 9000) == want
     assert want == ("budget", "9000 candidates generated")
     assert counts["reference"] == 9001
     assert counts["search"] <= counts["reference"] // 4, counts
 
+
+def test_held_kinds_are_counted_not_listed(monkeypatch):
+    """On l1 -> l2 the budget runs out in the third level, at the 18th node
+    it draws from the second level's 4,478 children; the build-everything
+    search builds 4,507 children and lists 9,143 sites, most of them
+    R2_insert."""
+    _, links = oracle_pool()
+    l1, l2 = links[1], links[2]
+    want = _outcome(ref_bfs_witness, l1, l2, 6, 8, 9000)
+    assert want == ("budget", "9000 candidates generated")
+    counts = {}
+    # count_move_sites lists the kinds it does not count through moves
+    _count(monkeypatch, counts, "built", [equiv], "apply_move",
+           moves.apply_move)
+    _count(monkeypatch, counts, "listed", [equiv, moves], "find_move_sites",
+           find_move_sites, len)
+    assert _outcome(bfs_witness, l1, l2, 6, 8, 9000) == want
+    assert counts["built"] <= 100 and counts["listed"] <= 500, counts
+
+
+def test_a_hit_from_the_first_frontier_node_builds_no_later_held_child(
+        monkeypatch):
+    """k1 -> k2 (one chord, + then -): every child of k1 is held, and the
+    first, the empty knot by R1_delete, reaches k2 by R1_insert."""
+    knots, _ = oracle_pool()
+    k1, k2 = knots[1], knots[2]
+    want = _outcome(ref_bfs_witness, k1, k2, 6, 8, 9000)
+    assert want == "R1_delete @ 1:0\nR1_insert @ 1:0 - IT"
+    held = sum(len(find_move_sites(k1, kind)) for kind in _EXPANSION_ORDER
+               if fits(k1, kind, 8))
+    assert held == 29
+    parents = []
+
+    def apply(G, site):
+        parents.append(G)
+        return apply_move(G, site)
+
+    monkeypatch.setattr(equiv, "apply_move", apply)
+    assert _outcome(bfs_witness, k1, k2, 6, 8, 9000) == want
+    assert sum(G is k1 for G in parents) == 1
+    assert len(parents) == 3  # the empty knot, then its + and - R1 children

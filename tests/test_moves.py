@@ -20,6 +20,7 @@ from shellmoves.moves import (
     MoveSite,
     apply_move,
     apply_move_with_inverse,
+    count_move_sites,
     find_move_sites,
     random_walk,
     site_from_text,
@@ -27,7 +28,8 @@ from shellmoves.moves import (
 )
 from shellmoves.normal_form import encode_snail
 
-from conftest import chord_type, random_diagram, ref_detect_shells
+from conftest import (chord_type, oracle_pool, random_diagram,
+                      ref_detect_shells)
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -41,6 +43,25 @@ def test_r1_delete_sites_on_free_chord():
 def test_r1_insert_sites_on_empty():
     G = parse_gauss_code(EMPTY)
     assert len(find_move_sites(G, "R1_insert")) == 2  # one gap, two signs
+
+
+def test_count_move_sites_is_the_finders_length():
+    """On the oracle pool and on walks from 1, 2 and 3 empty circles (each
+    empty circle is one gap)."""
+    knots, links = oracle_pool()
+    diagrams = knots + links
+    for mu in (1, 2, 3):
+        empty = parse_gauss_code(f"circles: {mu}\n" + "".join(
+            f"circle {c}:\n" for c in range(1, mu + 1)))
+        diagrams += [random_walk(empty, seed % 13, seed, 8)[0]
+                     for seed in range(150)]
+    assert any(not word for G in diagrams[12:] for word in G.circles)
+    for G in diagrams:
+        for kind in MOVE_KINDS:
+            assert count_move_sites(G, kind) == len(
+                find_move_sites(G, kind)), (G, kind)
+    with pytest.raises(ValueError, match="unknown move kind 'R4'"):
+        count_move_sites(diagrams[0], "R4")
 
 
 def test_s1_sites_on_double_shell_snail():
