@@ -44,6 +44,8 @@ INITIAL = "<"
 TERMINAL = ">"
 _SIGNS = {"+": 1, "-": -1}
 _CHORD_ID = re.compile(r"[^\s<>#:]+")  # an id the text format carries
+# _tuple_new(Endpoint, (chord, kind)) skips the NamedTuple's Python __new__
+_tuple_new = tuple.__new__
 
 
 class Endpoint(NamedTuple):
@@ -63,6 +65,10 @@ class GaussDiagram:
     A diagram is its signs and its words, nothing else.  Per-chord queries
     (:meth:`locate` and the ones built on it) scan the words; callers that
     ask about many chords walk the words once instead.
+
+    The constructor checks its input (so ``copy`` and ``pickle`` do); the
+    reader checks as it reads, and edits and snail forms are built
+    :meth:`_unchecked` (``tests/test_unchecked_forms.py`` checks forms).
     """
 
     __slots__ = ("signs", "circles")
@@ -78,7 +84,7 @@ class GaussDiagram:
                    circles: tuple[Word, ...]) -> GaussDiagram:
         """A diagram on ``signs`` and ``circles`` as given: no check and no
         copy, so the caller hands over fresh objects that keep every
-        chord's two endpoints in the words."""
+        chord's two endpoints in the words, under ids the text carries."""
         out = object.__new__(cls)
         object.__setattr__(out, "signs", signs)
         object.__setattr__(out, "circles", circles)
@@ -251,6 +257,10 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         circle 2: g>
 
     ``#`` starts a comment; blank lines are ignored.
+
+    Every token is a declared endpoint, so three end checks (one token per
+    endpoint, none twice, no id with ``<>:``) stand for the constructor's,
+    which names the fault of a text that fails one.
     """
     lines = []
     for raw in text.splitlines():
@@ -272,12 +282,14 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     signs: dict[str, int] = {}
     tokens: dict[str, Endpoint] = {}  # "g<" and "g>" for each chord g
     words: list[Word] = []
+    read: list[str] = []  # every endpoint token, in order
     for line in lines[1:]:
-        keyword = line.split(None, 1)[0]
+        # a chord line is three words; a circle line's body is split below
+        parts = line.split(None, 3)
+        keyword = parts[0]
         if keyword == "chord":
             if words:
                 raise GaussCodeError("chord declarations must precede circles")
-            parts = line.split()
             if len(parts) != 3:
                 raise GaussCodeError(f"bad chord declaration {line!r}")
             _, cid, sgn = parts
@@ -287,7 +299,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
             signs[cid] = sign
-            tokens.update({cid + k: Endpoint(cid, k) for k in (INITIAL, TERMINAL)})
+            tokens[cid + INITIAL] = _tuple_new(Endpoint, (cid, INITIAL))
+            tokens[cid + TERMINAL] = _tuple_new(Endpoint, (cid, TERMINAL))
         elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()
@@ -300,8 +313,10 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if idx != len(words) + 1:
                 raise CircleCountMismatch(
                     f"expected circle {len(words) + 1}, got {idx}")
+            toks = body.split()
+            read += toks
             try:
-                words.append(tuple([tokens[tok] for tok in body.split()]))
+                words.append(tuple(map(tokens.__getitem__, toks)))
             except KeyError as miss:
                 tok = miss.args[0]
                 if tok[-1] not in (INITIAL, TERMINAL) or len(tok) < 2:
@@ -313,6 +328,10 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     if len(words) != mu:
         raise CircleCountMismatch(
             f"declared {mu} circles but found {len(words)} circle lines")
+    ids = "".join(signs)
+    if (len(read) == len(set(read)) == 2 * len(signs)
+            and "<" not in ids and ">" not in ids and ":" not in ids):
+        return GaussDiagram._unchecked(signs, tuple(words))
     return GaussDiagram(signs, words)
 
 
@@ -321,7 +340,7 @@ def serialize(G: GaussDiagram) -> str:
     for cid in sorted(G.signs):
         out.append(f"chord {cid} {'+' if G.signs[cid] > 0 else '-'}")
     for i, word in enumerate(G.circles, start=1):
-        toks = " ".join(ep.token() for ep in word)
+        toks = " ".join([chord + kind for chord, kind in word])
         out.append(f"circle {i}:" + (f" {toks}" if toks else ""))
     return "\n".join(out) + "\n"
 
@@ -343,8 +362,8 @@ def shell_layers(around: Endpoint, sign: int, shells: Sequence[str]
     first, last = _shell_kinds(sign)
     before, after = [], [around]
     for s in shells:
-        before.append(Endpoint(s, first))
-        after.append(Endpoint(s, last))
+        before.append(_tuple_new(Endpoint, (s, first)))
+        after.append(_tuple_new(Endpoint, (s, last)))
     return before[::-1] + after
 
 

@@ -104,9 +104,11 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
 
     A child with the target's chord count is built and keyed as it is
     generated, since only such a child can be ``H``.  Every other kind a
-    node expands by is held: its sites are counted toward the budget
-    (:func:`~shellmoves.moves.count_move_sites`), so BudgetExceeded falls
-    at the same count, and listed only when the next level reaches them.
+    node expands by is held: its sites count toward the budget, so
+    BudgetExceeded falls at the same count.  An insertion's sites are
+    counted (:func:`~shellmoves.moves.count_move_sites`) and listed only
+    when the next level reaches them; a deletion or exchange keeps the
+    list it is counted by.
     The next level reads its frontier from a generator that builds, keys
     and numbers the held children in generation order as that level asks
     for its next node, so it is the frontier a build-everything search
@@ -128,18 +130,21 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     frontier: Iterable[int] = [0]
     generated = 0
     for depth in range(max_depth):
-        # (parent idx, kind, the children built as generated or None if held)
-        level: list[tuple[int, str, list | None]] = []
+        # (parent idx, kind, a held kind's sites, [(site, child, key)])
+        level: list[tuple[int, str, list | None, list | None]] = []
         for idx in frontier:
             diagram = nodes[idx][0]
             for kind in _EXPANSION_ORDER:
                 if not fits(diagram, kind, chord_cap):
                     continue
                 if len(diagram) + chord_change(kind) != size:
-                    generated += count_move_sites(diagram, kind)
+                    sites = (None if chord_change(kind) > 0
+                             else find_move_sites(diagram, kind))
+                    generated += (count_move_sites(diagram, kind)
+                                  if sites is None else len(sites))
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
-                    level.append((idx, kind, None))
+                    level.append((idx, kind, sites, None))
                     continue
                 built = []
                 for site in find_move_sites(diagram, kind):
@@ -157,7 +162,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                         trace.reverse()
                         return trace
                     built.append((site, child, key))
-                level.append((idx, kind, built))
+                level.append((idx, kind, None, built))
         if depth + 1 == max_depth or not level:
             return None
         frontier = _frontier(nodes, seen, level)
@@ -167,11 +172,12 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
 def _frontier(nodes: list, seen: set, level: list) -> Iterator[int]:
     """Number the unseen children of ``level`` as nodes, in generation
     order, building and keying a held child only when it is reached."""
-    for idx, kind, built in level:
+    for idx, kind, sites, built in level:
         diagram = nodes[idx][0]
         if built is None:
-            built = [(site, None, None)
-                     for site in find_move_sites(diagram, kind)]
+            if sites is None:
+                sites = find_move_sites(diagram, kind)
+            built = [(site, None, None) for site in sites]
         for site, child, key in built:
             if child is None:
                 child = apply_move(diagram, site)

@@ -136,7 +136,8 @@ def _snail_diagram(mu: int, families) -> GaussDiagram:
 
     Each snail's source word extends its source circle.  Terminal endpoints
     of nonself snails follow all snails on their target circle, in reverse
-    order, so the chords of a family run in parallel.
+    order, so the chords of a family run in parallel.  Every chord gets
+    both endpoints, so the diagram is built unchecked.
     """
     signs: dict[str, int] = {}
     words: list[list[Endpoint]] = [[] for _ in range(mu)]
@@ -151,7 +152,8 @@ def _snail_diagram(mu: int, families) -> GaussDiagram:
             signs.update(snail)
             words[src] += head
             tails[dst] += tail
-    return GaussDiagram(signs, [w + t[::-1] for w, t in zip(words, tails)])
+    return GaussDiagram._unchecked(
+        signs, tuple([tuple(w + t[::-1]) for w, t in zip(words, tails)]))
 
 
 def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:

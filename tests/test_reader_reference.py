@@ -169,3 +169,43 @@ def test_bad_chord_id_alone_keeps_its_message(text, message):
     want = _outcome(ref_parse_gauss_code, text)
     assert want == (GaussCodeError, message)
     assert _outcome(parse_gauss_code, text) == want
+
+
+def _text(signs, circles):
+    return "\n".join(
+        [f"circles: {len(circles)}"]
+        + [f"chord {cid} {'+' if s > 0 else '-'}" for cid, s in signs.items()]
+        + [f"circle {i}: {' '.join(toks)}" for i, toks in enumerate(circles, 1)])
+
+
+# texts that pass the reader's own lines but fail one of its end checks
+# (token count, distinct tokens, ids free of "<>:"), so the checking
+# constructor names the fault
+FALLBACKS = [
+    pytest.param({"g": 1, "h": -1}, [["g<", "g<", "g>", "h<", "h>"]],
+                 id="duplicate"),
+    pytest.param({"g": 1, "h": -1}, [["g<", "g>", "h<"]], id="missing"),
+    pytest.param({"g": 1, "h": -1}, [["g<", "g<"], ["h<", "h>"]],
+                 id="duplicate-and-missing-at-2n"),
+    pytest.param({"a<": 1}, [["a<<", "a<>"]], id="id-with-<"),
+    pytest.param({"a>": -1}, [["a><"], ["a>>"]], id="id-with->"),
+    pytest.param({"a:b": 1}, [["a:b<", "a:b>"]], id="id-with-:"),
+    pytest.param({"a<": 1, "h": 1}, [["a<<", "a<>", "h<", "h<"]],
+                 id="id-with-<-and-duplicate-at-2n"),
+    pytest.param({"h": -1, "a>": 1}, [["a><", "h>"], ["a>>"]],
+                 id="id-with->-and-missing"),
+    pytest.param({"a:b": -1, "h": 1}, [["h<", "a:b<", "h>", "a:b>", "h>"]],
+                 id="id-with-:-and-duplicate"),
+]
+
+
+@pytest.mark.parametrize("signs, circles", FALLBACKS)
+def test_reader_fallback_raises_as_the_constructor(signs, circles):
+    words = [tuple(Endpoint(tok[:-1], tok[-1]) for tok in toks)
+             for toks in circles]
+    with pytest.raises(GaussCodeError) as want:
+        GaussDiagram(signs, words)
+    with pytest.raises(GaussCodeError) as got:
+        parse_gauss_code(_text(signs, circles))
+    assert (type(got.value), str(got.value)) == \
+        (type(want.value), str(want.value))
