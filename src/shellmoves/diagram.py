@@ -27,9 +27,11 @@ from .errors import (
 __all__ = [
     "INITIAL",
     "TERMINAL",
+    "CircleWalk",
     "Endpoint",
     "GaussDiagram",
     "arc_sums",
+    "circle_walk",
     "parse_gauss_code",
     "serialize",
     "shell_layers",
@@ -194,7 +196,7 @@ class GaussDiagram:
 
         Meaningful for self-chords; read from :func:`arc_sums`.  No code in
         the package asks for one chord's index (:func:`profile` reads every
-        index from :func:`arc_sums` at once); the benchmark's tracer wraps
+        index from :func:`circle_walk` at once); the benchmark's tracer wraps
         this method by name, so it stays until that target list shrinks.
         """
         ci, ct = self.chord_circles(chord)
@@ -213,34 +215,58 @@ class GaussDiagram:
         return f"<GaussDiagram mu={self.mu} chords={len(self.signs)} {words}>"
 
 
-def arc_sums(word: Word, signs: Mapping[str, int]) -> dict[str, int]:
-    """Arc sum of every chord with both endpoints in ``word``: the
-    endpoint-sign sum strictly between its initial and terminal endpoint,
-    walking the circle in its orientation.
+class CircleWalk(NamedTuple):
+    arcs: dict[str, int]  # self-chord -> arc sum
+    table: dict[int, int]  # n -> nonzero signed count of self-chords of arc sum n
+    total: int  # endpoint-sign sum of the whole circle
+    ends: dict[str, int]  # other chord -> prefix sum just before its endpoint
+    terminal_first: set[str]  # chords whose first endpoint here is terminal
 
-    One pass keeps the running prefix sum ``run`` of endpoint signs.  An arc
-    from the initial to a later terminal endpoint sums to the prefix at the
-    terminal minus the prefix just after the initial; an arc that wraps past
-    the basepoint (terminal first) adds the circle total to that difference.
+
+def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
+    """One pass along ``word`` keeping the prefix sum ``run`` of endpoint
+    signs before the current endpoint.
+
+    A chord's arc sum is the endpoint-sign sum strictly between its initial
+    and terminal endpoint, walking the circle in its orientation: from an
+    initial endpoint at prefix ``b`` to a later terminal one it is
+    run - (b - eps); an arc that wraps past the basepoint (terminal at ``b``
+    first) is b - (run - eps) plus the circle total.  A chord whose other
+    endpoint lies off ``word`` keeps its prefix in ``ends``, in circle order.
     """
-    out: dict[str, int] = {}
-    after_initial: dict[str, int] = {}
-    at_terminal: dict[str, int] = {}
+    arcs: dict[str, int] = {}
+    table: dict[int, int] = {}
+    ends: dict[str, int] = {}
+    terminal_first: set[str] = set()
+    wraps = []
     run = 0
     for chord, kind in word:
+        sign = signs[chord]
         if kind == TERMINAL:
-            if chord in after_initial:
-                out[chord] = run - after_initial.pop(chord)
+            if chord in ends:
+                arcs[chord] = n = run - ends.pop(chord) + sign
+                table[n] = table.get(n, 0) + sign
             else:
-                at_terminal[chord] = run
-            run += signs[chord]
+                ends[chord] = run
+                terminal_first.add(chord)
+            run += sign
         else:
-            run -= signs[chord]
-            after_initial[chord] = run
-    for chord, start in after_initial.items():
-        if chord in at_terminal:
-            out[chord] = run - start + at_terminal[chord]
-    return out
+            if chord in ends:
+                arcs[chord] = ends.pop(chord) - run + sign
+                wraps.append(chord)
+            else:
+                ends[chord] = run
+            run -= sign
+    for chord in wraps:
+        arcs[chord] = n = arcs[chord] + run
+        table[n] = table.get(n, 0) + signs[chord]
+    return CircleWalk(arcs, {n: v for n, v in table.items() if v}, run, ends,
+                      terminal_first)
+
+
+def arc_sums(word: Word, signs: Mapping[str, int]) -> dict[str, int]:
+    """Arc sum of every chord with both endpoints in ``word``."""
+    return circle_walk(word, signs).arcs
 
 
 # -- text format -----------------------------------------------------------
@@ -382,7 +408,11 @@ def is_shell_layer(G: GaussDiagram, before: Endpoint, around: Endpoint,
 def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     """Merge the two circles of a 2-circle diagram along the nonself chord
     ``gamma0``, deleting it.  The merged circle follows each original circle
-    in its own orientation, spliced at the removed endpoints."""
+    in its own orientation, spliced at the removed endpoints.
+
+    Public, and the tests' reference for nonself indices: ``profile`` reads
+    them from one :func:`circle_walk` per circle without building this
+    circle."""
     G.require_mu(2)
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)

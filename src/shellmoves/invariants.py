@@ -2,14 +2,21 @@
 
 The index of a self-chord is the endpoint-sign sum along the arc from its
 initial to its terminal endpoint.  Nonself chords are indexed relative to a
-reference nonself chord gamma0 by first merging the two circles along gamma0;
-different choices of gamma0 twist the resulting index polynomials by
-(t^k, t^-k), so only the twist class is recorded.
+reference nonself chord gamma0 by first merging the two circles along gamma0
+(:func:`~shellmoves.diagram.surgery`); different choices of gamma0 twist the
+resulting index polynomials by (t^k, t^-k), so only the twist class is
+recorded.
 
-Every index comes from :func:`~shellmoves.diagram.arc_sums`, one prefix-sum
-pass per circle (or per merged circle), and the nonself chords with their
-types from one pass over circle 1 (:func:`_nonself_endpoints`), so
-:func:`profile` runs in time linear in the chord count.
+Every index comes from :func:`~shellmoves.diagram.circle_walk`, one
+prefix-sum pass per circle, so :func:`profile` is linear in the chord count
+and builds no merged circle.  Read cyclically, that circle is circle 1 from
+just after gamma0's endpoint, then circle 2 from just after gamma0's
+endpoint there.  Let D_c(x) be the sign sum on circle c from gamma0's
+endpoint up to x's, around the circle (prefix sums re-based at gamma0's
+endpoint), T_c the circle's total and e_c gamma0's endpoint sign there.  For
+x< on circle a and x> on circle b, the merged arc runs from x< to gamma0 on
+circle a, then from gamma0 to x> on circle b, so the index of x is
+T_a - D_a(x) + eps_x + D_b(x) - e_b.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
-from .diagram import INITIAL, Endpoint, GaussDiagram, arc_sums, surgery
-from .errors import UnsupportedComponentCount
+# no code here calls ``surgery``; the benchmark's tracer wraps it by name
+from .diagram import (INITIAL, CircleWalk, Endpoint, GaussDiagram, circle_walk,
+                      surgery)
+from .errors import NotANonselfChord, UnknownChordId, UnsupportedComponentCount
 
 __all__ = [
     "KnotProfile",
@@ -34,21 +43,9 @@ __all__ = [
 ]
 
 
-def _add(table: dict[int, int], n: int, sign: int) -> None:
-    table[n] = table.get(n, 0) + sign
-    if table[n] == 0:
-        del table[n]
-
-
 def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], ...]:
     """Per circle, n -> signed count of the self-chords of index n on it."""
-    out = []
-    for word in G.circles:
-        table: dict[int, int] = {}
-        for cid, n in arc_sums(word, G.signs).items():
-            _add(table, n, G.signs[cid])
-        out.append(table)
-    return tuple(out)
+    return tuple(circle_walk(word, G.signs).table for word in G.circles)
 
 
 def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
@@ -66,18 +63,51 @@ def _nonself_endpoints(G: GaussDiagram) -> list[Endpoint]:
     return [ep for ep in G.circles[0] if ep.chord in on_circle2]
 
 
+def _from_gamma0(walk: CircleWalk, gamma0: str) -> dict[str, int]:
+    """D(x) for each endpoint in ``walk.ends``: the sign sum from gamma0's
+    endpoint up to x's, around the circle."""
+    base, wrap, out = walk.ends[gamma0], walk.total, {}
+    for chord, before in walk.ends.items():
+        if chord == gamma0:
+            wrap = 0
+        out[chord] = before - base + wrap
+    return out
+
+
+def _nonself_tables(G: GaussDiagram, walks: list[CircleWalk], gamma0: str
+                    ) -> tuple[dict[int, int], dict[int, int]]:
+    """:func:`nonself_writhe_tables` from the walks of the two circles."""
+    w1, w2 = walks
+    s0 = G.signs[gamma0]
+    # the signs of gamma0's endpoints: e1 on circle 1, -e1 on circle 2
+    e1 = s0 if gamma0 in w1.terminal_first else -s0
+    d2 = _from_gamma0(w2, gamma0)
+    t12: dict[int, int] = {}
+    t21: dict[int, int] = {}
+    for chord, d1 in _from_gamma0(w1, gamma0).items():
+        sign = G.signs[chord]
+        if chord in w1.terminal_first:  # x< on circle 2, x> on circle 1
+            table, n = t21, w2.total - d2[chord] + d1 + sign - e1
+        else:
+            table, n = t12, w1.total - d1 + d2[chord] + sign + e1
+        if chord == gamma0:
+            n = 0
+        table[n] = table.get(n, 0) + sign
+    return ({n: v for n, v in t12.items() if v},
+            {n: v for n, v in t21.items() if v})
+
+
 def nonself_writhe_tables(G: GaussDiagram, gamma0: str
                           ) -> tuple[dict[int, int], dict[int, int]]:
     """Index tables of the nonself chords relative to ``gamma0``, split by
     type (1,2) / (2,1); ``gamma0`` contributes its sign at index 0."""
-    merged = surgery(G, gamma0)
-    index = arc_sums(merged.circles[0], merged.signs)
-    index[gamma0] = 0
-    t12: dict[int, int] = {}
-    t21: dict[int, int] = {}
-    for chord, kind in _nonself_endpoints(G):
-        _add(t12 if kind == INITIAL else t21, index[chord], G.signs[chord])
-    return t12, t21
+    G.require_mu(2)
+    if not isinstance(gamma0, str) or gamma0 not in G.signs:
+        raise UnknownChordId(f"no chord {gamma0!r}")
+    walks = [circle_walk(word, G.signs) for word in G.circles]
+    if gamma0 not in walks[0].ends:
+        raise NotANonselfChord(f"chord {gamma0!r} is a self-chord")
+    return _nonself_tables(G, walks, gamma0)
 
 
 def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
@@ -92,6 +122,12 @@ def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
     return lk12, lk21, lk12 - lk21
 
 
+def _twist_class(t12: dict[int, int], t21: dict[int, int]) -> LinkingClass:
+    # the tables' signed counts are Lk(K1,K2) and Lk(K2,K1)
+    lam = sum(t12.values()) - sum(t21.values())
+    return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
+
+
 def linking_class(G: GaussDiagram) -> LinkingClass:
     """Twist class of the nonself index polynomials in Gamma(|lambda|).
 
@@ -99,12 +135,8 @@ def linking_class(G: GaussDiagram) -> LinkingClass:
     polynomials by t^k and t^-k, which the class quotients away.
     """
     nonself = _nonself_endpoints(G)
-    if not nonself:
-        return gamma_class(0, LaurentPoly(), LaurentPoly())
-    t12, t21 = nonself_writhe_tables(G, nonself[0].chord)
-    # the tables' signed counts are Lk(K1,K2) and Lk(K2,K1)
-    lam = sum(t12.values()) - sum(t21.values())
-    return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
+    return _twist_class(*nonself_writhe_tables(G, nonself[0].chord)
+                        if nonself else ({}, {}))
 
 
 def link_slots(lam: int) -> tuple[tuple[set[int], set[int]], ...]:
@@ -200,19 +232,24 @@ class LinkProfile(_Profile):
 
 def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
     """Assemble the full invariant profile of a 1- or 2-circle diagram."""
+    if G.mu not in (1, 2):
+        raise UnsupportedComponentCount(
+            f"profiles cover 1 or 2 circles, not {G.mu}")
+    walks = [circle_walk(word, G.signs) for word in G.circles]
     if G.mu == 1:
-        J = self_writhe_tables(G)[0]
-        n_writhes = {n: v for n, v in J.items() if n != 0}
+        n_writhes = {n: v for n, v in walks[0].table.items() if n != 0}
         odd = sum(v for n, v in n_writhes.items() if n % 2)
         total = LaurentPoly.const(sum(n_writhes.values()))
         return KnotProfile(LaurentPoly(n_writhes) - total, n_writhes, odd)
-    if G.mu != 2:
-        raise UnsupportedComponentCount(
-            f"profiles cover 1 or 2 circles, not {G.mu}")
-    lk12, lk21, lam = linking_data(G)
-    t1, t2 = self_writhe_tables(G)
+    # nonself indices relative to the first nonself chord on circle 1
+    first = next(iter(walks[0].ends), None)
+    t12, t21 = (({}, {}) if first is None
+                else _nonself_tables(G, walks, first))
+    lk12, lk21 = sum(t12.values()), sum(t21.values())
+    lam = lk12 - lk21
+    cls = _twist_class(t12, t21)
+    t1, t2 = (walk.table for walk in walks)
     (free1, _), (free2, _) = link_slots(lam)
-    cls = linking_class(G)
     f_prime = None if abs(lam) == 1 else cls.derivative_sum()
     return LinkProfile(lk12, lk21, lam, _off(t1, free1), _off(t2, free2),
                        shell_sum(lam, t1, t2), cls, f_prime)

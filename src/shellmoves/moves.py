@@ -15,6 +15,12 @@ finder, which the handler asks; R2_delete's (``_validate_r2_pattern``), S1's
 check that finder and handler share.  The one site applied but not listed is
 R1_delete at the second endpoint of a circle holding one chord alone, whose
 finder lists the first.
+
+The finders list R1 insertions only in order ``IT`` (initial, then
+terminal), while the handler also accepts ``TI``.  R3 uses one sign
+pattern: ``hp`` and ``hq`` negative, ``x`` positive.  One R3 type suffices
+with R1 and R2 (Polyak, "Minimal generating sets of Reidemeister moves",
+Quantum Topology 1, 2010).
 """
 
 from __future__ import annotations

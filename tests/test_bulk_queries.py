@@ -50,7 +50,7 @@ def test_invariants_make_a_fixed_number_of_lookups(locate_calls):
     counts = []
     for n in SIZES:
         G = _link(n)
-        # nonself chords, so profile takes the surgery path too
+        # nonself chords, so profile reads nonself indices too
         assert {c for c, _ in G.circles[0]} & {c for c, _ in G.circles[1]}
         counts.append([_calls(locate_calls, profile, G),
                        _calls(locate_calls, linking_data, G),
