@@ -30,7 +30,6 @@ __all__ = [
     "CircleWalk",
     "Endpoint",
     "GaussDiagram",
-    "arc_sums",
     "circle_walk",
     "parse_gauss_code",
     "serialize",
@@ -194,15 +193,18 @@ class GaussDiagram:
         """Endpoint-sign sum strictly between the chord's initial and
         terminal endpoints, walking the circle in its orientation.
 
-        Meaningful for self-chords; read from :func:`arc_sums`.  No code in
-        the package asks for one chord's index (:func:`profile` reads every
-        index from :func:`circle_walk` at once); the benchmark's tracer wraps
-        this method by name, so it stays until that target list shrinks.
+        Meaningful for self-chords.  No code in the package asks for one
+        chord's index (:func:`profile` reads every index from
+        :func:`circle_walk` at once); the benchmark's tracer wraps this method
+        by name, so it stays until that target list shrinks.
         """
-        ci, ct = self.chord_circles(chord)
+        ci, pi = self.locate(chord, INITIAL)
+        ct, pt = self.locate(chord, TERMINAL)
         if ci != ct:
             raise NotASelfChord(f"chord {chord!r} is not a self-chord")
-        return arc_sums(self.circles[ci], self.signs)[chord]
+        word = self.circles[ci]
+        arc = word[pi + 1:pt] if pi < pt else word[pi + 1:] + word[:pt]
+        return sum(map(self.endpoint_sign, arc))
 
     def require_mu(self, mu: int) -> None:
         if self.mu != mu:
@@ -216,7 +218,8 @@ class GaussDiagram:
 
 
 class CircleWalk(NamedTuple):
-    arcs: dict[str, int]  # self-chord -> arc sum
+    """What :func:`circle_walk` yields for ``profile``: nothing per self-chord."""
+
     table: dict[int, int]  # n -> nonzero signed count of self-chords of arc sum n
     total: int  # endpoint-sign sum of the whole circle
     ends: dict[str, int]  # other chord -> prefix sum just before its endpoint
@@ -224,27 +227,28 @@ class CircleWalk(NamedTuple):
 
 
 def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
-    """One pass along ``word`` keeping the prefix sum ``run`` of endpoint
-    signs before the current endpoint.
+    """The self-chord table, the total and the open chords' prefixes of
+    ``word``, from one pass keeping the prefix sum ``run`` of endpoint signs
+    before the current endpoint.
 
     A chord's arc sum is the endpoint-sign sum strictly between its initial
     and terminal endpoint, walking the circle in its orientation: from an
     initial endpoint at prefix ``b`` to a later terminal one it is
     run - (b - eps); an arc that wraps past the basepoint (terminal at ``b``
-    first) is b - (run - eps) plus the circle total.  A chord whose other
-    endpoint lies off ``word`` keeps its prefix in ``ends``, in circle order.
+    first) is b - (run - eps) plus the circle total, tabled once the walk
+    knows it.  A chord whose other endpoint lies off ``word`` keeps its
+    prefix in ``ends``, in circle order.
     """
-    arcs: dict[str, int] = {}
     table: dict[int, int] = {}
     ends: dict[str, int] = {}
     terminal_first: set[str] = set()
-    wraps = []
+    wraps = []  # (arc sum short of the total, sign) per wrapped self-chord
     run = 0
     for chord, kind in word:
         sign = signs[chord]
         if kind == TERMINAL:
             if chord in ends:
-                arcs[chord] = n = run - ends.pop(chord) + sign
+                n = run - ends.pop(chord) + sign
                 table[n] = table.get(n, 0) + sign
             else:
                 ends[chord] = run
@@ -252,21 +256,15 @@ def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
             run += sign
         else:
             if chord in ends:
-                arcs[chord] = ends.pop(chord) - run + sign
-                wraps.append(chord)
+                wraps.append((ends.pop(chord) - run + sign, sign))
             else:
                 ends[chord] = run
             run -= sign
-    for chord in wraps:
-        arcs[chord] = n = arcs[chord] + run
-        table[n] = table.get(n, 0) + signs[chord]
-    return CircleWalk(arcs, {n: v for n, v in table.items() if v}, run, ends,
+    for n, sign in wraps:
+        n += run
+        table[n] = table.get(n, 0) + sign
+    return CircleWalk({n: v for n, v in table.items() if v}, run, ends,
                       terminal_first)
-
-
-def arc_sums(word: Word, signs: Mapping[str, int]) -> dict[str, int]:
-    """Arc sum of every chord with both endpoints in ``word``."""
-    return circle_walk(word, signs).arcs
 
 
 # -- text format -----------------------------------------------------------

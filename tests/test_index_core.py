@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+import shellmoves.diagram as diagram
 from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
+    CircleWalk,
     Endpoint,
     GaussDiagram,
-    arc_sums,
+    circle_walk,
     surgery,
 )
 from shellmoves.errors import NotASelfChord
@@ -87,7 +89,7 @@ def _nonself(G: GaussDiagram, where) -> list[str]:
     return [cid for cid in G.signs if len(set(_circles_of(where, cid))) == 2]
 
 
-def test_arc_sums_and_indices_match_the_walk():
+def test_arc_sign_sums_match_the_walk():
     wraps = empty = 0
     for seed in range(N_DIAGRAMS):
         G = _diagram(seed)
@@ -95,9 +97,6 @@ def test_arc_sums_and_indices_match_the_walk():
         for c, word in enumerate(G.circles):
             empty += not word
             chords = _self_chords(G, where, c)
-            got = arc_sums(word, G.signs)
-            assert got == {cid: walk_arc_sum(G, where, cid)
-                           for cid in chords}, seed
             wraps += sum(where[cid][TERMINAL][1] < where[cid][INITIAL][1]
                          for cid in chords)
         for cid in G.signs:
@@ -144,13 +143,30 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
     assert tables > N_DIAGRAMS
 
 
-def test_arc_sums_wrap_past_the_basepoint():
+def test_arc_sign_sums_wrap_past_the_basepoint():
     # b's arc runs from position 3 past the basepoint to position 1
     word = (Endpoint("a", INITIAL), Endpoint("b", TERMINAL),
             Endpoint("a", TERMINAL), Endpoint("b", INITIAL))
-    assert arc_sums(word, {"a": 1, "b": -1}) == {"a": -1, "b": -1}
-    assert arc_sums(word[1:] + word[:1], {"a": 1, "b": -1}) == {"a": -1, "b": -1}
-    assert arc_sums((), {}) == {}
+    for w in (word, word[1:] + word[:1]):
+        G = GaussDiagram({"a": 1, "b": -1}, [w])
+        assert (G.arc_sign_sum("a"), G.arc_sign_sum("b")) == (-1, -1)
+    assert circle_walk((), {}) == CircleWalk({}, 0, {}, set())
+
+
+def test_arc_sign_sum_makes_no_circle_walk(monkeypatch):
+    calls = 0
+    walk = diagram.circle_walk
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(diagram, "circle_walk", counted)
+    G = random_diagram(random.Random(60), 1, 60, chords=60)
+    for cid in G.signs:
+        G.arc_sign_sum(cid)
+    assert calls == 0
 
 
 # -- free and nonself chords, one pass against one query per chord ----------

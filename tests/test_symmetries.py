@@ -7,8 +7,10 @@ For knots, W(rev G) = W(t^-1), W(neg G) = -W(t^-1) and W(arr G) = W, so
 S-equivalence of knots commutes with every composition of the three.  For
 links it commutes with ``arr``, ``rev o neg`` and their composition, but
 not with ``rev`` or ``neg`` alone: an S1 move pinned below maps under
-either to two diagrams of different profile."""
+either to two diagrams of different profile.  An isomorphism (each circle
+rotated, chords renamed) keeps every profile field."""
 
+import dataclasses
 import itertools
 import random
 
@@ -16,10 +18,11 @@ from shellmoves.algebra import LaurentPoly
 from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
                                 parse_gauss_code)
 from shellmoves.equiv import s_equivalent
-from shellmoves.invariants import writhe_polynomial
+from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import S1, MoveSite, apply_move, random_walk
 
 from conftest import random_diagram
+from test_iso_key import relabel_and_rotate
 
 FLIP = {INITIAL: TERMINAL, TERMINAL: INITIAL}
 
@@ -134,3 +137,20 @@ circle 2: z3>
         verdict = s_equivalent(op(G), op(H))
         assert not verdict
         assert verdict.reason.startswith("component-1 index writhe mismatch")
+
+
+def _profile_values(G: GaussDiagram) -> tuple:
+    P = profile(G)
+    return (type(P),) + tuple(getattr(P, f.name)
+                              for f in dataclasses.fields(P))
+
+
+def test_profile_is_an_isomorphism_invariant():
+    # half knots, half links; rotation moves the basepoint, so the wrapped
+    # chords and the reference chord gamma0 (the first nonself chord on
+    # circle 1) change with it
+    rng = random.Random(47)
+    for k in range(1500):
+        G = random_diagram(rng, 1 + k % 2, 40)
+        H = relabel_and_rotate(rng, G)
+        assert _profile_values(G) == _profile_values(H), k
