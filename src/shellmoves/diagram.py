@@ -221,50 +221,47 @@ class CircleWalk(NamedTuple):
     """What :func:`circle_walk` yields for ``profile``: nothing per self-chord."""
 
     table: dict[int, int]  # n -> nonzero signed count of self-chords of arc sum n
-    total: int  # endpoint-sign sum of the whole circle
-    ends: dict[str, int]  # other chord -> prefix sum just before its endpoint
-    terminal_first: set[str]  # chords whose first endpoint here is terminal
+    initials: dict[str, int]  # leaving chord -> prefix sum before its x<
+    terminals: dict[str, int]  # leaving chord -> prefix sum before its x>
 
 
 def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
-    """The self-chord table, the total and the open chords' prefixes of
-    ``word``, from one pass keeping the prefix sum ``run`` of endpoint signs
-    before the current endpoint.
+    """The self-chord table and the leaving chords' prefixes of ``word``,
+    from one pass keeping the prefix sum ``run`` of endpoint signs before
+    the current endpoint.
 
     A chord's arc sum is the endpoint-sign sum strictly between its initial
-    and terminal endpoint, walking the circle in its orientation: from an
-    initial endpoint at prefix ``b`` to a later terminal one it is
-    run - (b - eps); an arc that wraps past the basepoint (terminal at ``b``
-    first) is b - (run - eps) plus the circle total, tabled once the walk
-    knows it.  A chord whose other endpoint lies off ``word`` keeps its
-    prefix in ``ends``, in circle order.
+    and terminal endpoint, walking the circle in its orientation:
+    P(x>) - P(x<) + eps for prefix sums P, and, for an arc that wraps past
+    the basepoint (terminal first), that plus the circle total, tabled once
+    the walk knows it.  A chord whose other endpoint lies off ``word`` keeps
+    its prefix in ``initials`` or ``terminals``, by its endpoint's kind.
     """
     table: dict[int, int] = {}
-    ends: dict[str, int] = {}
-    terminal_first: set[str] = set()
+    initials: dict[str, int] = {}
+    terminals: dict[str, int] = {}
     wraps = []  # (arc sum short of the total, sign) per wrapped self-chord
     run = 0
     for chord, kind in word:
         sign = signs[chord]
         if kind == TERMINAL:
-            if chord in ends:
-                n = run - ends.pop(chord) + sign
+            if chord in initials:
+                n = run - initials.pop(chord) + sign
                 table[n] = table.get(n, 0) + sign
             else:
-                ends[chord] = run
-                terminal_first.add(chord)
+                terminals[chord] = run
             run += sign
         else:
-            if chord in ends:
-                wraps.append((ends.pop(chord) - run + sign, sign))
+            if chord in terminals:
+                wraps.append((terminals.pop(chord) - run + sign, sign))
             else:
-                ends[chord] = run
+                initials[chord] = run
             run -= sign
     for n, sign in wraps:
         n += run
         table[n] = table.get(n, 0) + sign
-    return CircleWalk({n: v for n, v in table.items() if v}, run, ends,
-                      terminal_first)
+    return CircleWalk({n: v for n, v in table.items() if v}, initials,
+                      terminals)
 
 
 # -- text format -----------------------------------------------------------
@@ -408,9 +405,9 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     ``gamma0``, deleting it.  The merged circle follows each original circle
     in its own orientation, spliced at the removed endpoints.
 
-    Public, and the tests' reference for nonself indices: ``profile`` reads
-    them from one :func:`circle_walk` per circle without building this
-    circle."""
+    :func:`~shellmoves.invariants.nonself_writhe_tables` reads the book's
+    nonself indices off this circle; ``profile`` reads their twist class
+    from one :func:`circle_walk` per circle without building it."""
     G.require_mu(2)
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)

@@ -150,7 +150,10 @@ def test_arc_sign_sums_wrap_past_the_basepoint():
     for w in (word, word[1:] + word[:1]):
         G = GaussDiagram({"a": 1, "b": -1}, [w])
         assert (G.arc_sign_sum("a"), G.arc_sign_sum("b")) == (-1, -1)
-    assert circle_walk((), {}) == CircleWalk({}, 0, {}, set())
+        # a wrapped self-chord leaves no prefix behind: profile looks up
+        # every key of one circle's initials in the other's terminals
+        assert circle_walk(w, G.signs) == CircleWalk({}, {}, {})
+    assert circle_walk((), {}) == CircleWalk({}, {}, {})
 
 
 def test_arc_sign_sum_makes_no_circle_walk(monkeypatch):
