@@ -406,8 +406,9 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     in its own orientation, spliced at the removed endpoints.
 
     :func:`~shellmoves.invariants.nonself_writhe_tables` reads the book's
-    nonself indices off this circle; ``profile`` reads their twist class
-    from one :func:`circle_walk` per circle without building it."""
+    nonself indices off this circle for ``linking_class``; ``profile``
+    reads their twist class from one :func:`circle_walk` per circle
+    without building it."""
     G.require_mu(2)
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)

@@ -94,6 +94,8 @@ def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
 def linking_class(G: GaussDiagram) -> LinkingClass:
     """Twist class of the nonself index polynomials in Gamma(|lambda|).
 
+    The paper's definition, through :func:`surgery` along the first nonself
+    chord; :func:`profile` reads the same class with no reference chord.
     Independent of the reference chord: changing it multiplies the two
     polynomials by t^k and t^-k, which the class quotients away.
     """
