@@ -5,10 +5,11 @@ of endpoint signs before an endpoint, on whichever circle holds it: for a
 self-chord that is its arc sum when the arc does not wrap past the basepoint
 (:func:`~shellmoves.diagram.circle_walk` adds the circle total when it does).
 The book indexes nonself chords on the circle merged along a reference
-chord gamma0 (:func:`~shellmoves.diagram.surgery`, read by
-:func:`nonself_writhe_tables`), and keeps only the twist class of the
-resulting index polynomials.  :func:`profile` reads the same class with no
-gamma0, from one prefix-sum walk per circle: moving a circle's basepoint or
+chord gamma0 (:func:`~shellmoves.diagram.surgery`), and keeps only the twist
+class of the resulting index polynomials; that reading lives in
+``tests/test_link_profile_reference.py`` as the reference.  :func:`profile`
+reads the same class with no gamma0, from one prefix-sum walk per circle
+(:func:`linking_class` reads it there too): moving a circle's basepoint or
 choosing another gamma0 shifts every (1,2) index by some k and every (2,1)
 index by -k, a twist, and single indices by the circle totals -lambda and
 lambda, which vanish modulo t^|lambda| - 1.
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
-from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram, circle_walk,
-                      surgery)
+from .diagram import INITIAL, GaussDiagram, circle_walk
+# the benchmark's tracer wraps invariants.surgery (perfbench/spans.py)
+from .diagram import surgery
 from .errors import UnsupportedComponentCount
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "LinkProfile",
     "writhe_polynomial",
     "self_writhe_tables",
-    "nonself_writhe_tables",
     "linking_data",
     "linking_class",
     "link_slots",
@@ -48,42 +49,16 @@ def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
     return profile(G).writhe
 
 
-def _nonself_endpoints(G: GaussDiagram) -> list[Endpoint]:
-    """The circle-1 endpoint of every nonself chord of a 2-circle diagram,
-    in circle order.  An initial endpoint marks type (1,2), a terminal one
-    type (2,1)."""
-    G.require_mu(2)
-    on_circle2 = {chord for chord, _ in G.circles[1]}
-    return [ep for ep in G.circles[0] if ep.chord in on_circle2]
-
-
-def nonself_writhe_tables(G: GaussDiagram, gamma0: str
-                          ) -> tuple[dict[int, int], dict[int, int]]:
-    """Index tables of the nonself chords on the circle merged along
-    ``gamma0``, split by type (1,2) / (2,1); ``gamma0`` contributes its sign
-    at index 0.  The merged circle's total is 0, so no arc needs it."""
-    merged = surgery(G, gamma0)
-    prefix, run = {}, 0
-    for ep in merged.circles[0]:
-        prefix[ep] = run
-        run += merged.endpoint_sign(ep)
-    t12: dict[int, int] = {}
-    t21: dict[int, int] = {}
-    for chord, kind in _nonself_endpoints(G):
-        sign = G.signs[chord]
-        n = (0 if chord == gamma0 else prefix[chord, TERMINAL]
-             - prefix[chord, INITIAL] + sign)
-        table = t12 if kind == INITIAL else t21
-        table[n] = table.get(n, 0) + sign
-    return ({n: v for n, v in t12.items() if v},
-            {n: v for n, v in t21.items() if v})
-
-
 def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
     """(Lk(K1,K2), Lk(K2,K1), lambda): signed counts of the two nonself
-    chord types and their difference."""
+    chord types, read at their circle-1 endpoints (an initial endpoint marks
+    type (1,2), a terminal one type (2,1)), and their difference."""
+    G.require_mu(2)
+    on_circle2 = {chord for chord, _ in G.circles[1]}
     lk12 = lk21 = 0
-    for chord, kind in _nonself_endpoints(G):
+    for chord, kind in G.circles[0]:
+        if chord not in on_circle2:
+            continue
         if kind == INITIAL:
             lk12 += G.signs[chord]
         else:
@@ -92,19 +67,10 @@ def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
 
 
 def linking_class(G: GaussDiagram) -> LinkingClass:
-    """Twist class of the nonself index polynomials in Gamma(|lambda|).
-
-    The paper's definition, through :func:`surgery` along the first nonself
-    chord; :func:`profile` reads the same class with no reference chord.
-    Independent of the reference chord: changing it multiplies the two
-    polynomials by t^k and t^-k, which the class quotients away.
-    """
-    nonself = _nonself_endpoints(G)
-    t12, t21 = (nonself_writhe_tables(G, nonself[0].chord) if nonself
-                else ({}, {}))
-    # the tables' signed counts are Lk(K1,K2) and Lk(K2,K1)
-    lam = sum(t12.values()) - sum(t21.values())
-    return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
+    """Twist class of the nonself index polynomials in Gamma(|lambda|), as
+    :func:`profile` reads it."""
+    G.require_mu(2)
+    return profile(G).linking_class
 
 
 def link_slots(lam: int) -> tuple[tuple[set[int], set[int]], ...]:

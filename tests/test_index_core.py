@@ -8,6 +8,7 @@ import random
 import pytest
 
 import shellmoves.diagram as diagram
+from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
@@ -19,8 +20,9 @@ from shellmoves.diagram import (
 )
 from shellmoves.errors import NotASelfChord
 from shellmoves.invariants import (
+    linking_class,
     linking_data,
-    nonself_writhe_tables,
+    profile,
     self_writhe_tables,
 )
 from shellmoves.moves import R1_DELETE, MoveSite, find_move_sites
@@ -121,6 +123,8 @@ def test_tables_match_the_walk():
 
 
 def test_nonself_indices_match_the_walk_for_every_gamma0():
+    """The book's tables, walked on the circle merged along each gamma0,
+    give the twist class that profile and linking_class read with none."""
     tables = 0
     for seed in range(0, N_DIAGRAMS, 2):
         G = _diagram(seed)
@@ -128,6 +132,8 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
         nonself = _nonself(G, where)
         by_type = [[c for c in nonself if where[c][INITIAL][0] == first]
                    for first in (0, 1)]
+        live = profile(G).linking_class
+        assert linking_class(G) == live, seed
         for gamma0 in nonself:
             merged = surgery(G, gamma0)
             merged_where = endpoint_index(merged)
@@ -136,9 +142,10 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
                 return (0 if cid == gamma0
                         else walk_arc_sum(merged, merged_where, cid))
 
-            assert nonself_writhe_tables(G, gamma0) == tuple(
-                walk_table(G, chords, index) for chords in by_type
-            ), (seed, gamma0)
+            t12, t21 = (walk_table(G, chords, index) for chords in by_type)
+            lam = sum(t12.values()) - sum(t21.values())
+            assert gamma_class(abs(lam), LaurentPoly(t12),
+                               LaurentPoly(t21)) == live, (seed, gamma0)
             tables += 1
     assert tables > N_DIAGRAMS
 

@@ -10,7 +10,6 @@ from shellmoves.errors import NotASelfChord, UnsupportedComponentCount
 from shellmoves.invariants import (
     linking_class,
     linking_data,
-    nonself_writhe_tables,
     profile,
     writhe_polynomial,
 )
@@ -25,6 +24,7 @@ from conftest import (
     random_link_with_lambda,
     ref_detect_shells,
 )
+from test_link_profile_reference import ref_nonself_writhe_tables
 
 
 def test_knot_index_free_chord():
@@ -114,7 +114,7 @@ def test_self_index_rejects_nonself():
 def test_nonself_index_reference_convention():
     # gamma0 itself sits at index 0
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
-    assert nonself_writhe_tables(G, "g") == ({0: 1}, {})
+    assert ref_nonself_writhe_tables(G, "g") == ({0: 1}, {})
 
 
 def test_reference_link_nonself_tables(reference_link):
@@ -123,7 +123,7 @@ def test_reference_link_nonself_tables(reference_link):
                   if chord_type(reference_link, c) == (1, 2)
                   and all(not k.startswith(c + "s") for k in reference_link.signs
                           if k != c) and c + "s1" not in reference_link.signs)
-    t12, t21 = nonself_writhe_tables(reference_link, gamma0)
+    t12, t21 = ref_nonself_writhe_tables(reference_link, gamma0)
     assert t12 == {-1: 1, 0: 1, 4: 1}
     assert t21 == {2: 2, 3: -1}
 
@@ -168,7 +168,7 @@ def test_linking_class_independent_of_reference_chord():
         _, _, lam = linking_data(G)
         classes = set()
         for gamma0 in nonself:
-            t12, t21 = nonself_writhe_tables(G, gamma0)
+            t12, t21 = ref_nonself_writhe_tables(G, gamma0)
             classes.add(gamma_class(abs(lam), LaurentPoly(t12),
                                     LaurentPoly(t21)))
         # profile reads the class with no reference chord
@@ -185,7 +185,7 @@ def test_nonself_polynomials_evaluate_to_linking_numbers():
         if not nonself:
             continue
         lk12, lk21, _ = linking_data(G)
-        t12, t21 = nonself_writhe_tables(G, rng.choice(nonself))
+        t12, t21 = ref_nonself_writhe_tables(G, rng.choice(nonself))
         assert sum(t12.values()) == lk12
         assert sum(t21.values()) == lk21
 

@@ -1,8 +1,10 @@
 """The link profile against its earlier form, kept here as the reference:
 self tables from one arc-sum pass per circle, nonself chords found by a
 scan of circle 1, and nonself indices read on the merged circle that
-``surgery`` builds along the first of them.  The live profile reads every
-index from one prefix-sum walk per circle and never builds that circle."""
+``surgery`` builds along the first of them, as the book defines the linking
+class.  The live profile reads every index from one prefix-sum walk per
+circle and never builds that circle, so the book's reading through
+``surgery`` lives only here."""
 
 import random
 
@@ -14,8 +16,8 @@ from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
                                 parse_gauss_code, surgery)
 from shellmoves.errors import (NotANonselfChord, UnknownChordId,
                                WrongComponentCount)
-from shellmoves.invariants import (LinkProfile, link_slots,
-                                   nonself_writhe_tables, profile, shell_sum)
+from shellmoves.invariants import (LinkProfile, link_slots, linking_class,
+                                   profile, shell_sum)
 
 from conftest import random_diagram, random_link_with_lambda
 
@@ -193,7 +195,7 @@ def test_profile_reads_no_merged_circle_and_asks_no_chord(monkeypatch):
     assert calls == []
 
 
-# -- errors of nonself_writhe_tables, as surgery raised them -----------------
+# -- errors of surgery and linking_class --------------------------------------
 
 
 LINK = parse_gauss_code("""\
@@ -218,10 +220,16 @@ THREE = parse_gauss_code("circles: 3\nchord a +\ncircle 1: a< a>\n"
      "operation needs 2 circle(s), diagram has 3"),
 ], ids=["self-chord", "unknown-id", "unhashable-id", "one-circle",
         "three-circles"])
-def test_nonself_writhe_tables_errors(G, gamma0, error, message):
+def test_surgery_errors(G, gamma0, error, message):
     with pytest.raises(error) as got:
-        nonself_writhe_tables(G, gamma0)
-    assert type(got.value) is error and str(got.value) == message
-    with pytest.raises(error) as want:
         surgery(G, gamma0)
-    assert type(want.value) is error and str(want.value) == message
+    assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize("G, mu", [(KNOT, 1), (THREE, 3)],
+                         ids=["one-circle", "three-circles"])
+def test_linking_class_needs_two_circles(G, mu):
+    with pytest.raises(WrongComponentCount) as got:
+        linking_class(G)
+    assert type(got.value) is WrongComponentCount
+    assert str(got.value) == f"operation needs 2 circle(s), diagram has {mu}"
