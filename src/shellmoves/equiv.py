@@ -88,6 +88,13 @@ def check_consistency(pr: LinkProfile) -> bool:
 
 _EXPANSION_ORDER = ("R1_delete", "R2_delete", "S2_delete", "S1", "R3",
                     "R1_insert", "R2_insert", "S2_insert")
+# (kind, chord change, changes in positive chords), in expansion order
+_EXPANSION = tuple((kind, *chord_change(kind)) for kind in _EXPANSION_ORDER)
+
+
+def _signature(G: GaussDiagram) -> tuple[int, tuple[int, ...]]:
+    """Positive chords and circle lengths, which isomorphic diagrams share."""
+    return [*G.signs.values()].count(1), tuple(map(len, G.circles))
 
 
 def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
@@ -102,18 +109,21 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     absence is not certified, and ValueError when ``G`` already has more
     than ``chord_cap`` chords.
 
-    A child with the target's chord count is built and keyed as it is
-    generated, since only such a child can be ``H``.  Every other kind a
-    node expands by is held: its sites count toward the budget, so
+    A kind's children are built as they are generated only if its moves
+    can give the target's chord count and positive-chord count (read by
+    :func:`~shellmoves.moves.chord_change`), since only such a child can be
+    ``H``; each is keyed at once only if its positive chords and circle
+    lengths, which isomorphic diagrams share, are ``H``'s.  Every other
+    kind a node expands by is held: its sites count toward the budget, so
     BudgetExceeded falls at the same count.  An insertion's sites are
     counted (:func:`~shellmoves.moves.count_move_sites`) and listed only
     when the next level reaches them; a deletion or exchange keeps the
     list it is counted by.
-    The next level reads its frontier from a generator that builds, keys
-    and numbers the held children in generation order as that level asks
-    for its next node, so it is the frontier a build-everything search
-    would reach; whatever lies past a hit, the budget or the last level is
-    never built.
+    The next level reads its frontier from a generator that builds the
+    held children, keys every child not yet keyed and numbers them in
+    generation order as that level asks for its next node, so it is the
+    frontier a build-everything search would reach; whatever lies past a
+    hit, the budget or the last level is never built or keyed.
     """
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
@@ -124,21 +134,24 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     if start == target:
         return []
     size = len(H)
+    goal = _signature(H)
     spent = f"{node_budget} candidates generated"
     nodes: list[tuple[GaussDiagram, int, MoveSite | None]] = [(G, -1, None)]
     seen = {start}
     frontier: Iterable[int] = [0]
     generated = 0
     for depth in range(max_depth):
-        # (parent idx, kind, a held kind's sites, [(site, child, key)])
+        # (parent idx, kind, a held kind's sites, [(site, child, key)]);
+        # a built child's key is None until it is needed
         level: list[tuple[int, str, list | None, list | None]] = []
         for idx in frontier:
             diagram = nodes[idx][0]
-            for kind in _EXPANSION_ORDER:
+            n, gain = len(diagram), goal[0] - _signature(diagram)[0]
+            for kind, change, positive in _EXPANSION:
                 if not fits(diagram, kind, chord_cap):
                     continue
-                if len(diagram) + chord_change(kind) != size:
-                    sites = (None if chord_change(kind) > 0
+                if n + change != size or gain not in positive:
+                    sites = (None if change > 0
                              else find_move_sites(diagram, kind))
                     generated += (count_move_sites(diagram, kind)
                                   if sites is None else len(sites))
@@ -152,6 +165,9 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
                     child = apply_move(diagram, site)
+                    if _signature(child) != goal:
+                        built.append((site, child, None))
+                        continue
                     key = canonical_key(child)
                     if key == target:
                         trace = [site]
@@ -171,7 +187,8 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
 
 def _frontier(nodes: list, seen: set, level: list) -> Iterator[int]:
     """Number the unseen children of ``level`` as nodes, in generation
-    order, building and keying a held child only when it is reached."""
+    order, building a held child and keying an unkeyed one only when it is
+    reached."""
     for idx, kind, sites, built in level:
         diagram = nodes[idx][0]
         if built is None:
@@ -181,6 +198,7 @@ def _frontier(nodes: list, seen: set, level: list) -> Iterator[int]:
         for site, child, key in built:
             if child is None:
                 child = apply_move(diagram, site)
+            if key is None:
                 key = canonical_key(child)
             if key not in seen:
                 seen.add(key)

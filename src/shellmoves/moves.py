@@ -400,9 +400,13 @@ def _sites_s1(G):
     return out
 
 
+def _s2_insert_spots(G):
+    """S2_insert's pattern: adjacent endpoints of two different chords."""
+    return [(c, p) for c, p, u, v in _adjacent_pairs(G) if u.chord != v.chord]
+
+
 def _sites_s2_insert(G):
-    return [MoveSite(S2_INSERT, ((c, p),))
-            for c, p, u, v in _adjacent_pairs(G) if u.chord != v.chord]
+    return [MoveSite(S2_INSERT, (spot,)) for spot in _s2_insert_spots(G)]
 
 
 def _sites_s2_delete(G):
@@ -434,31 +438,36 @@ class _Kind(NamedTuple):
     n_anchors: int
     n_params: tuple[int, ...]  # allowed parameter counts
     change: int = 0            # signed change in chord count
+    positive: tuple[int, ...] = (0,)  # each change in positive chords
     gaps: bool = False         # anchors are gaps 0..len(word), not positions
 
 
 _KINDS = {
-    R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, True),
-    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1),
-    R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, True),
-    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2),
+    R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, (0, 1),
+                     True),
+    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1, (0, -1)),
+    R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, (1,),
+                     True),
+    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2, (-1,)),
     R3: _Kind(_apply_r3, _sites_r3, 3, (0,)),
     S1: _Kind(_apply_s1, _sites_s1, 1, (0,)),
-    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2),
-    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2),
+    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2, (1,)),
+    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2, (-1,)),
 }
 
 MOVE_KINDS = tuple(_KINDS)
 
 
-def chord_change(kind: str) -> int:
-    """How many chords a ``kind`` move adds (negative: removes)."""
-    return _KINDS[kind].change
+def chord_change(kind: str) -> tuple[int, tuple[int, ...]]:
+    """How many chords a ``kind`` move adds (negative: removes), and each
+    number of positive chords it can add."""
+    k = _KINDS[kind]
+    return k.change, k.positive
 
 
 def fits(G: GaussDiagram, kind: str, chord_cap: int) -> bool:
     """Whether a ``kind`` move on ``G`` stays within ``chord_cap`` chords."""
-    change = chord_change(kind)
+    change = _KINDS[kind].change
     return len(G) + (change if change > 0 else 0) <= chord_cap
 
 
@@ -476,10 +485,12 @@ def count_move_sites(G: GaussDiagram, kind: str) -> int:
     listing them.  With g gaps (one per endpoint, one for an empty circle),
     R1_insert has a sign per gap, 2g sites, and R2_insert a variant and a
     sign per ordered pair of gaps plus a ``tfirst`` twin per shared gap,
-    4g^2 + 4g sites."""
+    4g^2 + 4g sites; S2_insert has one site per spot of its pattern."""
     if kind in (R1_INSERT, R2_INSERT):
         g = sum(1 for _ in _gaps(G))
         return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
+    if kind == S2_INSERT:
+        return len(_s2_insert_spots(G))
     return len(find_move_sites(G, kind))
 
 

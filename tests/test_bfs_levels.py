@@ -1,10 +1,12 @@
-"""The witness search builds and keys a child when it is generated only if
-the child has the target's chord count; every other kind is held, its sites
-counted toward the budget, and its children listed and built only when the
-next level reaches them, so whatever lies past a hit, the budget or the
-last level is never built.  The build-everything search below is the
-reference: both must give the same trace, the same None and the same
-BudgetExceeded."""
+"""The witness search builds a kind's children when they are generated only
+if the kind's moves can give the target's chord count and positive-chord
+count, and keys such a child at once only if its positive chords and circle
+lengths are the target's; every other kind is held, its sites counted
+toward the budget, and its children listed and built only when the next
+level reaches them, which is also when an unkeyed child is keyed, so
+whatever lies past a hit, the budget or the last level is never built or
+keyed.  The build-everything search below is the reference: both must give
+the same trace, the same None and the same BudgetExceeded."""
 
 import random
 import sys
@@ -121,10 +123,29 @@ def _random_pairs(n, seed):
                int(10 ** rng.uniform(1, 3.6)))
 
 
+def _positive(G):
+    return sum(sign > 0 for sign in G.signs.values())
+
+
+def _sign_flipped_pairs(n, seed):
+    """Random pairs whose target has one chord's sign flipped, kept when
+    the two sides differ in positive chords."""
+    rng = random.Random(seed)
+    for A, B, depth, cap, budget in _random_pairs(n, seed):
+        if B.signs:
+            chord = rng.choice(list(B.signs))
+            B = GaussDiagram({**B.signs, chord: -B.signs[chord]}, B.circles)
+        if _positive(A) != _positive(B):
+            yield A, B, depth, cap, budget
+
+
 def test_random_pair_outcomes_match_reference():
     found = stopped = 0
     cut_depths = set()
-    for A, B, depth, cap, budget in _random_pairs(320, seed=9):
+    flipped = list(_sign_flipped_pairs(120, seed=10))
+    assert len(flipped) >= 80
+    assert sum(len(A) == len(B) for A, B, *_ in flipped) >= 20
+    for A, B, depth, cap, budget in [*_random_pairs(320, seed=9), *flipped]:
         want = _outcome(ref_bfs_witness, A, B, depth, cap, budget)
         got = _outcome(bfs_witness, A, B, depth, cap, budget)
         assert got == want, (A, B, depth, cap, budget)
@@ -207,3 +228,74 @@ def test_a_hit_from_the_first_frontier_node_builds_no_later_held_child(
     assert _outcome(bfs_witness, k1, k2, 6, 8, 9000) == want
     assert sum(G is k1 for G in parents) == 1
     assert len(parents) == 3  # the empty knot, then its + and - R1 children
+
+
+def test_a_kind_that_cannot_give_the_targets_positive_chords_is_held(
+        monkeypatch):
+    """k6 (x+, y+) -> k4 (x+, y-): only R3 and S1 keep two chords, and
+    neither changes the positive chords, so depth 1 builds nothing although
+    k6 has two S1 sites."""
+    knots, _ = oracle_pool()
+    k6, k4 = knots[6], knots[4]
+    assert len(find_move_sites(k6, "S1")) == 2
+    built = []
+
+    def apply(G, site):
+        built.append(G)
+        return apply_move(G, site)
+
+    monkeypatch.setattr(equiv, "apply_move", apply)
+    assert _outcome(bfs_witness, k6, k4, 1, 8, 9000) is None
+    assert built == []
+    want = _outcome(ref_bfs_witness, k6, k4, 6, 8, 9000)
+    assert _outcome(bfs_witness, k6, k4, 6, 8, 9000) == want
+
+
+def _signature(G):
+    return _positive(G), [len(word) for word in G.circles]
+
+
+def test_a_child_unlike_the_target_is_keyed_only_when_reached(monkeypatch):
+    """k1 (one + chord) -> k6 (x+, y+): R1_insert can add a positive chord,
+    so k1's R1_insert children are built as they are generated, but a
+    negative kink's child has the wrong positive chords and is keyed only
+    when the next level's frontier reaches it."""
+    knots, _ = oracle_pool()
+    k1, k6 = knots[1], knots[6]
+    want = _outcome(ref_bfs_witness, k1, k6, 6, 8, 9000)
+    reaching = [False]
+    events = []  # (built or keyed, diagram, inside the frontier)
+
+    def frontier(*args):
+        level = real_frontier(*args)
+        while True:
+            reaching[0] = True
+            try:
+                idx = next(level)
+            except StopIteration:
+                return
+            finally:
+                reaching[0] = False
+            yield idx
+
+    def apply(G, site):
+        child = apply_move(G, site)
+        events.append(("built", child, reaching[0]))
+        return child
+
+    def key(G):
+        events.append(("keyed", G, reaching[0]))
+        return canonical_key(G)
+
+    real_frontier = equiv._frontier
+    monkeypatch.setattr(equiv, "_frontier", frontier)
+    monkeypatch.setattr(equiv, "apply_move", apply)
+    monkeypatch.setattr(equiv, "canonical_key", key)
+    assert _outcome(bfs_witness, k1, k6, 6, 8, 9000) == want
+    unlike = [G for event, G, inside in events if event == "built"
+              and not inside and _signature(G) != _signature(k6)]
+    assert unlike
+    keyed = [[inside for event, K, inside in events
+              if event == "keyed" and K is G] for G in unlike]
+    assert all(when in ([], [True]) for when in keyed), keyed
+    assert [True] in keyed

@@ -7,7 +7,9 @@ growth rule, and the earlier R3 handler and finder, which copied every word
 and matched each TT pair against every II pair.  The table's handlers must
 give the same images (signs order and words), the same inverse sites and
 the same errors; the R3 finder the same sites in the same order; ``fits``
-must answer as the growth rule did; and walks must take the same steps.
+must answer as the growth rule did; each kind's declared changes in
+positive chords must be the ones its moves make; and walks must take the
+same steps.
 The inputs are built on first use, by references only, so a defect in one
 kind fails the tests that touch it and not the module's collection.
 """
@@ -18,14 +20,16 @@ import random
 import pytest
 
 from shellmoves import moves
-from shellmoves.diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, serialize
+from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+                                canonical_key, serialize)
 from shellmoves.errors import StaleSite
 from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
                               R2_INSERT, R3, S1, S2_DELETE, S2_INSERT, MoveSite,
-                              apply_move_with_inverse, find_move_sites, fits,
-                              random_walk)
+                              apply_move_with_inverse, chord_change,
+                              find_move_sites, fits, random_walk)
 
 from conftest import R3_BLOCKS, R3_SIGNS, random_diagram, ref_fresh_ids
+from test_census import _grown
 from test_index_core import per_chord_r1_delete_sites
 from test_shells import REF_APPLY, _word, ref_sites_s1, ref_sites_s2_delete
 
@@ -444,6 +448,46 @@ def test_fits_matches_growth_rule():
             for cap in range(n - 1, n + 3):
                 assert fits(G, kind, cap) == (
                     n + REF_GROWTH.get(kind, 0) <= cap), (kind, n, cap)
+
+
+@functools.cache
+def _census_diagrams():
+    """One knot or two-circle link per class of at most 3 chords, grown
+    chord by chord in every placement as the census grows them."""
+    out = []
+    for mu in (1, 2):
+        layer = [GaussDiagram({}, [()] * mu)]
+        for _ in range(3):
+            layer = list({canonical_key(H): H for G in layer
+                          for H in _grown(G)}.values())
+            out += layer
+    return out
+
+
+def test_positive_change_matches_each_kinds_moves():
+    """Each listed move changes the positive chords by a value its kind
+    declares, and each declared value is met: on the walked diagrams with
+    one chord to spare, on the census diagrams up to 4 chords, and on the
+    images of their S2 insertions (S2_delete needs two shells)."""
+    census = _census_diagrams()
+    inputs = ([(G, len(G) + 1) for G in _walked_diagrams()]
+              + [(G, 4) for G in census]
+              + [(apply_move_with_inverse(G, site)[0], len(G) + 2)
+                 for G in census for site in find_move_sites(G, S2_INSERT)])
+    met = {kind: set() for kind in REF_MOVE_KINDS}
+    for G, cap in inputs:
+        before = sum(sign > 0 for sign in G.signs.values())
+        for kind in REF_MOVE_KINDS:
+            if not fits(G, kind, cap):
+                continue
+            declared = chord_change(kind)[1]
+            for site in find_move_sites(G, kind):
+                H = apply_move_with_inverse(G, site)[0]
+                change = sum(sign > 0 for sign in H.signs.values()) - before
+                assert change in declared, (G, site)
+                met[kind].add(change)
+    assert met == {kind: set(chord_change(kind)[1]) for kind in REF_MOVE_KINDS}
+    assert met[R1_INSERT] == {0, 1} and met[R1_DELETE] == {0, -1}
 
 
 def test_walks_match_reference():
