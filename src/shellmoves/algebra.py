@@ -14,7 +14,8 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-__all__ = ["LaurentPoly", "LinkingClass", "gamma_class", "parse_poly"]
+__all__ = ["LaurentPoly", "LinkingClass", "gamma_class", "least_rotation",
+           "parse_poly", "period"]
 
 
 class LaurentPoly:
@@ -171,13 +172,55 @@ class LinkingClass:
         return f"[{self.f}, {self.g}] in Gamma({self.s})"
 
 
+def least_rotation(s: list | tuple) -> int:
+    """Start of the lexicographically least rotation of ``s`` (the smallest
+    such start), by the two-pointer minimum-rotation scan in O(n)."""
+    n = len(s)
+    d = s + s
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = d[i + k], d[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+def period(s: tuple[int, ...]) -> int:
+    """Least p > 0 such that rotating ``s`` by p gives ``s`` (KMP failure
+    function: the least linear period, if it divides the length)."""
+    n = len(s)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and s[i] != s[k]:
+            k = fail[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[-1]
+    return p if n % p == 0 else n
+
+
 def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
     """Canonicalize the pair (f, g) under (f, g) ~ (t^k f, t^(-k) g) mod t^s - 1.
 
     Canonical twist: for s = 0 shift so the first nonzero entry of the pair
     has minimum exponent 0 (f takes priority); for s >= 1 pick the rotation
     whose concatenated coefficient vectors are lexicographically minimal
-    (for s = 1 the one rotation, which leaves the integer pair).
+    (for s = 1 the one rotation, which leaves the integer pair), in O(s).
+
+    Twist k reads f's vector from u = -k and g's from -u.  The least f part
+    starts at u = r + j*p for f's least rotation r and period p; those
+    twists read g's vector from -r, then -r - j*p, so the least of them is
+    the least rotation of that vector cut into blocks of length p.
     """
     if s < 0:
         raise ValueError("modulus must be nonnegative")
@@ -190,14 +233,10 @@ def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
             k = 0
         return LinkingClass(0, f.shift(k), g.shift(-k))
     fv, gv = f.vector(s), g.vector(s)
-    best: tuple[int, ...] | None = None
-    for k in range(s):
-        # rotate(f, +k) then rotate(g, -k): coefficient of t^i picks up the
-        # old coefficient of t^(i -+ k).
-        cand = tuple(fv[(i - k) % s] for i in range(s)) + tuple(
-            gv[(i + k) % s] for i in range(s))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return LinkingClass(s, LaurentPoly.from_vector(best[:s]),
-                        LaurentPoly.from_vector(best[s:]))
+    r = least_rotation(fv)
+    fv = fv[r:] + fv[:r]
+    p = period(fv)
+    gv = gv[-r:] + gv[:-r]
+    b = p * least_rotation([gv[i:i + p] for i in range(0, s, p)])
+    return LinkingClass(s, LaurentPoly.from_vector(fv),
+                        LaurentPoly.from_vector(gv[b:] + gv[:b]))

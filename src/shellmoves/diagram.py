@@ -1,10 +1,11 @@
 """Gauss diagrams: oriented circles carrying signed, oriented chords.
 
 A diagram is stored as one cyclic endpoint word per circle plus a sign per
-chord.  Words carry an arbitrary basepoint; everything that compares diagrams
-does so up to rotation of each circle (circles themselves stay ordered, since
-link components are labelled).  Initial endpoints carry sign -eps and
-terminal endpoints +eps, where eps is the chord sign.
+chord; an endpoint is a plain ``(chord, kind)`` pair of strings.  Words carry
+an arbitrary basepoint; everything that compares diagrams does so up to
+rotation of each circle (circles themselves stay ordered, since link
+components are labelled).  Initial endpoints carry sign -eps and terminal
+endpoints +eps, where eps is the chord sign.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .algebra import least_rotation, period
 from .errors import (
     BadSign,
     CircleCountMismatch,
@@ -45,18 +47,8 @@ INITIAL = "<"
 TERMINAL = ">"
 _SIGNS = {"+": 1, "-": -1}
 _CHORD_ID = re.compile(r"[^\s<>#:]+")  # an id the text format carries
-# _tuple_new(Endpoint, (chord, kind)) skips the NamedTuple's Python __new__
-_tuple_new = tuple.__new__
 
-
-class Endpoint(NamedTuple):
-    chord: str
-    kind: str  # INITIAL or TERMINAL
-
-    def token(self) -> str:
-        return f"{self.chord}{self.kind}"
-
-
+Endpoint = tuple[str, str]  # (chord, kind), kind INITIAL or TERMINAL
 Word = tuple[Endpoint, ...]
 
 
@@ -135,11 +127,12 @@ class GaussDiagram:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:
             for ep in word:
-                if type(ep) is not Endpoint:
-                    raise GaussCodeError(f"word element {ep!r} is not an Endpoint")
+                if type(ep) is not tuple or len(ep) != 2:
+                    raise GaussCodeError(
+                        f"word element {ep!r} is not a (chord, kind) pair")
                 if ep in seen:
                     raise DuplicateEndpoint(
-                        f"chord {ep.chord!r} has two {ep.kind!r} endpoints")
+                        f"chord {ep[0]!r} has two {ep[1]!r} endpoints")
                 seen[ep] = None
         if not self.circles:
             raise CircleCountMismatch("a diagram needs at least one circle")
@@ -179,11 +172,12 @@ class GaussDiagram:
         raise UnknownChordId(f"no chord {chord!r}")
 
     def endpoint_sign(self, ep: Endpoint) -> int:
+        chord, kind = ep
         try:
-            sign = self.signs[ep.chord]
+            sign = self.signs[chord]
         except KeyError:
-            raise UnknownChordId(f"no chord {ep.chord!r}") from None
-        return sign if ep.kind == TERMINAL else -sign
+            raise UnknownChordId(f"no chord {chord!r}") from None
+        return sign if kind == TERMINAL else -sign
 
     def chord_circles(self, chord: str) -> tuple[int, int]:
         """(circle of initial endpoint, circle of terminal endpoint)."""
@@ -212,7 +206,7 @@ class GaussDiagram:
                 f"operation needs {mu} circle(s), diagram has {self.mu}")
 
     def __repr__(self) -> str:
-        words = " | ".join(" ".join(ep.token() for ep in w) or "-"
+        words = " | ".join(" ".join(map("".join, w)) or "-"
                            for w in self.circles)
         return f"<GaussDiagram mu={self.mu} chords={len(self.signs)} {words}>"
 
@@ -320,8 +314,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
             signs[cid] = sign
-            tokens[cid + INITIAL] = _tuple_new(Endpoint, (cid, INITIAL))
-            tokens[cid + TERMINAL] = _tuple_new(Endpoint, (cid, TERMINAL))
+            tokens[cid + INITIAL] = (cid, INITIAL)
+            tokens[cid + TERMINAL] = (cid, TERMINAL)
         elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()
@@ -361,7 +355,7 @@ def serialize(G: GaussDiagram) -> str:
     for cid in sorted(G.signs):
         out.append(f"chord {cid} {'+' if G.signs[cid] > 0 else '-'}")
     for i, word in enumerate(G.circles, start=1):
-        toks = " ".join([chord + kind for chord, kind in word])
+        toks = " ".join(map("".join, word))
         out.append(f"circle {i}:" + (f" {toks}" if toks else ""))
     return "\n".join(out) + "\n"
 
@@ -383,8 +377,8 @@ def shell_layers(around: Endpoint, sign: int, shells: Sequence[str]
     first, last = _shell_kinds(sign)
     before, after = [], [around]
     for s in shells:
-        before.append(_tuple_new(Endpoint, (s, first)))
-        after.append(_tuple_new(Endpoint, (s, last)))
+        before.append((s, first))
+        after.append((s, last))
     return before[::-1] + after
 
 
@@ -392,9 +386,10 @@ def is_shell_layer(G: GaussDiagram, before: Endpoint, around: Endpoint,
                    after: Endpoint) -> bool:
     """Whether ``before``, ``around``, ``after`` read as one shell around the
     endpoint ``around`` of ``G``, as :func:`shell_layers` lays one."""
-    return (before.chord == after.chord != around.chord
-            and (before.kind, after.kind)
-            == _shell_kinds(G.endpoint_sign(around)))
+    chord, first = before
+    other, last = after
+    return (chord == other != around[0]
+            and (first, last) == _shell_kinds(G.endpoint_sign(around)))
 
 
 # -- structural operations ----------------------------------------------------
@@ -457,43 +452,6 @@ def _circle_codes(word: Word, signs: Mapping[str, int],
     return codes, list(open_at.values())
 
 
-def _least_rotation(s: list[int]) -> int:
-    """Start of the lexicographically least rotation of ``s`` (the smallest
-    such start), by the two-pointer minimum-rotation scan in O(n)."""
-    n = len(s)
-    d = s + s
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = d[i + k], d[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    return min(i, j)
-
-
-def _period(s: tuple[int, ...]) -> int:
-    """Least p > 0 such that rotating ``s`` by p gives ``s`` (KMP failure
-    function: the least linear period, if it divides the length)."""
-    n = len(s)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and s[i] != s[k]:
-            k = fail[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[-1]
-    return p if n % p == 0 else n
-
-
 def canonical_key(G: GaussDiagram):
     """Rotation- and renaming-invariant key, in time linear in the chord
     count of each circle.
@@ -527,7 +485,7 @@ def canonical_key(G: GaussDiagram):
         tied = []
         for names in contexts:
             codes, open_at = _circle_codes(word, signs, names)
-            r = _least_rotation(codes)
+            r = least_rotation(codes)
             rotated = tuple(codes[r:] + codes[:r])
             if best is None or rotated < best:
                 best, tied = rotated, []
@@ -538,14 +496,14 @@ def canonical_key(G: GaussDiagram):
             contexts = [names for names, _, _ in tied]
             continue
         n = len(word)
-        p = _period(best)
+        p = period(best)
         survivors: dict[frozenset, dict[str, int]] = {}
         for names, r, open_at in tied:
             for start in range(r, n, p):
                 named = dict(names)
                 for k in ([k for k in open_at if k >= start]
                           + [k for k in open_at if k < start]):
-                    named[word[k].chord] = len(named)
+                    named[word[k][0]] = len(named)
                 survivors.setdefault(frozenset(named.items()), named)
         contexts = list(survivors.values())
     return tuple(key)

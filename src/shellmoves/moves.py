@@ -81,7 +81,7 @@ def _sgn(s: str) -> int:
 
 def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
     """``G`` with the named chords erased: their signs and endpoints."""
-    return G._edited({c: [ep for ep in w if ep.chord not in chords]
+    return G._edited({c: [ep for ep in w if ep[0] not in chords]
                       for c, w in enumerate(G.circles)}, drop=chords)
 
 
@@ -130,7 +130,7 @@ def _apply_r1_insert(G, site):
     _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
     word = G.circles[c]
     cid, = G._fresh_ids("n", 1)
-    pair = (Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL))
+    pair = ((cid, INITIAL), (cid, TERMINAL))
     if order == "TI":
         pair = pair[::-1]
     return (G._edited({c: word[:g] + pair + word[g:]}, {cid: eps}),
@@ -140,14 +140,15 @@ def _apply_r1_insert(G, site):
 def _apply_r1_delete(G, site):
     (c, p), = site.anchors
     u, v = _pair(G, c, p)
+    chord, kind = u
     # on a one-endpoint circle u and v are the same endpoint
-    _check(u.chord == v.chord and u != v, "tokens are not a free chord")
+    _check(chord == v[0] and u != v, "tokens are not a free chord")
     # the chord's endpoints close up into the gap where the earlier one stood
     gap = min(p, (p + 1) % len(G.circles[c]))
-    order = "IT" if u.kind == INITIAL else "TI"
+    order = "IT" if kind == INITIAL else "TI"
     inv = MoveSite(R1_INSERT, ((c, gap),),
-                   ("+" if G.signs[u.chord] > 0 else "-", order))
-    return _without(G, u.chord), inv
+                   ("+" if G.signs[chord] > 0 else "-", order))
+    return _without(G, chord), inv
 
 
 def _apply_r2_insert(G, site):
@@ -161,8 +162,8 @@ def _apply_r2_insert(G, site):
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
     x, y = G._fresh_ids("n", 2)
-    head = (Endpoint(x, INITIAL), Endpoint(y, INITIAL))
-    tail = (Endpoint(x, TERMINAL), Endpoint(y, TERMINAL))
+    head = ((x, INITIAL), (y, INITIAL))
+    tail = ((x, TERMINAL), (y, TERMINAL))
     if variant == "anti":
         tail = tail[::-1]
     # (p1, p2): where the head and tail blocks start in the image
@@ -183,18 +184,17 @@ def _validate_r2_pattern(G, site):
     terminals at the second in the same (par) or swapped (anti) order."""
     (c1, p1), (c2, p2) = site.anchors
     variant, = site.params
-    a, b = _pair(G, c1, p1)
-    _check(a.kind == INITIAL and b.kind == INITIAL, "first pair must be initials")
-    _check(a.chord != b.chord, "pair needs two chords")
-    x, y = a.chord, b.chord
+    (x, a), (y, b) = _pair(G, c1, p1)
+    _check(a == INITIAL and b == INITIAL, "first pair must be initials")
+    _check(x != y, "pair needs two chords")
     _check(G.signs[x] == -G.signs[y], "chords must have opposite signs")
     u, v = _pair(G, c2, p2)
     if variant == "par":
-        _check((u.chord, u.kind) == (x, TERMINAL)
-               and (v.chord, v.kind) == (y, TERMINAL), "terminal pair mismatch")
+        _check(u == (x, TERMINAL) and v == (y, TERMINAL),
+               "terminal pair mismatch")
     elif variant == "anti":
-        _check((u.chord, u.kind) == (y, TERMINAL)
-               and (v.chord, v.kind) == (x, TERMINAL), "terminal pair mismatch")
+        _check(u == (y, TERMINAL) and v == (x, TERMINAL),
+               "terminal pair mismatch")
     else:
         raise StaleSite(f"bad variant {variant!r}")
     return x, y
@@ -238,10 +238,11 @@ def _apply_s1(G, site):
     e = word[p]
     u, v = word[p - 1], word[(p + 1) % len(word)]
     _check(is_shell_layer(G, u, e, v), "no shell flanking this endpoint")
-    shell = u.chord
+    shell = u[0]
     # the shell's endpoints flank e, so only circle c loses them
-    words = {c: [ep for ep in word if ep.chord != shell]}
-    target = Endpoint(e.chord, TERMINAL if e.kind == INITIAL else INITIAL)
+    words = {c: [ep for ep in word if ep[0] != shell]}
+    chord, kind = e
+    target = (chord, TERMINAL if kind == INITIAL else INITIAL)
     c2 = G.locate(*target)[0]
     w = words.setdefault(c2, list(G.circles[c2]))
     p2 = w.index(target)
@@ -252,7 +253,7 @@ def _apply_s1(G, site):
 def _apply_s2_insert(G, site):
     (c, p), = site.anchors
     e, f = _pair(G, c, p)
-    _check(e.chord != f.chord, "adjacent endpoints must belong to two chords")
+    _check(e[0] != f[0], "adjacent endpoints must belong to two chords")
     word = G.circles[c]
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
@@ -275,14 +276,14 @@ def _validate_s2_delete(G, site):
     n = len(word)
     _check(n >= 6, "word too short")
     t = [word[(p + i) % n] for i in range(6)]
-    _check(len({(ep.chord, ep.kind) for ep in t}) == 6, "window overlaps itself")
+    _check(len(set(t)) == 6, "window overlaps itself")
     u, f, u2, v, e, v2 = t
-    _check(u.chord == u2.chord and v.chord == v2.chord, "not two shells")
+    _check(u[0] == u2[0] and v[0] == v2[0], "not two shells")
     _check(is_shell_layer(G, u, f, u2) and is_shell_layer(G, v, e, v2),
            "shells mis-oriented")
-    _check(len({u.chord, v.chord, e.chord, f.chord}) == 4, "chords must differ")
+    _check(len({u[0], v[0], e[0], f[0]}) == 4, "chords must differ")
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    _check(G.signs[v.chord] == se * sf and G.signs[u.chord] == -se * sf,
+    _check(G.signs[v[0]] == se * sf and G.signs[u[0]] == -se * sf,
            "shell signs do not cancel")
     return t
 
@@ -292,7 +293,7 @@ def _apply_s2_delete(G, site):
     (c, p), = site.anchors
     word = G.circles[c]
     rot = word[p:] + word[:p]
-    return (G._edited({c: (e, f) + rot[6:]}, drop=(u.chord, v.chord)),
+    return (G._edited({c: (e, f) + rot[6:]}, drop=(u[0], v[0])),
             MoveSite(S2_INSERT, ((c, 0),)))
 
 
@@ -323,8 +324,8 @@ def _sites_r1_delete(G):
     # a chord alone on its circle is adjacent at 0 and 1; keep the first
     free: dict[str, tuple[int, int]] = {}
     for c, p, u, v in _adjacent_pairs(G):
-        if u.chord == v.chord:
-            free.setdefault(u.chord, (c, p))
+        if u[0] == v[0]:
+            free.setdefault(u[0], (c, p))
     return [MoveSite(R1_DELETE, (free[cid],)) for cid in G.signs if cid in free]
 
 
@@ -343,14 +344,13 @@ def _sites_r2_insert(G):
 
 
 def _sites_r2_delete(G):
-    tt = {(u.chord, v.chord): (c, p) for c, p, u, v in _adjacent_pairs(G)
-          if u.kind == v.kind == TERMINAL}
+    tt = {(x, y): (c, p) for c, p, (x, a), (y, b) in _adjacent_pairs(G)
+          if a == b == TERMINAL}
     out = []
-    for c, p, u, v in _adjacent_pairs(G):
-        if u.kind != INITIAL or v.kind != INITIAL:
+    for c, p, (x, a), (y, b) in _adjacent_pairs(G):
+        if a != INITIAL or b != INITIAL:
             continue
-        for variant, key in (("par", (u.chord, v.chord)),
-                             ("anti", (v.chord, u.chord))):
+        for variant, key in (("par", (x, y)), ("anti", (y, x))):
             spot = tt.get(key)
             if spot is not None:
                 site = MoveSite(R2_DELETE, ((c, p), spot), (variant,))
@@ -367,14 +367,14 @@ def _sites_r3(G):
     # (hq>, hp>), (x<, hp<), (x>, hq<), matched so the exchange is an
     # involution; a TT pair's II partner is the pair starting or ending at hp<
     tt, it, ti, ii_from, ii_to = {}, {}, {}, {}, {}
-    for c, p, u, v in _adjacent_pairs(G):
-        if u.kind != v.kind:
-            (it if u.kind == INITIAL else ti)[u.chord, v.chord] = (c, p)
-        elif u.kind == TERMINAL:
-            tt[u.chord, v.chord] = (c, p)
+    for c, p, (u, a), (v, b) in _adjacent_pairs(G):
+        if a != b:
+            (it if a == INITIAL else ti)[u, v] = (c, p)
+        elif a == TERMINAL:
+            tt[u, v] = (c, p)
         else:
-            ii_from[u.chord] = (v.chord, (c, p))
-            ii_to[v.chord] = (u.chord, (c, p))
+            ii_from[u] = (v, (c, p))
+            ii_to[v] = (u, (c, p))
     out = []
     for image, ii, third in ((False, ii_from, it), (True, ii_to, ti)):
         for (h1, h2), a1 in tt.items():
@@ -395,14 +395,14 @@ def _sites_s1(G):
         triples = zip(word[-1:] + word[:-1], word, word[1:] + word[:1])
         for p, (u, e, v) in enumerate(triples):
             # most positions already fail on the chords
-            if u.chord == v.chord and is_shell_layer(G, u, e, v):
+            if u[0] == v[0] and is_shell_layer(G, u, e, v):
                 out.append(MoveSite(S1, ((c, p),)))
     return out
 
 
 def _s2_insert_spots(G):
     """S2_insert's pattern: adjacent endpoints of two different chords."""
-    return [(c, p) for c, p, u, v in _adjacent_pairs(G) if u.chord != v.chord]
+    return [(c, p) for c, p, u, v in _adjacent_pairs(G) if u[0] != v[0]]
 
 
 def _sites_s2_insert(G):
@@ -415,7 +415,7 @@ def _sites_s2_delete(G):
         n = len(word)
         if n < 6:
             continue
-        ids = [ep.chord for ep in word + word[:5]]
+        ids = [ep[0] for ep in word + word[:5]]
         for p in range(n):
             # most positions already fail on the shell chords
             if ids[p] != ids[p + 2] or ids[p + 3] != ids[p + 5]:

@@ -98,7 +98,7 @@ def _snail_words(main: str, shells: list[str], eps: int, n: int,
     """
     signs = {main: eps}
     signs.update(dict.fromkeys(shells, -eps if n > 0 else eps))
-    ini, ter = Endpoint(main, INITIAL), Endpoint(main, TERMINAL)
+    ini, ter = (main, INITIAL), (main, TERMINAL)
     if nonself:
         return signs, shell_layers(ini, -eps, shells[::-1]), [ter]
     return signs, [ini] + shell_layers(ter, eps, shells[::-1]), []
@@ -305,8 +305,8 @@ def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:
             return G, cid
     q1, q2 = G._fresh_ids("r", 2)
     return G._edited(
-        {0: G.circles[0] + (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL)),
-         1: G.circles[1] + (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))},
+        {0: G.circles[0] + ((q1, INITIAL), (q2, INITIAL)),
+         1: G.circles[1] + ((q1, TERMINAL), (q2, TERMINAL))},
         {q1: 1, q2: -1}), q1
 
 

@@ -74,13 +74,13 @@ def ref_nest_around(G, circle, p):
     layers = []
     k = 0
     while 2 * (k + 1) + 1 <= n:
-        a = word[(p - 1 - k) % n]
-        b = word[(p + 1 + k) % n]
-        if a.chord != b.chord or a.chord == e.chord or a.kind == b.kind:
+        a, a_kind = word[(p - 1 - k) % n]
+        b, b_kind = word[(p + 1 + k) % n]
+        if a != b or a == e[0] or a_kind == b_kind:
             break
-        if (a.kind == INITIAL) != want_initial_first:
+        if (a_kind == INITIAL) != want_initial_first:
             break
-        layers.append(a.chord)
+        layers.append(a)
         k += 1
     return layers
 
@@ -127,7 +127,7 @@ def ref_dress_endpoint(G, chord, kind, total):
     near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
     seg = [ep]
     for sid in ids:
-        seg = [Endpoint(sid, near)] + seg + [Endpoint(sid, far)]
+        seg = [(sid, near)] + seg + [(sid, far)]
     word = G.circles[c]
     circles = list(G.circles)
     circles[c] = word[:p] + tuple(seg) + word[p + 1:]
@@ -147,12 +147,12 @@ def ref_transfer_shells(G, chord, x):
 def ref_append_gadget(G, circle, positive):
     g, s = ref_fresh_ids(G, "r", 2)
     if positive:
-        block = (Endpoint(s, TERMINAL), Endpoint(g, INITIAL),
-                 Endpoint(s, INITIAL), Endpoint(g, TERMINAL))
+        block = ((s, TERMINAL), (g, INITIAL),
+                 (s, INITIAL), (g, TERMINAL))
         signs = {g: 1, s: -1}
     else:
-        block = (Endpoint(g, INITIAL), Endpoint(s, TERMINAL),
-                 Endpoint(g, TERMINAL), Endpoint(s, INITIAL))
+        block = ((g, INITIAL), (s, TERMINAL),
+                 (g, TERMINAL), (s, INITIAL))
         signs = {g: -1, s: 1}
     circles = list(G.circles)
     circles[circle] = circles[circle] + block
@@ -171,8 +171,8 @@ def ref_nonself_anchor(G):
             return G, cid
     q1, q2 = ref_fresh_ids(G, "r", 2)
     circles = list(G.circles)
-    circles[0] += (Endpoint(q1, INITIAL), Endpoint(q2, INITIAL))
-    circles[1] += (Endpoint(q1, TERMINAL), Endpoint(q2, TERMINAL))
+    circles[0] += ((q1, INITIAL), (q2, INITIAL))
+    circles[1] += ((q1, TERMINAL), (q2, TERMINAL))
     signs = dict(G.signs)
     signs.update({q1: 1, q2: -1})
     return GaussDiagram(signs, circles), q1
@@ -181,9 +181,9 @@ def ref_nonself_anchor(G):
 # an R3 configuration, whose three adjacent endpoint pairs walks seldom
 # bring together: tests deal these blocks into diagrams by hand
 R3_SIGNS = {"p": -1, "q": -1, "x": 1}
-R3_BLOCKS = ((Endpoint("p", TERMINAL), Endpoint("q", TERMINAL)),
-             (Endpoint("p", INITIAL), Endpoint("x", INITIAL)),
-             (Endpoint("q", INITIAL), Endpoint("x", TERMINAL)))
+R3_BLOCKS = ((("p", TERMINAL), ("q", TERMINAL)),
+             (("p", INITIAL), ("x", INITIAL)),
+             (("q", INITIAL), ("x", TERMINAL)))
 
 
 def random_diagram(rng: random.Random, mu: int, max_chords: int,
@@ -193,7 +193,7 @@ def random_diagram(rng: random.Random, mu: int, max_chords: int,
     n = rng.randint(0, max_chords) if chords is None else chords
     ids = [f"c{i}" for i in range(n)]
     signs = {cid: rng.choice((1, -1)) for cid in ids}
-    eps = [Endpoint(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]
+    eps = [(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]
     rng.shuffle(eps)
     if mu == 1:
         return GaussDiagram(signs, [tuple(eps)])
@@ -231,8 +231,8 @@ def random_link_with_lambda(rng: random.Random, lam: int,
     signs = {cid: s for cid, s, _, _ in chords}
     words: tuple[list[Endpoint], list[Endpoint]] = ([], [])
     for cid, _, ci, ct in chords:
-        words[ci].insert(rng.randint(0, len(words[ci])), Endpoint(cid, INITIAL))
-        words[ct].insert(rng.randint(0, len(words[ct])), Endpoint(cid, TERMINAL))
+        words[ci].insert(rng.randint(0, len(words[ci])), (cid, INITIAL))
+        words[ct].insert(rng.randint(0, len(words[ct])), (cid, TERMINAL))
     return GaussDiagram(signs, [tuple(words[0]), tuple(words[1])])
 
 

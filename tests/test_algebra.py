@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from shellmoves.algebra import LaurentPoly, gamma_class, parse_poly
+from shellmoves.algebra import LaurentPoly, LinkingClass, gamma_class, parse_poly
 
 LP = LaurentPoly
 
@@ -150,6 +150,35 @@ def test_gamma_class_equality_matches_exhaustive_twist_check():
             f2, g2 = _random_poly(rng), _random_poly(rng)
         same = gamma_class(s, f1, g1) == gamma_class(s, f2, g2)
         assert same == _related_by_twist(s, f1, g1, f2, g2)
+
+
+def ref_gamma_class(s, f, g):
+    """Every one of the s twists for s >= 1, each read as its concatenated
+    vectors: the least is the canonical pair."""
+    fv, gv = f.vector(s), g.vector(s)
+    best = min(tuple(fv[(i - k) % s] for i in range(s))
+               + tuple(gv[(i + k) % s] for i in range(s)) for k in range(s))
+    return LinkingClass(s, LP.from_vector(best[:s]), LP.from_vector(best[s:]))
+
+
+def _periodic_vector(rng, s):
+    """A vector of length s that repeats a block of a random divisor of s."""
+    p = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+    return [rng.randint(-2, 2) for _ in range(p)] * (s // p)
+
+
+def test_gamma_class_matches_the_all_twists_reference():
+    rng = random.Random(10)
+    for trial in range(3000):
+        s = rng.randint(1, 40)
+        shape = trial % 3  # all-zero, periodic or random f
+        fv = ([0] * s if shape == 0 else _periodic_vector(rng, s)
+              if shape == 1 else [rng.randint(-2, 2) for _ in range(s)])
+        gv = (_periodic_vector(rng, s) if rng.random() < 0.3
+              else [rng.randint(-2, 2) for _ in range(s)])
+        f = LP.from_vector(fv).shift(rng.randint(-50, 50))
+        g = LP.from_vector(gv).shift(rng.randint(-50, 50))
+        assert gamma_class(s, f, g) == ref_gamma_class(s, f, g), (s, fv, gv)
 
 
 def test_derivative_sum_well_defined_on_classes():

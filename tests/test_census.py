@@ -35,7 +35,7 @@ def _inserted(word: tuple, gap: int, ep: Endpoint) -> tuple:
 def _grown(G: GaussDiagram):
     """Every diagram made from ``G`` by adding one chord."""
     cid = f"c{len(G)}"
-    first, last = Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)
+    first, last = (cid, INITIAL), (cid, TERMINAL)
     for ci, word in enumerate(G.circles):
         for gi in range(len(word) + 1):
             circles = list(G.circles)

@@ -1,11 +1,11 @@
 """Gauss-code parsing, validation, shells, surgery, component swap."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
 from shellmoves.diagram import (
-    Endpoint,
     GaussDiagram,
     INITIAL,
     TERMINAL,
@@ -80,11 +80,15 @@ def test_parse_rejects_inexact_keyword(line):
                          "circle 1: a< a> b< b>")
 
 
-def _eps(text: str) -> tuple[Endpoint, ...]:
-    return tuple(Endpoint(tok[:-1], tok[-1]) for tok in text.split())
+def _eps(text: str) -> tuple[tuple[str, str], ...]:
+    return tuple((tok[:-1], tok[-1]) for tok in text.split())
 
 
-E = Endpoint
+class _Pair(NamedTuple):
+    """A tuple subclass that compares equal to a plain pair."""
+
+    chord: str
+    kind: str
 
 
 @pytest.mark.parametrize("signs, words, err, message", [
@@ -111,27 +115,35 @@ E = Endpoint
      "endpoint references unknown chord 'y'"),
     # only what the text format carries: a stray endpoint of a third kind
     # (which arc sums would read as initial), then ids tokens cannot spell,
-    # given as tuples of endpoints; a plain tuple is not an endpoint
+    # given as tuples of endpoints; an endpoint is an exact 2-tuple
     ({"a": 1, "b": 1}, ["a< b< a> b? b>"], GaussCodeError,
      "chord 'b' has an endpoint of kind '?'"),
-    ({"a b": 1}, [(E("a b", "<"), E("a b", ">"))], GaussCodeError,
+    ({"a b": 1}, [(("a b", "<"), ("a b", ">"))], GaussCodeError,
      "bad chord id 'a b'"),
-    ({"": 1}, [(E("", "<"), E("", ">"))], GaussCodeError, "bad chord id ''"),
-    ({"g<": 1}, [(E("g<", "<"), E("g<", ">"))], GaussCodeError,
+    ({"": 1}, [(("", "<"), ("", ">"))], GaussCodeError, "bad chord id ''"),
+    ({"g<": 1}, [(("g<", "<"), ("g<", ">"))], GaussCodeError,
      "bad chord id 'g<'"),
-    ({7: 1}, [(E(7, "<"), E(7, ">"))], GaussCodeError, "bad chord id 7"),
-    ({"a": 1}, [(("a", "<"), ("a", ">"))], GaussCodeError,
-     "word element ('a', '<') is not an Endpoint"),
-    ({"a": 1}, [(E("a", "<"), E("a", ">"), "b")], GaussCodeError,
-     "word element 'b' is not an Endpoint"),
+    ({7: 1}, [((7, "<"), (7, ">"))], GaussCodeError, "bad chord id 7"),
+    ({"a": 1}, [(("a", "<", "x"), ("a", ">"))], GaussCodeError,
+     "word element ('a', '<', 'x') is not a (chord, kind) pair"),
+    ({"a": 1}, [(("a", "<"), ("a", ">"), "b")], GaussCodeError,
+     "word element 'b' is not a (chord, kind) pair"),
     # a non-endpoint element fails as it is read; the kind and id checks
     # come last: bad sign first, then kinds, then ids
-    ({"a": 2}, [(E("a", "<"), ("a", ">"), E("a", "<"))], GaussCodeError,
-     "word element ('a', '>') is not an Endpoint"),
-    ({"a b": 2}, [(E("a b", "<"), E("a b", "?"), E("a b", ">"))], BadSign,
+    ({"a": 2}, [(("a", "<"), ("a", ">", "x"), ("a", "<"))], GaussCodeError,
+     "word element ('a', '>', 'x') is not a (chord, kind) pair"),
+    ({"a b": 2}, [(("a b", "<"), ("a b", "?"), ("a b", ">"))], BadSign,
      "chord 'a b' has sign 2"),
-    ({"a b": 1}, [(E("a b", "<"), E("a b", "?"), E("a b", ">"))],
+    ({"a b": 1}, [(("a b", "<"), ("a b", "?"), ("a b", ">"))],
      GaussCodeError, "chord 'a b' has an endpoint of kind '?'"),
+    # a tuple subclass, a list and a string are not pairs either, though
+    # each has two items and the first two compare equal to a pair
+    ({"a": 1}, [(_Pair("a", "<"), ("a", ">"))], GaussCodeError,
+     "word element _Pair(chord='a', kind='<') is not a (chord, kind) pair"),
+    ({"a": 1}, [(("a", "<"), ["a", ">"])], GaussCodeError,
+     "word element ['a', '>'] is not a (chord, kind) pair"),
+    ({"a": 1}, [("a<", ("a", ">"))], GaussCodeError,
+     "word element 'a<' is not a (chord, kind) pair"),
 ])
 def test_constructor_validates(signs, words, err, message):
     """Each fault raises its own error, and so does rebuilding it from a
@@ -145,6 +157,11 @@ def test_constructor_validates(signs, words, err, message):
     data = pickle.dumps(GaussDiagram._unchecked(dict(signs), tuple(words)))
     with pytest.raises(err):
         pickle.loads(data)
+
+
+def test_constructor_accepts_plain_pairs():
+    G = GaussDiagram({"a": 1}, [(("a", "<"), ("a", ">"))])
+    assert serialize(G) == "circles: 1\nchord a +\ncircle 1: a< a>\n"
 
 
 def test_serialize_empty():
@@ -169,12 +186,12 @@ def test_serialize_roundtrip_random():
 
 def test_endpoint_signs():
     G = parse_gauss_code("circles: 1\nchord g +\nchord h -\ncircle 1: g< h< g> h>")
-    assert G.endpoint_sign(Endpoint("g", INITIAL)) == -1
-    assert G.endpoint_sign(Endpoint("g", TERMINAL)) == 1
-    assert G.endpoint_sign(Endpoint("h", INITIAL)) == 1
-    assert G.endpoint_sign(Endpoint("h", TERMINAL)) == -1
+    assert G.endpoint_sign(("g", INITIAL)) == -1
+    assert G.endpoint_sign(("g", TERMINAL)) == 1
+    assert G.endpoint_sign(("h", INITIAL)) == 1
+    assert G.endpoint_sign(("h", TERMINAL)) == -1
     with pytest.raises(UnknownChordId):
-        G.endpoint_sign(Endpoint("zz", INITIAL))
+        G.endpoint_sign(("zz", INITIAL))
 
 
 def test_total_endpoint_sign_is_zero():
@@ -315,8 +332,8 @@ def _brute_isomorphic(G, H):
         if any(G.signs[a] != H.signs[m[a]] for a in gids):
             continue
         for ci in range(G.mu):
-            gw = tuple((m[e.chord], e.kind) for e in G.circles[ci])
-            hw = [(e.chord, e.kind) for e in H.circles[ci]]
+            gw = tuple((m[e[0]], e[1]) for e in G.circles[ci])
+            hw = list(H.circles[ci])
             rots = [tuple(hw[r:] + hw[:r]) for r in range(max(len(hw), 1))]
             if gw not in rots:
                 break
@@ -338,7 +355,7 @@ def test_isomorphism_matches_brute_force_oracle():
             signs = {table[c]: s for c, s in G.signs.items()}
             circles = []
             for w in G.circles:
-                w2 = tuple(Endpoint(table[e.chord], e.kind) for e in w)
+                w2 = tuple((table[e[0]], e[1]) for e in w)
                 r = rng.randrange(len(w2)) if w2 else 0
                 circles.append(w2[r:] + w2[:r])
             H = GaussDiagram(signs, circles)

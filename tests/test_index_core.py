@@ -13,7 +13,6 @@ from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
     CircleWalk,
-    Endpoint,
     GaussDiagram,
     circle_walk,
     surgery,
@@ -152,8 +151,8 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
 
 def test_arc_sign_sums_wrap_past_the_basepoint():
     # b's arc runs from position 3 past the basepoint to position 1
-    word = (Endpoint("a", INITIAL), Endpoint("b", TERMINAL),
-            Endpoint("a", TERMINAL), Endpoint("b", INITIAL))
+    word = (("a", INITIAL), ("b", TERMINAL),
+            ("a", TERMINAL), ("b", INITIAL))
     for w in (word, word[1:] + word[:1]):
         G = GaussDiagram({"a": 1, "b": -1}, [w])
         assert (G.arc_sign_sum("a"), G.arc_sign_sum("b")) == (-1, -1)
@@ -228,7 +227,7 @@ def _with_free_chords(seed: int) -> GaussDiagram:
         for k in range(rng.randint(1, 3) if word else 1):
             cid = f"f{c}_{k}"
             signs[cid] = rng.choice((1, -1))
-            pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
+            pair = [(cid, INITIAL), (cid, TERMINAL)]
             if rng.random() < 0.5:
                 pair.reverse()
             g = rng.randint(0, len(word))

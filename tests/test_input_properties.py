@@ -9,7 +9,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from shellmoves.cli import main
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
                                 parse_gauss_code, serialize)
 from shellmoves.errors import GaussCodeError, StaleSite
 from shellmoves.moves import MOVE_KINDS, apply_move, site_from_text
@@ -101,7 +101,7 @@ def _diagrams(draw):
     ids = sorted(draw(st.sets(_IDS, max_size=7)))
     signs = {cid: draw(st.sampled_from((1, -1))) for cid in ids}
     eps = draw(st.permutations(
-        [Endpoint(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]))
+        [(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]))
     if draw(st.booleans()):
         return GaussDiagram(signs, [tuple(eps)])
     cut = draw(st.integers(0, len(eps)))
@@ -126,9 +126,9 @@ def _any_diagrams(draw):
     wide = st.text("ab <>#:\t\r\x1f\x85\u2028\u200bé", max_size=3)
     ids = draw(st.lists(st.one_of(_IDS, wide), max_size=5, unique=True))
     signs = {cid: draw(st.sampled_from((1, -1))) for cid in ids}
-    eps = [Endpoint(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]
+    eps = [(cid, k) for cid in ids for k in (INITIAL, TERMINAL)]
     if ids and draw(st.booleans()):
-        eps.append(Endpoint(draw(st.sampled_from(ids)),
+        eps.append((draw(st.sampled_from(ids)),
                             draw(st.sampled_from("<>?"))))
     eps = draw(st.permutations(eps))
     if eps and draw(st.booleans()):

@@ -11,13 +11,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shellmoves.algebra import least_rotation, period
 from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
     Endpoint,
     GaussDiagram,
-    _least_rotation,
-    _period,
     canonical_key,
     parse_gauss_code,
 )
@@ -47,11 +46,11 @@ def reference_key(G: GaussDiagram):
                 toks = []
                 for k in range(n):
                     ep = word[(r + k) % n]
-                    idx = ren2.get(ep.chord)
+                    idx = ren2.get(ep[0])
                     if idx is None:
-                        idx = ren2[ep.chord] = cnt
+                        idx = ren2[ep[0]] = cnt
                         cnt += 1
-                    toks.append((idx, ep.kind, G.signs[ep.chord]))
+                    toks.append((idx, ep[1], G.signs[ep[0]]))
                 key = acc + (tuple(toks),)
                 if best_acc is None or key < best_acc:
                     best_acc = key
@@ -68,7 +67,7 @@ def relabel_and_rotate(rng: random.Random, G: GaussDiagram) -> GaussDiagram:
     table = dict(zip(names, rng.sample(names, len(names))))
     circles = []
     for word in G.circles:
-        word = tuple(Endpoint(table[ep.chord], ep.kind) for ep in word)
+        word = tuple((table[ep[0]], ep[1]) for ep in word)
         r = rng.randrange(len(word)) if word else 0
         circles.append(word[r:] + word[:r])
     return GaussDiagram({table[c]: s for c, s in G.signs.items()}, circles)
@@ -98,7 +97,7 @@ def periodic(rng: random.Random, mu: int, copies: int) -> GaussDiagram:
             if terminal_first:
                 ends.reverse()
             for c, kind in ends:
-                circles[c].append(Endpoint(cid, kind))
+                circles[c].append((cid, kind))
     return GaussDiagram(signs, circles)
 
 
@@ -189,8 +188,8 @@ def test_least_rotation_and_period_match_brute_force():
         n = len(s)
         rots = [s[r:] + s[:r] for r in range(n)]
         least = min(rots)
-        assert _least_rotation(s) == rots.index(least)
-        assert _period(tuple(least)) == next(
+        assert least_rotation(s) == rots.index(least)
+        assert period(tuple(least)) == next(
             p for p in range(1, n + 1) if least[p:] + least[:p] == least)
 
 
@@ -202,7 +201,7 @@ def diagrams_and_images(draw):
     mu = draw(st.integers(1, 3))
     signs = {f"c{i}": draw(st.sampled_from((1, -1))) for i in range(n)}
     eps = draw(st.permutations(
-        [Endpoint(c, k) for c in signs for k in (INITIAL, TERMINAL)]))
+        [(c, k) for c in signs for k in (INITIAL, TERMINAL)]))
     cuts = sorted(draw(st.lists(st.integers(0, len(eps)),
                                 min_size=mu - 1, max_size=mu - 1)))
     bounds = [0] + cuts + [len(eps)]
@@ -213,7 +212,7 @@ def diagrams_and_images(draw):
     circles = []
     for word in words:
         r = draw(st.integers(0, max(len(word) - 1, 0)))
-        word = [Endpoint(table[ep.chord], ep.kind) for ep in word]
+        word = [(table[ep[0]], ep[1]) for ep in word]
         circles.append(word[r:] + word[:r])
     H = GaussDiagram({table[c]: s for c, s in signs.items()}, circles)
     return G, H

@@ -66,7 +66,7 @@ def ref_self_writhe_tables(G: GaussDiagram):
 
 def ref_nonself_endpoints(G: GaussDiagram):
     on_circle2 = {chord for chord, _ in G.circles[1]}
-    return [ep for ep in G.circles[0] if ep.chord in on_circle2]
+    return [ep for ep in G.circles[0] if ep[0] in on_circle2]
 
 
 def ref_linking_data(G: GaussDiagram) -> tuple[int, int, int]:
@@ -94,7 +94,7 @@ def ref_linking_class(G: GaussDiagram):
     nonself = ref_nonself_endpoints(G)
     if not nonself:
         return gamma_class(0, LaurentPoly(), LaurentPoly())
-    t12, t21 = ref_nonself_writhe_tables(G, nonself[0].chord)
+    t12, t21 = ref_nonself_writhe_tables(G, nonself[0][0])
     lam = sum(t12.values()) - sum(t21.values())
     return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
 
@@ -138,7 +138,7 @@ def _seeded_link(seed: int) -> GaussDiagram:
 
 def _first_nonself_is_terminal(G: GaussDiagram) -> bool:
     nonself = ref_nonself_endpoints(G)
-    return bool(nonself) and nonself[0].kind == TERMINAL
+    return bool(nonself) and nonself[0][1] == TERMINAL
 
 
 def test_link_profile_matches_the_merged_circle_reference():

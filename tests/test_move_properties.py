@@ -9,7 +9,7 @@ configuration."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
                                 isomorphic)
 from shellmoves.invariants import profile
 from shellmoves.moves import (MOVE_KINDS, apply_move, apply_move_with_inverse,
@@ -31,7 +31,7 @@ def _diagrams(draw):
     n = draw(st.integers(0, 4))
     signs = dict(R3_SIGNS)
     signs.update((f"c{k}", draw(st.sampled_from((1, -1)))) for k in range(n))
-    blocks = list(R3_BLOCKS) + [(Endpoint(f"c{k}", kind),) for k in range(n)
+    blocks = list(R3_BLOCKS) + [((f"c{k}", kind),) for k in range(n)
                                  for kind in (INITIAL, TERMINAL)]
     mu = draw(st.sampled_from((1, 2)))
     words = [[] for _ in range(mu)]

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from shellmoves import moves
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
                                 canonical_key, serialize)
 from shellmoves.errors import StaleSite
 from shellmoves.moves import (MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
@@ -67,7 +67,7 @@ def ref_r1_insert(G, site):
     eps = _sgn(sgn)
     _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
     cid, = ref_fresh_ids(G, "n", 1)
-    pair = [Endpoint(cid, INITIAL), Endpoint(cid, TERMINAL)]
+    pair = [(cid, INITIAL), (cid, TERMINAL)]
     if order == "TI":
         pair.reverse()
     circles = list(G.circles)
@@ -81,15 +81,15 @@ def ref_r1_insert(G, site):
 def ref_r1_delete(G, site):
     (c, p), = site.anchors
     u, v = _pair(G, c, p)
-    _check(u.chord == v.chord and u != v, "tokens are not a free chord")
+    _check(u[0] == v[0] and u != v, "tokens are not a free chord")
     word = G.circles[c]
     q = (p + 1) % len(word)
     circles = list(G.circles)
     circles[c] = ref_delete_positions(word, (p, q))
     signs = dict(G.signs)
-    sign = signs.pop(u.chord)
+    sign = signs.pop(u[0])
     gap = q - (1 if p < q else 0)
-    order = "IT" if u.kind == INITIAL else "TI"
+    order = "IT" if u[1] == INITIAL else "TI"
     inv = MoveSite(R1_INSERT, ((c, gap),), ("+" if sign > 0 else "-", order))
     return GaussDiagram(signs, circles), inv
 
@@ -106,8 +106,8 @@ def ref_r2_insert(G, site):
     _check(variant in ("par", "anti"), f"bad variant {variant!r}")
     _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
     x, y = ref_fresh_ids(G, "n", 2)
-    head = [Endpoint(x, INITIAL), Endpoint(y, INITIAL)]
-    tail = [Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)]
+    head = [(x, INITIAL), (y, INITIAL)]
+    tail = [(x, TERMINAL), (y, TERMINAL)]
     if variant == "anti":
         tail.reverse()
     circles = list(G.circles)
@@ -137,17 +137,17 @@ def ref_validate_r2_pattern(G, site):
     (c1, p1), (c2, p2) = site.anchors
     variant, = site.params
     a, b = _pair(G, c1, p1)
-    _check(a.kind == INITIAL and b.kind == INITIAL, "first pair must be initials")
-    _check(a.chord != b.chord, "pair needs two chords")
-    x, y = a.chord, b.chord
+    _check(a[1] == INITIAL and b[1] == INITIAL, "first pair must be initials")
+    _check(a[0] != b[0], "pair needs two chords")
+    x, y = a[0], b[0]
     _check(G.signs[x] == -G.signs[y], "chords must have opposite signs")
     u, v = _pair(G, c2, p2)
     if variant == "par":
-        _check((u.chord, u.kind) == (x, TERMINAL)
-               and (v.chord, v.kind) == (y, TERMINAL), "terminal pair mismatch")
+        _check(u == (x, TERMINAL) and v == (y, TERMINAL),
+               "terminal pair mismatch")
     elif variant == "anti":
-        _check((u.chord, u.kind) == (y, TERMINAL)
-               and (v.chord, v.kind) == (x, TERMINAL), "terminal pair mismatch")
+        _check(u == (y, TERMINAL) and v == (x, TERMINAL),
+               "terminal pair mismatch")
     else:
         raise StaleSite(f"bad variant {variant!r}")
     return x, y
@@ -206,25 +206,25 @@ def ref_adjacent_pairs(G):
 
 def ref_sites_r2_delete(G):
     pairs = list(ref_adjacent_pairs(G))
-    tt = {(u.chord, v.chord): (c, p) for c, p, u, v in pairs
-          if u.kind == v.kind == TERMINAL}
+    tt = {(u[0], v[0]): (c, p) for c, p, u, v in pairs
+          if u[1] == v[1] == TERMINAL}
     return [MoveSite(R2_DELETE, ((c, p), tt[key]), (variant,))
-            for c, p, u, v in pairs if u.kind == v.kind == INITIAL
-            and u.chord != v.chord and G.signs[u.chord] == -G.signs[v.chord]
-            for variant, key in (("par", (u.chord, v.chord)),
-                                 ("anti", (v.chord, u.chord))) if key in tt]
+            for c, p, u, v in pairs if u[1] == v[1] == INITIAL
+            and u[0] != v[0] and G.signs[u[0]] == -G.signs[v[0]]
+            for variant, key in (("par", (u[0], v[0])),
+                                 ("anti", (v[0], u[0]))) if key in tt]
 
 
 def ref_sites_r3(G):
     tt, ii, it, ti = {}, {}, {}, {}
     for c, p, u, v in ref_adjacent_pairs(G):
-        key = (u.chord, v.chord)
+        key = (u[0], v[0])
         spot = (c, p)
-        if u.kind == TERMINAL and v.kind == TERMINAL:
+        if u[1] == TERMINAL and v[1] == TERMINAL:
             tt[key] = spot
-        elif u.kind == INITIAL and v.kind == INITIAL:
+        elif u[1] == INITIAL and v[1] == INITIAL:
             ii[key] = spot
-        elif u.kind == INITIAL:
+        elif u[1] == INITIAL:
             it[key] = spot
         else:
             ti[key] = spot
@@ -256,7 +256,7 @@ REF_KINDS = {**REF_HANDLERS, R3: ref_apply_r3, **REF_APPLY}
 REF_FINDERS = {R1_DELETE: per_chord_r1_delete_sites,
                R2_DELETE: ref_sites_r2_delete, R3: ref_sites_r3, S1: ref_sites_s1,
                S2_INSERT: lambda G: [MoveSite(S2_INSERT, ((c, p),)) for c, p, u, v
-                                     in ref_adjacent_pairs(G) if u.chord != v.chord],
+                                     in ref_adjacent_pairs(G) if u[0] != v[0]],
                S2_DELETE: ref_sites_s2_delete}
 
 
@@ -379,8 +379,8 @@ def _r3_diagrams(count=400):
         blocks = list(R3_BLOCKS)
         for k in range(rng.randint(0, 4)):
             signs[f"c{k}"] = rng.choice((1, -1))
-            blocks += [(Endpoint(f"c{k}", INITIAL),),
-                       (Endpoint(f"c{k}", TERMINAL),)]
+            blocks += [((f"c{k}", INITIAL),),
+                       ((f"c{k}", TERMINAL),)]
         rng.shuffle(blocks)
         words = [[] for _ in range(1 + i % 2)]
         for block in blocks:
@@ -433,8 +433,8 @@ def test_finder_errors_are_not_reported_as_unknown_kind():
     # raise KeyError
     x, y = "x", "y"
     G = GaussDiagram._unchecked({}, (
-        (Endpoint(x, INITIAL), Endpoint(y, INITIAL),
-         Endpoint(x, TERMINAL), Endpoint(y, TERMINAL)),))
+        ((x, INITIAL), (y, INITIAL),
+         (x, TERMINAL), (y, TERMINAL)),))
     with pytest.raises(KeyError):
         find_move_sites(G, R2_DELETE)
     with pytest.raises(ValueError, match="unknown move kind"):

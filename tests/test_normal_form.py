@@ -28,7 +28,7 @@ from conftest import REFERENCE_LINK_SNAILS, random_diagram
 
 
 def _tokens(G):
-    return [ep.token() for ep in G.circles[0]]
+    return ["".join(ep) for ep in G.circles[0]]
 
 
 def test_encode_positive_double_snail_word():
@@ -56,8 +56,8 @@ def test_encode_negative_index_shell_signs():
 
 def test_encode_nonself_snail():
     G = encode_snail("nonself", 1, 2)
-    assert [ep.token() for ep in G.circles[0]] == ["s1>", "s2>", "g<", "s2<", "s1<"]
-    assert [ep.token() for ep in G.circles[1]] == ["g>"]
+    assert ["".join(ep) for ep in G.circles[0]] == ["s1>", "s2>", "g<", "s2<", "s1<"]
+    assert ["".join(ep) for ep in G.circles[1]] == ["g>"]
     assert G.signs == {"g": 1, "s1": -1, "s2": -1}
 
 

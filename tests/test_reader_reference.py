@@ -81,7 +81,7 @@ def ref_parse_gauss_code(text: str) -> GaussDiagram:
                 cid = tok[:-1]
                 if cid not in signs:
                     raise UnknownChordId(f"token {tok!r} references undeclared chord")
-                word.append(Endpoint(cid, kind))
+                word.append((cid, kind))
             words.append(word)
         else:
             raise GaussCodeError(f"unrecognized line {line!r}")
@@ -201,7 +201,7 @@ FALLBACKS = [
 
 @pytest.mark.parametrize("signs, circles", FALLBACKS)
 def test_reader_fallback_raises_as_the_constructor(signs, circles):
-    words = [tuple(Endpoint(tok[:-1], tok[-1]) for tok in toks)
+    words = [tuple((tok[:-1], tok[-1]) for tok in toks)
              for toks in circles]
     with pytest.raises(GaussCodeError) as want:
         GaussDiagram(signs, words)

@@ -15,7 +15,6 @@ from shellmoves import normal_form
 from shellmoves.diagram import (
     INITIAL,
     TERMINAL,
-    Endpoint,
     GaussDiagram,
     is_shell_layer,
     serialize,
@@ -64,10 +63,10 @@ def ref_self_snail_words(main, shells, eps, n):
     far = TERMINAL if eps > 0 else INITIAL
     signs = {main: eps}
     signs.update({s: sigma for s in shells})
-    word = [Endpoint(main, INITIAL)]
-    word += [Endpoint(s, near) for s in shells]
-    word.append(Endpoint(main, TERMINAL))
-    word += [Endpoint(s, far) for s in reversed(shells)]
+    word = [(main, INITIAL)]
+    word += [(s, near) for s in shells]
+    word.append((main, TERMINAL))
+    word += [(s, far) for s in reversed(shells)]
     return signs, word
 
 
@@ -77,10 +76,10 @@ def ref_nonself_snail_words(main, shells, eps, n):
     after = TERMINAL if eps < 0 else INITIAL
     signs = {main: eps}
     signs.update({s: sigma for s in shells})
-    src = [Endpoint(s, before) for s in shells]
-    src.append(Endpoint(main, INITIAL))
-    src += [Endpoint(s, after) for s in reversed(shells)]
-    return signs, src, [Endpoint(main, TERMINAL)]
+    src = [(s, before) for s in shells]
+    src.append((main, INITIAL))
+    src += [(s, after) for s in reversed(shells)]
+    return signs, src, [(main, TERMINAL)]
 
 
 def ref_encode_snail(kind, eps, n):
@@ -156,8 +155,8 @@ def ref_build_link_diagram(a, b, c, d):
 
 def ref_flank_block(shell, around, sign_around):
     if sign_around > 0:
-        return [Endpoint(shell, INITIAL), around, Endpoint(shell, TERMINAL)]
-    return [Endpoint(shell, TERMINAL), around, Endpoint(shell, INITIAL)]
+        return [(shell, INITIAL), around, (shell, TERMINAL)]
+    return [(shell, TERMINAL), around, (shell, INITIAL)]
 
 
 def ref_sites_s1(G):
@@ -169,9 +168,9 @@ def ref_sites_s1(G):
         for p in range(n):
             e = word[p]
             u, v = word[(p - 1) % n], word[(p + 1) % n]
-            if u.chord != v.chord or u.chord == e.chord:
+            if u[0] != v[0] or u[0] == e[0]:
                 continue
-            if (u.kind == INITIAL) == (G.endpoint_sign(e) > 0):
+            if (u[1] == INITIAL) == (G.endpoint_sign(e) > 0):
                 out.append(MoveSite(S1, ((c, p),)))
     return out
 
@@ -184,14 +183,14 @@ def ref_apply_s1(G, site):
     p %= n
     e = word[p]
     u, v = word[(p - 1) % n], word[(p + 1) % n]
-    _check(u.chord == v.chord and u.chord != e.chord, "no shell")
-    shell = u.chord
-    _check((u.kind == INITIAL) == (G.endpoint_sign(e) > 0), "wrong orientation")
-    other_kind = TERMINAL if e.kind == INITIAL else INITIAL
-    circles = [[ep for ep in w if ep.chord != shell] for w in G.circles]
+    _check(u[0] == v[0] and u[0] != e[0], "no shell")
+    shell = u[0]
+    _check((u[1] == INITIAL) == (G.endpoint_sign(e) > 0), "wrong orientation")
+    other_kind = TERMINAL if e[1] == INITIAL else INITIAL
+    circles = [[ep for ep in w if ep[0] != shell] for w in G.circles]
     c2, p2 = next((ci, pi) for ci, w in enumerate(circles)
                   for pi, ep in enumerate(w)
-                  if ep.chord == e.chord and ep.kind == other_kind)
+                  if ep[0] == e[0] and ep[1] == other_kind)
     target = circles[c2][p2]
     circles[c2][p2:p2 + 1] = ref_flank_block(shell, target,
                                              G.endpoint_sign(target))
@@ -202,7 +201,7 @@ def ref_apply_s1(G, site):
 def ref_apply_s2_insert(G, site):
     (c, p), = site.anchors
     e, f = _pair(G, c, p)
-    _check(e.chord != f.chord, "adjacent endpoints must belong to two chords")
+    _check(e[0] != f[0], "adjacent endpoints must belong to two chords")
     word = G.circles[c]
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
@@ -229,15 +228,15 @@ def ref_validate_s2_delete(G, site):
     n = len(word)
     _check(n >= 6, "word too short")
     t = [word[(p + i) % n] for i in range(6)]
-    _check(len({(ep.chord, ep.kind) for ep in t}) == 6, "window overlaps")
+    _check(len(set(t)) == 6, "window overlaps")
     u, f, u2, v, e, v2 = t
-    _check(u.chord == u2.chord and v.chord == v2.chord, "not two shells")
-    _check(u.chord != v.chord, "shells must be distinct")
-    _check(len({u.chord, v.chord, e.chord, f.chord}) == 4, "chords must differ")
+    _check(u[0] == u2[0] and v[0] == v2[0], "not two shells")
+    _check(u[0] != v[0], "shells must be distinct")
+    _check(len({u[0], v[0], e[0], f[0]}) == 4, "chords must differ")
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    _check((u.kind == INITIAL) == (sf > 0), "first shell mis-oriented")
-    _check((v.kind == INITIAL) == (se > 0), "second shell mis-oriented")
-    _check(G.signs[v.chord] == se * sf and G.signs[u.chord] == -se * sf,
+    _check((u[1] == INITIAL) == (sf > 0), "first shell mis-oriented")
+    _check((v[1] == INITIAL) == (se > 0), "second shell mis-oriented")
+    _check(G.signs[v[0]] == se * sf and G.signs[u[0]] == -se * sf,
            "shell signs do not cancel")
     return t
 
@@ -263,8 +262,8 @@ def ref_apply_s2_delete(G, site):
     circles = list(G.circles)
     circles[c] = (e, f) + rot[6:]
     signs = dict(G.signs)
-    signs.pop(u.chord)
-    signs.pop(v.chord)
+    signs.pop(u[0])
+    signs.pop(v[0])
     return (GaussDiagram(signs, circles),
             MoveSite(S2_INSERT, ((c, 0),)))
 
@@ -316,12 +315,12 @@ def shelled_diagrams(n_seeds):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_shell_layers_nest_innermost_first(sign):
-    e = Endpoint("e", TERMINAL)
+    e = ("e", TERMINAL)
     word = shell_layers(e, sign, ["s1", "s2", "s3"])
     assert word[3] == e
     for k, s in enumerate(["s1", "s2", "s3"]):
         before, after = word[2 - k], word[4 + k]
-        assert before.chord == after.chord == s
+        assert before[0] == after[0] == s
         assert before == ref_flank_block(s, e, sign)[0]
         assert after == ref_flank_block(s, e, sign)[2]
     assert shell_layers(e, sign, []) == [e]
@@ -329,16 +328,16 @@ def test_shell_layers_nest_innermost_first(sign):
 
 def test_is_shell_layer_matches_the_flank_rule():
     G = GaussDiagram({"a": 1, "b": -1, "s": 1},
-                     [(Endpoint("a", INITIAL), Endpoint("a", TERMINAL),
-                       Endpoint("b", INITIAL), Endpoint("b", TERMINAL),
-                       Endpoint("s", INITIAL), Endpoint("s", TERMINAL))])
+                     [(("a", INITIAL), ("a", TERMINAL),
+                       ("b", INITIAL), ("b", TERMINAL),
+                       ("s", INITIAL), ("s", TERMINAL))])
     eps = [ep for word in G.circles for ep in word]
     for around in eps:
         for before in eps:
             for after in eps:
-                want = (before.chord == after.chord != around.chord
+                want = (before[0] == after[0] != around[0]
                         and [before, around, after] == ref_flank_block(
-                            before.chord, around, G.endpoint_sign(around)))
+                            before[0], around, G.endpoint_sign(around)))
                 assert is_shell_layer(G, before, around, after) == want
 
 

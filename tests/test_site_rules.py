@@ -32,7 +32,7 @@ def _s2_images():
     S2_delete site that undoes it (built by the reference handler)."""
     return [ref_apply_s2_insert(G, MoveSite(S2_INSERT, ((c, p),)))[0]
             for G in _walked_diagrams()[::40]
-            for c, p, u, v in ref_adjacent_pairs(G) if u.chord != v.chord]
+            for c, p, u, v in ref_adjacent_pairs(G) if u[0] != v[0]]
 
 
 def _applies(G, site):
@@ -48,7 +48,7 @@ def _lone_chord_second(G, site):
         return False
     (c, p), = site.anchors
     word = G.circles[c]
-    return p == 1 and len(word) == 2 and word[0].chord == word[1].chord
+    return p == 1 and len(word) == 2 and word[0][0] == word[1][0]
 
 
 def _applied_exactly_when_listed(G, kind, n_anchors, params):

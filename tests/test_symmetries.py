@@ -15,7 +15,7 @@ import itertools
 import random
 
 from shellmoves.algebra import LaurentPoly
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
+from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
                                 parse_gauss_code)
 from shellmoves.equiv import s_equivalent
 from shellmoves.invariants import profile, writhe_polynomial
@@ -36,7 +36,7 @@ def neg(G: GaussDiagram) -> GaussDiagram:
 
 
 def arr(G: GaussDiagram) -> GaussDiagram:
-    return GaussDiagram(G.signs, [tuple(Endpoint(c, FLIP[k]) for c, k in w)
+    return GaussDiagram(G.signs, [tuple((c, FLIP[k]) for c, k in w)
                                   for w in G.circles])
 
 
@@ -129,7 +129,7 @@ circle 1: z3< z2< z1> z2> z1<
 circle 2: z3>
 """)
     H = apply_move(G, MoveSite(S1, ((0, 2),)))
-    assert " ".join(ep.token() for ep in H.circles[0]) == "z3< z1> z2> z1< z2<"
+    assert " ".join("".join(ep) for ep in H.circles[0]) == "z3< z1> z2> z1< z2<"
     assert s_equivalent(G, H)
     for op in (arr, rev_neg, arr_rev_neg):
         assert s_equivalent(op(G), op(H))
