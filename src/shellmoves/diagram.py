@@ -127,12 +127,15 @@ class GaussDiagram:
         seen: dict[Endpoint, None] = {}  # endpoints in word order
         for word in self.circles:
             for ep in word:
-                if type(ep) is not tuple or len(ep) != 2:
-                    raise GaussCodeError(
-                        f"word element {ep!r} is not a (chord, kind) pair")
-                if ep in seen:
-                    raise DuplicateEndpoint(
-                        f"chord {ep[0]!r} has two {ep[1]!r} endpoints")
+                try:  # a pair with an unhashable item fails the lookup
+                    if type(ep) is not tuple or len(ep) != 2:
+                        raise TypeError
+                    if ep in seen:
+                        raise DuplicateEndpoint(
+                            f"chord {ep[0]!r} has two {ep[1]!r} endpoints")
+                except TypeError:
+                    raise GaussCodeError(f"word element {ep!r} is not a "
+                                         "(chord, kind) pair") from None
                 seen[ep] = None
         if not self.circles:
             raise CircleCountMismatch("a diagram needs at least one circle")

@@ -109,20 +109,20 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     absence is not certified, and ValueError when ``G`` already has more
     than ``chord_cap`` chords.
 
-    A kind's children are built as they are generated only if its moves
-    can give the target's chord count and positive-chord count (read by
-    :func:`~shellmoves.moves.chord_change`), since only such a child can be
-    ``H``; each is keyed at once only if its positive chords and circle
-    lengths, which isomorphic diagrams share, are ``H``'s.  Every other
-    kind a node expands by is held: its sites count toward the budget, so
-    BudgetExceeded falls at the same count.  An insertion's sites are
-    counted (:func:`~shellmoves.moves.count_move_sites`) and listed only
-    when the next level reaches them; a deletion or exchange keeps the
-    list it is counted by.
-    The next level reads its frontier from a generator that builds the
-    held children, keys every child not yet keyed and numbers them in
-    generation order as that level asks for its next node, so it is the
-    frontier a build-everything search would reach; whatever lies past a
+    The frontier is a stream of ``(diagram, trace)`` pairs, so a hit
+    returns its parent's trace plus its own site.  A level holds one entry
+    ``(diagram, trace, kind, children)`` per node and kind; every site is
+    counted toward the budget as the entry is made, so BudgetExceeded
+    falls where a search that builds every child would raise it.  A kind
+    whose moves can give the target's chord count and positive-chord count
+    (read by :func:`~shellmoves.moves.chord_change`) builds each child as
+    it is generated, since only such a child can be ``H``, and keys it at
+    once if its positive chords and circle lengths, which isomorphic
+    diagrams share, are ``H``'s.  Any other kind is held: its children are
+    ``(site, None, None)``, or ``None`` for an insertion, whose sites are
+    counted (:func:`~shellmoves.moves.count_move_sites`) without being
+    listed.  :func:`_frontier` lists, builds and keys a held or unkeyed
+    child only when the next level asks for it, so whatever lies past a
     hit, the budget or the last level is never built or keyed.
     """
     if G.mu != H.mu:
@@ -136,71 +136,57 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     size = len(H)
     goal = _signature(H)
     spent = f"{node_budget} candidates generated"
-    nodes: list[tuple[GaussDiagram, int, MoveSite | None]] = [(G, -1, None)]
     seen = {start}
-    frontier: Iterable[int] = [0]
+    frontier: Iterable[tuple[GaussDiagram, tuple[MoveSite, ...]]] = [(G, ())]
     generated = 0
     for depth in range(max_depth):
-        # (parent idx, kind, a held kind's sites, [(site, child, key)]);
-        # a built child's key is None until it is needed
-        level: list[tuple[int, str, list | None, list | None]] = []
-        for idx in frontier:
-            diagram = nodes[idx][0]
+        level: list[tuple[GaussDiagram, tuple, str, list | None]] = []
+        for diagram, trace in frontier:
             n, gain = len(diagram), goal[0] - _signature(diagram)[0]
             for kind, change, positive in _EXPANSION:
                 if not fits(diagram, kind, chord_cap):
                     continue
-                if n + change != size or gain not in positive:
-                    sites = (None if change > 0
-                             else find_move_sites(diagram, kind))
-                    generated += (count_move_sites(diagram, kind)
-                                  if sites is None else len(sites))
+                builds = n + change == size and gain in positive
+                if change > 0 and not builds:
+                    generated += count_move_sites(diagram, kind)
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
-                    level.append((idx, kind, sites, None))
+                    level.append((diagram, trace, kind, None))
                     continue
-                built = []
+                children = []
                 for site in find_move_sites(diagram, kind):
                     generated += 1
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
-                    child = apply_move(diagram, site)
-                    if _signature(child) != goal:
-                        built.append((site, child, None))
-                        continue
-                    key = canonical_key(child)
-                    if key == target:
-                        trace = [site]
-                        back = idx
-                        while back > 0:
-                            trace.append(nodes[back][2])
-                            back = nodes[back][1]
-                        trace.reverse()
-                        return trace
-                    built.append((site, child, key))
-                level.append((idx, kind, None, built))
+                    child = key = None
+                    if builds:
+                        child = apply_move(diagram, site)
+                        if _signature(child) == goal:
+                            key = canonical_key(child)
+                            if key == target:
+                                return [*trace, site]
+                    children.append((site, child, key))
+                level.append((diagram, trace, kind, children))
         if depth + 1 == max_depth or not level:
             return None
-        frontier = _frontier(nodes, seen, level)
+        frontier = _frontier(seen, level)
     return None
 
 
-def _frontier(nodes: list, seen: set, level: list) -> Iterator[int]:
-    """Number the unseen children of ``level`` as nodes, in generation
-    order, building a held child and keying an unkeyed one only when it is
-    reached."""
-    for idx, kind, sites, built in level:
-        diagram = nodes[idx][0]
-        if built is None:
-            if sites is None:
-                sites = find_move_sites(diagram, kind)
-            built = [(site, None, None) for site in sites]
-        for site, child, key in built:
+def _frontier(seen: set, level: list
+              ) -> Iterator[tuple[GaussDiagram, tuple[MoveSite, ...]]]:
+    """The unseen children of ``level`` with their traces, in generation
+    order, listing a counted kind's sites, building a held child and keying
+    an unkeyed one only when it is reached."""
+    for diagram, trace, kind, children in level:
+        if children is None:
+            children = [(site, None, None)
+                        for site in find_move_sites(diagram, kind)]
+        for site, child, key in children:
             if child is None:
                 child = apply_move(diagram, site)
             if key is None:
                 key = canonical_key(child)
             if key not in seen:
                 seen.add(key)
-                nodes.append((child, idx, site))
-                yield len(nodes) - 1
+                yield child, (*trace, site)

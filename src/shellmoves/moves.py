@@ -105,14 +105,22 @@ def apply_move(G: GaussDiagram, site: MoveSite) -> GaussDiagram:
 
 def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
                             ) -> tuple[GaussDiagram, MoveSite]:
-    """Apply a move and return the site that undoes it in the image."""
-    k = _KINDS.get(site.kind)
+    """Apply a move and return the site that undoes it in the image.  A
+    site of the wrong shape (a kind not a known str, anchors not a tuple of
+    pairs of exact ints) is stale, as one out of range is."""
+    kind, anchors, params = site
+    k = _KINDS.get(kind) if type(kind) is str else None
     if k is None:
-        raise StaleSite(f"unknown move kind {site.kind!r}")
-    if len(site.anchors) != k.n_anchors or len(site.params) not in k.n_params:
-        raise StaleSite(f"{site.kind} takes {k.n_anchors} anchor(s) and "
+        raise StaleSite(f"unknown move kind {kind!r}")
+    if (type(anchors) is not tuple or len(anchors) != k.n_anchors
+            or type(params) is not tuple or len(params) not in k.n_params):
+        raise StaleSite(f"{kind} takes {k.n_anchors} anchor(s) and "
                         f"{'/'.join(map(str, k.n_params))} parameter(s)")
-    for c, p in site.anchors:
+    for anchor in anchors:
+        if (type(anchor) is not tuple or len(anchor) != 2
+                or type(anchor[0]) is not int or type(anchor[1]) is not int):
+            raise StaleSite(f"bad anchor {anchor!r}")
+        c, p = anchor
         if not 0 <= c < G.mu:
             raise StaleSite(f"no circle {c + 1}")
         n = len(G.circles[c])

@@ -12,11 +12,11 @@ import random
 import sys
 
 from shellmoves import equiv, moves
-from shellmoves.diagram import GaussDiagram, canonical_key
+from shellmoves.diagram import GaussDiagram, canonical_key, isomorphic
 from shellmoves.equiv import _EXPANSION_ORDER, bfs_witness
 from shellmoves.errors import BudgetExceeded, ComponentCountMismatch
 from shellmoves.moves import (MoveSite, apply_move, find_move_sites, fits,
-                              random_walk, site_to_text)
+                              random_walk, site_from_text, site_to_text)
 
 from conftest import oracle_pool
 
@@ -151,6 +151,10 @@ def test_random_pair_outcomes_match_reference():
         assert got == want, (A, B, depth, cap, budget)
         if isinstance(want, str):
             found += 1
+            replayed = A
+            for line in got.splitlines():
+                replayed = apply_move(replayed, site_from_text(line))
+            assert isomorphic(replayed, B), (A, B, got)
         elif want is None:
             stopped += 1
         else:
@@ -271,12 +275,12 @@ def test_a_child_unlike_the_target_is_keyed_only_when_reached(monkeypatch):
         while True:
             reaching[0] = True
             try:
-                idx = next(level)
+                node = next(level)
             except StopIteration:
                 return
             finally:
                 reaching[0] = False
-            yield idx
+            yield node
 
     def apply(G, site):
         child = apply_move(G, site)

@@ -144,6 +144,11 @@ class _Pair(NamedTuple):
      "word element ['a', '>'] is not a (chord, kind) pair"),
     ({"a": 1}, [("a<", ("a", ">"))], GaussCodeError,
      "word element 'a<' is not a (chord, kind) pair"),
+    # an exact 2-tuple with an unhashable item is not a pair either
+    ({"a": 1}, [((["a"], "<"), ("a", ">"))], GaussCodeError,
+     "word element (['a'], '<') is not a (chord, kind) pair"),
+    ({"a": 1}, [(("a", "<"), ("a", {}))], GaussCodeError,
+     "word element ('a', {}) is not a (chord, kind) pair"),
 ])
 def test_constructor_validates(signs, words, err, message):
     """Each fault raises its own error, and so does rebuilding it from a

@@ -17,7 +17,8 @@ from shellmoves.errors import (
     NotRealizable,
 )
 from shellmoves.invariants import profile, writhe_polynomial
-from shellmoves.moves import apply_move, random_walk
+from shellmoves.moves import (apply_move, random_walk, site_from_text,
+                              site_to_text)
 from shellmoves.normal_form import (
     build_link_diagram,
     build_link_form,
@@ -289,6 +290,31 @@ def test_witness_one_shell_swap_found_within_depth_two():
     cur = G
     for site in tr:
         cur = apply_move(cur, site)
+    assert isomorphic(cur, H)
+
+
+# G = a< b< a> b> (a +, b -) and H = G plus a TI kink t> t<: H is one
+# deletion from G, but the finders list R1 insertions only as IT, so from G
+# it takes this macro, a tfirst R2 insertion and a deletion (a finder that
+# also listed TI would make it one move)
+TI_KINK_MACRO = {"+": "R2_insert @ 1:0 1:0 anti - tfirst\nR1_delete @ 1:1",
+                 "-": "R2_insert @ 1:0 1:0 anti + tfirst\nR1_delete @ 1:1"}
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_a_ti_kink_is_one_deletion_away_but_two_moves_to_insert(sign):
+    G = parse_gauss_code("circles: 1\nchord a +\nchord b -\n"
+                         "circle 1: a< b< a> b>")
+    H = parse_gauss_code("circles: 1\nchord a +\nchord b -\n"
+                         f"chord t {sign}\ncircle 1: a< b< a> b> t> t<")
+    assert bfs_witness(G, H, 1, 4) is None
+    assert [site_to_text(s) for s in bfs_witness(H, G, 1, 3)] == [
+        "R1_delete @ 1:4"]
+    trace = bfs_witness(G, H, 2, 5)
+    assert "\n".join(map(site_to_text, trace)) == TI_KINK_MACRO[sign]
+    cur = G
+    for line in TI_KINK_MACRO[sign].splitlines():
+        cur = apply_move(cur, site_from_text(line))
     assert isomorphic(cur, H)
 
 

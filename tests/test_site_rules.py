@@ -89,6 +89,17 @@ def test_r3_applies_exactly_when_listed():
     (MoveSite(R1_INSERT, ((0, 99),), ("x", "IT")), "bad gap"),
     (MoveSite(R1_INSERT, ((3, 0),), ("x", "IT")), "no circle 4"),
     (MoveSite(R2_INSERT, ((0, 9), (0, 9)), ("zz", "+")), "bad gap"),
+    # a site of the wrong shape: a kind that is not a string, anchors or
+    # parameters that are not tuples, an anchor that is not two exact ints
+    (MoveSite(["R3"], ((0, 0), (0, 1), (0, 2))), "unknown move kind ['R3']"),
+    (MoveSite(R1_DELETE, None),
+     "R1_delete takes 1 anchor(s) and 0 parameter(s)"),
+    (MoveSite(R1_DELETE, ((0, 0),), None),
+     "R1_delete takes 1 anchor(s) and 0 parameter(s)"),
+    (MoveSite(R1_INSERT, ((0, "x"),), ("x", "IT")), "bad anchor (0, 'x')"),
+    (MoveSite(R1_DELETE, ((0, 1, 2),)), "bad anchor (0, 1, 2)"),
+    (MoveSite(R1_DELETE, ((0, True),)), "bad anchor (0, True)"),
+    (MoveSite(R1_DELETE, ([0, 0],)), "bad anchor [0, 0]"),
 ])
 def test_insertion_anchors_are_checked_before_parameters(site, message):
     G = parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>\n")
