@@ -35,6 +35,7 @@ __all__ = [
     "circle_walk",
     "parse_gauss_code",
     "serialize",
+    "shell_kinds",
     "shell_layers",
     "is_shell_layer",
     "surgery",
@@ -366,7 +367,7 @@ def serialize(G: GaussDiagram) -> str:
 # -- shells ------------------------------------------------------------------
 
 
-def _shell_kinds(sign: int) -> tuple[str, str]:
+def shell_kinds(sign: int) -> tuple[str, str]:
     """Kinds of a shell's endpoints before and after the endpoint it
     surrounds: a shell reads initial, endpoint, terminal around an endpoint
     of positive sign and terminal, endpoint, initial around a negative one."""
@@ -377,7 +378,7 @@ def shell_layers(around: Endpoint, sign: int, shells: Sequence[str]
                  ) -> list[Endpoint]:
     """The endpoint ``around``, of endpoint sign ``sign``, with ``shells``
     nested around it, innermost first."""
-    first, last = _shell_kinds(sign)
+    first, last = shell_kinds(sign)
     before, after = [], [around]
     for s in shells:
         before.append((s, first))
@@ -392,7 +393,7 @@ def is_shell_layer(G: GaussDiagram, before: Endpoint, around: Endpoint,
     chord, first = before
     other, last = after
     return (chord == other != around[0]
-            and (first, last) == _shell_kinds(G.endpoint_sign(around)))
+            and (first, last) == shell_kinds(G.endpoint_sign(around)))
 
 
 # -- structural operations ----------------------------------------------------

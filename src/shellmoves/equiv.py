@@ -107,7 +107,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     bounded graph holds no path.  Raises BudgetExceeded once ``node_budget``
     candidate diagrams have been generated without an answer, in which case
     absence is not certified, and ValueError when ``G`` already has more
-    than ``chord_cap`` chords.
+    than ``chord_cap`` chords or ``max_depth`` is negative.
 
     The frontier is a stream of ``(diagram, trace)`` pairs, so a hit
     returns its parent's trace plus its own site.  A level holds one entry
@@ -129,6 +129,8 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     if chord_cap < len(G):
         raise ValueError("chord_cap below current chord count")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must not be negative, got {max_depth}")
     target = canonical_key(H)
     start = canonical_key(G)
     if start == target:

@@ -109,9 +109,10 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
     site of the wrong shape (a kind not a known str, anchors not a tuple of
     pairs of exact ints) is stale, as one out of range is."""
     kind, anchors, params = site
-    k = _KINDS.get(kind) if type(kind) is str else None
-    if k is None:
-        raise StaleSite(f"unknown move kind {kind!r}")
+    try:
+        k = _kind(kind)
+    except ValueError as e:
+        raise StaleSite(str(e)) from None
     if (type(anchors) is not tuple or len(anchors) != k.n_anchors
             or type(params) is not tuple or len(params) not in k.n_params):
         raise StaleSite(f"{kind} takes {k.n_anchors} anchor(s) and "
@@ -466,26 +467,30 @@ _KINDS = {
 MOVE_KINDS = tuple(_KINDS)
 
 
+def _kind(kind: str) -> _Kind:
+    """The table row of ``kind``: the one lookup every kind reader makes."""
+    k = _KINDS.get(kind) if type(kind) is str else None
+    if k is None:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return k
+
+
 def chord_change(kind: str) -> tuple[int, tuple[int, ...]]:
     """How many chords a ``kind`` move adds (negative: removes), and each
     number of positive chords it can add."""
-    k = _KINDS[kind]
+    k = _kind(kind)
     return k.change, k.positive
 
 
 def fits(G: GaussDiagram, kind: str, chord_cap: int) -> bool:
     """Whether a ``kind`` move on ``G`` stays within ``chord_cap`` chords."""
-    change = _KINDS[kind].change
+    change = _kind(kind).change
     return len(G) + (change if change > 0 else 0) <= chord_cap
 
 
 def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:
     """All occurrences of the given move pattern in ``G``."""
-    try:
-        finder = _KINDS[kind].find
-    except KeyError:
-        raise ValueError(f"unknown move kind {kind!r}") from None
-    return finder(G)
+    return _kind(kind).find(G)
 
 
 def count_move_sites(G: GaussDiagram, kind: str) -> int:
@@ -495,7 +500,7 @@ def count_move_sites(G: GaussDiagram, kind: str) -> int:
     sign per ordered pair of gaps plus a ``tfirst`` twin per shared gap,
     4g^2 + 4g sites; S2_insert has one site per spot of its pattern."""
     if kind in (R1_INSERT, R2_INSERT):
-        g = sum(1 for _ in _gaps(G))
+        g = sum(len(w) or 1 for w in G.circles)
         return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
     if kind == S2_INSERT:
         return len(_s2_insert_spots(G))
@@ -515,8 +520,9 @@ def _sample_site(G: GaussDiagram, kind: str, rng: random.Random
     coincide, adds ``tfirst`` with probability 1/2.  With G gaps, an
     R2_insert site on two gaps has probability 1/(4 G^2) and each of the two
     orders on one gap 1/(8 G^2); :func:`count_move_sites` counts these
-    sites from the same G.  Other kinds are uniform over
-    :func:`find_move_sites`."""
+    sites from the same G.  S2_insert draws one of the spots its finder's
+    sites are made from, in their order, as drawing a site would.  Other
+    kinds are uniform over :func:`find_move_sites`."""
     if kind == R1_INSERT:
         gaps = list(_gaps(G))
         return MoveSite(R1_INSERT, (rng.choice(gaps),),
@@ -528,6 +534,9 @@ def _sample_site(G: GaussDiagram, kind: str, rng: random.Random
         if a == b and rng.random() < 0.5:
             params.append("tfirst")
         return MoveSite(R2_INSERT, (a, b), tuple(params))
+    if kind == S2_INSERT:
+        spots = _s2_insert_spots(G)
+        return MoveSite(S2_INSERT, (rng.choice(spots),)) if spots else None
     sites = find_move_sites(G, kind)
     return rng.choice(sites) if sites else None
 
@@ -539,6 +548,8 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
     Kinds with no sites are re-rolled; insertions that would push the chord
     count past ``chord_cap`` count as having none.
     """
+    if steps < 0:
+        raise ValueError(f"steps must not be negative, got {steps}")
     if chord_cap < len(G):
         raise ValueError("chord_cap below current chord count")
     rng = random.Random(seed)

@@ -12,10 +12,11 @@ one window rule, :func:`_placed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .algebra import LaurentPoly
-from .diagram import INITIAL, TERMINAL, Endpoint, GaussDiagram, shell_layers
+from .diagram import INITIAL, TERMINAL, GaussDiagram, shell_kinds, shell_layers
 from .errors import (
     BadSupport,
     ConstraintViolated,
@@ -34,6 +35,7 @@ __all__ = [
     "build_knot_form",
     "build_link_diagram",
     "build_link_form",
+    "form_code",
     "canonical_form",
     "realize_knot",
     "realize_link",
@@ -86,22 +88,29 @@ class LinkForm:
 
 
 def _snail_words(main: str, shells: list[str], eps: int, n: int,
-                 nonself: bool) -> tuple[dict[str, int], list[Endpoint],
-                                         list[Endpoint]]:
-    """Signs, source word and target word of a snail; ``shells`` run
-    outermost first.
+                 nonself: bool) -> tuple[dict[str, int], list[str], list[str]]:
+    """Signs, source-word tokens and target-word tokens (such as ``g3s1<``)
+    of a snail; ``shells`` run outermost first.
 
     A self snail is one word: the initial endpoint, then the shells nested
     around the terminal endpoint.  A nonself snail nests them around the
     initial endpoint on the source circle; the bare terminal endpoint is the
-    target word.
+    target word.  Each shell reads as :func:`shell_kinds` of the sign of
+    the endpoint it surrounds.
     """
     signs = {main: eps}
     signs.update(dict.fromkeys(shells, -eps if n > 0 else eps))
-    ini, ter = (main, INITIAL), (main, TERMINAL)
+    ini, ter = main + INITIAL, main + TERMINAL
+    first, last = shell_kinds(-eps if nonself else eps)
+    before = [s + first for s in shells]
+    after = [s + last for s in reversed(shells)]
     if nonself:
-        return signs, shell_layers(ini, -eps, shells[::-1]), [ter]
-    return signs, [ini] + shell_layers(ter, eps, shells[::-1]), []
+        return signs, [*before, ini, *after], [ter]
+    return signs, [ini, *before, ter, *after], []
+
+
+# splits an endpoint token such as "g3s1<" into its (chord, kind) pair
+_pair = itemgetter(slice(None, -1), -1)
 
 
 def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
@@ -116,10 +125,10 @@ def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
         raise ValueError(f"unknown snail kind {kind!r}")
     shells = [f"s{j}" for j in range(1, abs(n) + 1)]
     signs, src, dst = _snail_words("g", shells, eps, n, kind == "nonself")
-    return GaussDiagram(signs, [src, dst] if dst else [src])
+    return GaussDiagram(signs, [map(_pair, w) for w in (src, dst) if w])
 
 
-# -- diagram builders --------------------------------------------------------
+# -- snail forms -------------------------------------------------------------
 
 
 def _snail_run(coeffs: Mapping[int, int]):
@@ -130,38 +139,72 @@ def _snail_run(coeffs: Mapping[int, int]):
             yield n, (1 if c > 0 else -1)
 
 
-def _snail_diagram(mu: int, families) -> GaussDiagram:
-    """Snails of each family ``(source circle, target circle, coefficients)``
-    in turn, the k-th named ``g{k}`` with shells ``g{k}s1``, ...
+def _families(form: KnotForm | LinkForm, error: type = MalformedSnailForm
+              ) -> tuple[int, list]:
+    """The circle count and the snail families ``(source circle, target
+    circle, coefficients)`` of a form: the one front of the builders and of
+    :func:`form_code`.  A link form's faults raise ``error``."""
+    if isinstance(form, KnotForm):
+        if 0 in form.a or 1 in form.a:
+            raise BadSupport("knot snail coefficients must vanish at 0 and 1")
+        return 1, [(0, 0, form.a)]
+    lam = sum(form.c.values()) - sum(form.d.values())
+    if lam != form.lam:
+        raise error(f"nonself coefficients give linking difference {lam}, "
+                    f"form says {form.lam}")
+    if {0, 1} & {*form.a, *form.b}:
+        raise error("self-snail coefficients must vanish at 0 and 1")
+    return 2, [(0, 0, form.a), (1, 1, form.b), (0, 1, form.c), (1, 0, form.d)]
+
+
+def _layout(mu: int, families) -> tuple[dict[str, int], list[list[str]]]:
+    """Signs and per-circle endpoint tokens of the snails of each
+    family in turn, the k-th named ``g{k}`` with shells ``g{k}s1``, ...
 
     Each snail's source word extends its source circle.  Terminal endpoints
     of nonself snails follow all snails on their target circle, in reverse
-    order, so the chords of a family run in parallel.  Every chord gets
-    both endpoints, so the diagram is built unchecked.
+    order, so the chords of a family run in parallel.
     """
     signs: dict[str, int] = {}
-    words: list[list[Endpoint]] = [[] for _ in range(mu)]
-    tails: list[list[Endpoint]] = [[] for _ in range(mu)]
+    words: list[list[str]] = [[] for _ in range(mu)]
+    tails: list[list[str]] = [[] for _ in range(mu)]
+    top = max((abs(n) for _, _, coeffs in families for n in coeffs), default=0)
+    marks = [f"s{j}" for j in range(1, top + 1)]  # formatted once per form
     k = 0
     for src, dst, coeffs in families:
         for n, eps in _snail_run(coeffs):
             k += 1
-            shells = [f"g{k}s{j}" for j in range(1, abs(n) + 1)]
-            snail, head, tail = _snail_words(f"g{k}", shells, eps, n,
-                                             src != dst)
+            main = f"g{k}"
+            shells = [main + m for m in marks[:abs(n)]]
+            snail, head, tail = _snail_words(main, shells, eps, n, src != dst)
             signs.update(snail)
             words[src] += head
             tails[dst] += tail
+    return signs, [w + t[::-1] for w, t in zip(words, tails)]
+
+
+def _snail_diagram(mu: int, families) -> GaussDiagram:
+    """The diagram of :func:`_layout`, unchecked: each chord has both ends."""
+    signs, words = _layout(mu, families)
     return GaussDiagram._unchecked(
-        signs, tuple([tuple(w + t[::-1]) for w, t in zip(words, tails)]))
+        signs, tuple([tuple(map(_pair, w)) for w in words]))
+
+
+def form_code(form: KnotForm | LinkForm) -> str:
+    """The form's diagram as ``serialize`` writes it, joined from its tokens
+    without building it.  A space sorts before every id character, so
+    sorting the chord lines sorts the ids ``g<k>`` and ``g<k>s<j>``."""
+    mu, families = _families(form)
+    signs, words = _layout(mu, families)
+    chords = sorted([f"chord {c} {'+' if s > 0 else '-'}"
+                     for c, s in signs.items()])
+    circles = [" ".join([f"circle {i}:", *w]) for i, w in enumerate(words, 1)]
+    return "\n".join([f"circles: {mu}", *chords, *circles, ""])
 
 
 def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
     """Concatenation of self snails realizing writhe coefficients ``a``."""
-    a = _clean(a)
-    if 0 in a or 1 in a:
-        raise BadSupport("knot snail coefficients must vanish at 0 and 1")
-    return _snail_diagram(1, [(0, 0, a)])
+    return _snail_diagram(*_families(KnotForm(a)))
 
 
 def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
@@ -173,22 +216,12 @@ def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
     between the circles in parallel, so the terminal endpoints appear in
     reverse order on the far circle.
     """
-    a, b, c, d = _clean(a), _clean(b), _clean(c), _clean(d)
-    if 0 in a or 1 in a or 0 in b or 1 in b:
-        raise BadSupport("self-snail coefficients must vanish at 0 and 1")
-    return _snail_diagram(2, [(0, 0, a), (1, 1, b), (0, 1, c), (1, 0, d)])
+    form = LinkForm(sum(c.values()) - sum(d.values()), a, b, c, d)
+    return _snail_diagram(*_families(form, BadSupport))
 
 
 def build_link_form(form: LinkForm) -> GaussDiagram:
-    lam = sum(form.c.values()) - sum(form.d.values())
-    if lam != form.lam:
-        raise MalformedSnailForm(
-            f"nonself coefficients give linking difference {lam}, "
-            f"form says {form.lam}")
-    try:
-        return build_link_diagram(form.a, form.b, form.c, form.d)
-    except BadSupport as e:
-        raise MalformedSnailForm(str(e)) from None
+    return _snail_diagram(*_families(form))
 
 
 # -- canonical form from a profile -------------------------------------------
@@ -292,7 +325,7 @@ def _append_gadget(G: GaussDiagram, circle: int, positive: bool
     signs, word, _ = _snail_words(g, [s], 1 if positive else -1, 1, False)
     if positive:
         word = word[-1:] + word[:-1]
-    return G._edited({circle: G.circles[circle] + tuple(word)}, signs)
+    return G._edited({circle: [*G.circles[circle], *map(_pair, word)]}, signs)
 
 
 def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:

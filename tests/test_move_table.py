@@ -439,6 +439,8 @@ def test_finder_errors_are_not_reported_as_unknown_kind():
         find_move_sites(G, R2_DELETE)
     with pytest.raises(ValueError, match="unknown move kind"):
         find_move_sites(G, "R4")
+    with pytest.raises(ValueError, match=r"unknown move kind \['R3'\]"):
+        find_move_sites(G, [R3])
 
 
 def test_fits_matches_growth_rule():

@@ -9,6 +9,7 @@ from shellmoves.diagram import (
     isomorphic,
     parse_gauss_code,
 )
+from shellmoves.equiv import bfs_witness
 from shellmoves.errors import StaleSite
 from shellmoves.invariants import (
     linking_data,
@@ -20,8 +21,10 @@ from shellmoves.moves import (
     MoveSite,
     apply_move,
     apply_move_with_inverse,
+    chord_change,
     count_move_sites,
     find_move_sites,
+    fits,
     random_walk,
     site_from_text,
     site_to_text,
@@ -62,6 +65,32 @@ def test_count_move_sites_is_the_finders_length():
                 find_move_sites(G, kind)), (G, kind)
     with pytest.raises(ValueError, match="unknown move kind 'R4'"):
         count_move_sites(diagrams[0], "R4")
+
+
+@pytest.mark.parametrize("kind", ["R9", ["R3"], None, ("R3",)])
+@pytest.mark.parametrize("reader", [
+    lambda G, kind: find_move_sites(G, kind),
+    lambda G, kind: count_move_sites(G, kind),
+    lambda G, kind: chord_change(kind),
+    lambda G, kind: fits(G, kind, 3),
+], ids=["find_move_sites", "count_move_sites", "chord_change", "fits"])
+def test_every_kind_reader_rejects_an_unknown_kind(reader, kind):
+    with pytest.raises(ValueError, match=r"^unknown move kind "):
+        reader(parse_gauss_code(FREE), kind)
+    with pytest.raises(StaleSite, match=r"^unknown move kind "):
+        apply_move(parse_gauss_code(FREE), MoveSite(kind, ((0, 0),)))
+
+
+def test_negative_bounds_are_rejected():
+    G, H = parse_gauss_code(FREE), parse_gauss_code(EMPTY)
+    with pytest.raises(ValueError, match="steps must not be negative"):
+        random_walk(G, -1, 1, 3)
+    with pytest.raises(ValueError, match="max_depth must not be negative"):
+        bfs_witness(G, H, -1, 3)
+    with pytest.raises(ValueError, match="max_depth must not be negative"):
+        bfs_witness(G, G, -1, 3)
+    assert random_walk(G, 0, 1, 3)[1] == []
+    assert bfs_witness(G, G, 0, 3) == []
 
 
 def test_s1_sites_on_double_shell_snail():
@@ -194,6 +223,63 @@ def test_random_walk_deterministic():
     b = random_walk(G, 25, seed=9, chord_cap=30)
     assert a[0].circles == b[0].circles and a[0].signs == b[0].signs
     assert a[1] == b[1]
+
+
+def ref_walk(G, steps, seed, chord_cap):
+    """A walk that draws R1 and R2 insertions by their gaps, as
+    ``random_walk`` does, and every other kind uniformly from the sites
+    :func:`find_move_sites` lists."""
+    rng = random.Random(seed)
+    trace = []
+    for _ in range(steps):
+        kinds = list(MOVE_KINDS)
+        rng.shuffle(kinds)
+        for kind in kinds:
+            if not fits(G, kind, chord_cap):
+                continue
+            gaps = [(c, g) for c, w in enumerate(G.circles)
+                    for g in range(max(len(w), 1))]
+            if kind == "R1_insert":
+                site = MoveSite(kind, (rng.choice(gaps),),
+                                (rng.choice("+-"), "IT"))
+            elif kind == "R2_insert":
+                a, b = rng.choice(gaps), rng.choice(gaps)
+                params = (rng.choice(["par", "anti"]), rng.choice("+-"))
+                if a == b and rng.random() < 0.5:
+                    params += ("tfirst",)
+                site = MoveSite(kind, (a, b), params)
+            else:
+                sites = find_move_sites(G, kind)
+                if not sites:
+                    continue
+                site = rng.choice(sites)
+            G = apply_move(G, site)
+            trace.append(site)
+            break
+        else:
+            raise ValueError("no applicable move")
+    return G, trace
+
+
+def test_random_walk_draws_as_listing_the_sites_would():
+    """S2_insert is drawn from its spots without listing its sites; every
+    walk takes the steps of a walk that lists them, on 240 (diagram, seed)
+    pairs, 80 of which start from empty circles."""
+    rng = random.Random(41)
+    drawn = set()
+    for run in range(240):
+        mu = 1 + run % 2
+        G = (random_diagram(rng, mu, 6) if run % 3 else
+             GaussDiagram({}, [()] * mu))
+        seed, steps = rng.randrange(10**6), rng.randrange(1, 25)
+        cap = len(G) + rng.randrange(1, 7)
+        got = random_walk(G, steps, seed, cap)
+        want = ref_walk(G, steps, seed, cap)
+        assert got[1] == want[1], (G, seed)
+        assert got[0].circles == want[0].circles
+        assert list(got[0].signs.items()) == list(want[0].signs.items())
+        drawn.update(site.kind for site in got[1])
+    assert drawn == set(MOVE_KINDS)
 
 
 def test_random_walk_from_empty_keeps_zero_writhe():
