@@ -33,6 +33,7 @@ __all__ = [
     "Endpoint",
     "GaussDiagram",
     "circle_walk",
+    "gauss_code",
     "parse_gauss_code",
     "serialize",
     "shell_kinds",
@@ -141,7 +142,7 @@ class GaussDiagram:
         if not self.circles:
             raise CircleCountMismatch("a diagram needs at least one circle")
         for cid, sign in self.signs.items():
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise BadSign(f"chord {cid!r} has sign {sign!r}")
             for kind in (INITIAL, TERMINAL):
                 if (cid, kind) not in seen:
@@ -354,14 +355,18 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     return GaussDiagram(signs, words)
 
 
+def gauss_code(signs: Mapping[str, int], words: Iterable[Iterable[str]]) -> str:
+    """The one writer of the text :func:`parse_gauss_code` reads, from chord
+    ``signs`` and one word of endpoint tokens (such as ``g<``) per circle."""
+    # by id, not by line: "a\x01" sorts after "a", but its line sorts first
+    chords = [f"chord {c} +" if signs[c] > 0 else f"chord {c} -"
+              for c in sorted(signs)]
+    circles = [" ".join([f"circle {i}:", *w]) for i, w in enumerate(words, 1)]
+    return "\n".join([f"circles: {len(circles)}", *chords, *circles, ""])
+
+
 def serialize(G: GaussDiagram) -> str:
-    out = [f"circles: {G.mu}"]
-    for cid in sorted(G.signs):
-        out.append(f"chord {cid} {'+' if G.signs[cid] > 0 else '-'}")
-    for i, word in enumerate(G.circles, start=1):
-        toks = " ".join(map("".join, word))
-        out.append(f"circle {i}:" + (f" {toks}" if toks else ""))
-    return "\n".join(out) + "\n"
+    return gauss_code(G.signs, [map("".join, w) for w in G.circles])
 
 
 # -- shells ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import (
     BudgetExceeded,
     ComponentCountMismatch,
     UnsupportedComponentCount,
+    WrongComponentCount,
 )
 from .invariants import LAMBDA_LABEL, LinkProfile, linking_data, profile
 from .moves import (MoveSite, apply_move, chord_change, count_move_sites,
@@ -75,6 +76,8 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
 def check_consistency(pr: LinkProfile) -> bool:
     """The index-weighted writhe sums and the class derivative cancel:
     exactly for lambda = 0, mod lambda otherwise (undefined for |lambda| = 1)."""
+    if not isinstance(pr, LinkProfile):
+        raise WrongComponentCount("consistency needs a 2-circle profile")
     lam = abs(pr.lam)
     if lam == 1:
         raise ValueError("consistency relation is undefined for |lambda| = 1")
@@ -107,7 +110,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     bounded graph holds no path.  Raises BudgetExceeded once ``node_budget``
     candidate diagrams have been generated without an answer, in which case
     absence is not certified, and ValueError when ``G`` already has more
-    than ``chord_cap`` chords or ``max_depth`` is negative.
+    than ``chord_cap`` chords or a bound is negative.
 
     The frontier is a stream of ``(diagram, trace)`` pairs, so a hit
     returns its parent's trace plus its own site.  A level holds one entry
@@ -131,6 +134,8 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
         raise ValueError("chord_cap below current chord count")
     if max_depth < 0:
         raise ValueError(f"max_depth must not be negative, got {max_depth}")
+    if node_budget < 0:
+        raise ValueError(f"node_budget must not be negative, got {node_budget}")
     target = canonical_key(H)
     start = canonical_key(G)
     if start == target:

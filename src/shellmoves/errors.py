@@ -53,12 +53,12 @@ class StaleSite(ShellmovesError):
     """A move site no longer matches the diagram it is applied to."""
 
 
-class BadSupport(ShellmovesError):
-    """Coefficient map supported on a forbidden index."""
-
-
 class MalformedSnailForm(ShellmovesError):
-    pass
+    """A snail form whose nonself coefficients do not give its lambda."""
+
+
+class BadSupport(MalformedSnailForm):
+    """Self-snail coefficients supported on slot 0 or 1."""
 
 
 class InconsistentProfile(ShellmovesError):

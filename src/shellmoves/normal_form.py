@@ -16,7 +16,8 @@ from operator import itemgetter
 from typing import Mapping
 
 from .algebra import LaurentPoly
-from .diagram import INITIAL, TERMINAL, GaussDiagram, shell_kinds, shell_layers
+from .diagram import (INITIAL, TERMINAL, GaussDiagram, gauss_code, shell_kinds,
+                      shell_layers)
 from .errors import (
     BadSupport,
     ConstraintViolated,
@@ -139,32 +140,27 @@ def _snail_run(coeffs: Mapping[int, int]):
             yield n, (1 if c > 0 else -1)
 
 
-def _families(form: KnotForm | LinkForm, error: type = MalformedSnailForm
-              ) -> tuple[int, list]:
-    """The circle count and the snail families ``(source circle, target
-    circle, coefficients)`` of a form: the one front of the builders and of
-    :func:`form_code`.  A link form's faults raise ``error``."""
+def _layout(form: KnotForm | LinkForm
+            ) -> tuple[dict[str, int], list[list[str]]]:
+    """Signs and per-circle endpoint tokens of a form's snails; a support
+    fault raises BadSupport.  The snails of each family (source circle,
+    target circle, coefficients) come in turn, the k-th named ``g{k}`` with
+    shells ``g{k}s1``, ...  A source word extends its source circle, and the
+    nonself snails' terminal endpoints follow all snails on their target
+    circle, reversed, so a family's chords run in parallel."""
     if isinstance(form, KnotForm):
         if 0 in form.a or 1 in form.a:
             raise BadSupport("knot snail coefficients must vanish at 0 and 1")
-        return 1, [(0, 0, form.a)]
-    lam = sum(form.c.values()) - sum(form.d.values())
-    if lam != form.lam:
-        raise error(f"nonself coefficients give linking difference {lam}, "
-                    f"form says {form.lam}")
-    if {0, 1} & {*form.a, *form.b}:
-        raise error("self-snail coefficients must vanish at 0 and 1")
-    return 2, [(0, 0, form.a), (1, 1, form.b), (0, 1, form.c), (1, 0, form.d)]
-
-
-def _layout(mu: int, families) -> tuple[dict[str, int], list[list[str]]]:
-    """Signs and per-circle endpoint tokens of the snails of each
-    family in turn, the k-th named ``g{k}`` with shells ``g{k}s1``, ...
-
-    Each snail's source word extends its source circle.  Terminal endpoints
-    of nonself snails follow all snails on their target circle, in reverse
-    order, so the chords of a family run in parallel.
-    """
+        mu, families = 1, [(0, 0, form.a)]
+    else:
+        lam = sum(form.c.values()) - sum(form.d.values())
+        if lam != form.lam:
+            raise MalformedSnailForm(f"nonself coefficients give linking "
+                                     f"difference {lam}, form says {form.lam}")
+        if {0, 1} & {*form.a, *form.b}:
+            raise BadSupport("self-snail coefficients must vanish at 0 and 1")
+        mu, families = 2, [(0, 0, form.a), (1, 1, form.b),
+                           (0, 1, form.c), (1, 0, form.d)]
     signs: dict[str, int] = {}
     words: list[list[str]] = [[] for _ in range(mu)]
     tails: list[list[str]] = [[] for _ in range(mu)]
@@ -183,28 +179,22 @@ def _layout(mu: int, families) -> tuple[dict[str, int], list[list[str]]]:
     return signs, [w + t[::-1] for w, t in zip(words, tails)]
 
 
-def _snail_diagram(mu: int, families) -> GaussDiagram:
+def _snail_diagram(form: KnotForm | LinkForm) -> GaussDiagram:
     """The diagram of :func:`_layout`, unchecked: each chord has both ends."""
-    signs, words = _layout(mu, families)
+    signs, words = _layout(form)
     return GaussDiagram._unchecked(
         signs, tuple([tuple(map(_pair, w)) for w in words]))
 
 
 def form_code(form: KnotForm | LinkForm) -> str:
     """The form's diagram as ``serialize`` writes it, joined from its tokens
-    without building it.  A space sorts before every id character, so
-    sorting the chord lines sorts the ids ``g<k>`` and ``g<k>s<j>``."""
-    mu, families = _families(form)
-    signs, words = _layout(mu, families)
-    chords = sorted([f"chord {c} {'+' if s > 0 else '-'}"
-                     for c, s in signs.items()])
-    circles = [" ".join([f"circle {i}:", *w]) for i, w in enumerate(words, 1)]
-    return "\n".join([f"circles: {mu}", *chords, *circles, ""])
+    without building it."""
+    return gauss_code(*_layout(form))
 
 
 def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
     """Concatenation of self snails realizing writhe coefficients ``a``."""
-    return _snail_diagram(*_families(KnotForm(a)))
+    return _snail_diagram(KnotForm(a))
 
 
 def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
@@ -216,12 +206,12 @@ def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
     between the circles in parallel, so the terminal endpoints appear in
     reverse order on the far circle.
     """
-    form = LinkForm(sum(c.values()) - sum(d.values()), a, b, c, d)
-    return _snail_diagram(*_families(form, BadSupport))
+    return build_link_form(
+        LinkForm(sum(c.values()) - sum(d.values()), a, b, c, d))
 
 
 def build_link_form(form: LinkForm) -> GaussDiagram:
-    return _snail_diagram(*_families(form))
+    return _snail_diagram(form)
 
 
 # -- canonical form from a profile -------------------------------------------

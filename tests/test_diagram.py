@@ -149,6 +149,11 @@ class _Pair(NamedTuple):
      "word element (['a'], '<') is not a (chord, kind) pair"),
     ({"a": 1}, [(("a", "<"), ("a", {}))], GaussCodeError,
      "word element ('a', {}) is not a (chord, kind) pair"),
+    # a sign is the int 1 or -1: a float or a bool would be misread
+    ({"a": 1.0, "b": True}, ["a< b< a> b>"], BadSign,
+     "chord 'a' has sign 1.0"),
+    ({"a": 1, "b": True}, ["a< b< a> b>"], BadSign, "chord 'b' has sign True"),
+    ({"a": -1.0}, ["a< a>"], BadSign, "chord 'a' has sign -1.0"),
 ])
 def test_constructor_validates(signs, words, err, message):
     """Each fault raises its own error, and so does rebuilding it from a
@@ -167,6 +172,18 @@ def test_constructor_validates(signs, words, err, message):
 def test_constructor_accepts_plain_pairs():
     G = GaussDiagram({"a": 1}, [(("a", "<"), ("a", ">"))])
     assert serialize(G) == "circles: 1\nchord a +\ncircle 1: a< a>\n"
+
+
+def test_serialize_sorts_chord_lines_by_id():
+    """An id may hold a character that sorts below the space: ``a`` comes
+    before ``a\\x01``, though the line ``chord a\\x01 -`` sorts before
+    ``chord a +``."""
+    G = GaussDiagram({"a\x01": -1, "a": 1},
+                     [_eps("a\x01< a< a\x01> a>")])
+    text = serialize(G)
+    assert text == ("circles: 1\nchord a +\nchord a\x01 -\n"
+                    "circle 1: a\x01< a< a\x01> a>\n")
+    assert parse_gauss_code(text).circles == G.circles
 
 
 def test_serialize_empty():

@@ -15,6 +15,7 @@ from shellmoves.errors import (
     ConstraintViolated,
     NegativeLambda,
     NotRealizable,
+    WrongComponentCount,
 )
 from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import (apply_move, random_walk, site_from_text,
@@ -263,6 +264,12 @@ def test_consistency_undefined_for_unit_lambda():
     G = parse_gauss_code("circles: 2\nchord g +\ncircle 1: g<\ncircle 2: g>")
     with pytest.raises(ValueError):
         check_consistency(profile(G))
+
+
+def test_consistency_needs_a_link_profile(reference_knot):
+    with pytest.raises(WrongComponentCount,
+                       match="^consistency needs a 2-circle profile$"):
+        check_consistency(profile(reference_knot))
 
 
 # -- bounded oracle ----------------------------------------------------------------

@@ -89,6 +89,11 @@ def test_negative_bounds_are_rejected():
         bfs_witness(G, H, -1, 3)
     with pytest.raises(ValueError, match="max_depth must not be negative"):
         bfs_witness(G, G, -1, 3)
+    with pytest.raises(ValueError,
+                       match="^node_budget must not be negative, got -1$"):
+        bfs_witness(G, H, 2, 3, -1)
+    with pytest.raises(ValueError, match="node_budget must not be negative"):
+        bfs_witness(G, G, 0, 3, -1)
     assert random_walk(G, 0, 1, 3)[1] == []
     assert bfs_witness(G, G, 0, 3) == []
 

@@ -8,6 +8,7 @@ import pytest
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import isomorphic, parse_gauss_code
 from shellmoves.errors import (
+    BadSign,
     BadSupport,
     InconsistentProfile,
     MalformedSnailForm,
@@ -19,9 +20,11 @@ from shellmoves.normal_form import (
     KnotForm,
     LinkForm,
     build_knot_form,
+    build_link_diagram,
     build_link_form,
     canonical_form,
     encode_snail,
+    form_code,
 )
 
 from conftest import REFERENCE_LINK_SNAILS, random_diagram
@@ -66,6 +69,8 @@ def test_encode_snail_rejects_bad_args():
         encode_snail("self", 2, 1)
     with pytest.raises(ValueError):
         encode_snail("weird", 1, 1)
+    with pytest.raises(BadSign, match="^chord 'g' has sign 1.0$"):
+        encode_snail("self", 1.0, 2)
 
 
 def test_build_knot_form_empty():
@@ -124,6 +129,30 @@ def test_build_link_form_rejects_inconsistent_lambda():
         build_link_form(LinkForm(2, {}, {}, {0: 1}, {}, 0))
     with pytest.raises(MalformedSnailForm):
         build_link_form(LinkForm(0, {0: 1}, {}, {}, {}, 0))
+
+
+def _raised(build, *args):
+    with pytest.raises(MalformedSnailForm) as caught:
+        build(*args)
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("form, error", [
+    (LinkForm(0, {1: 1}, {}, {}, {}), BadSupport),
+    (LinkForm(0, {}, {0: 2, 2: 1}, {}, {}), BadSupport),
+    (LinkForm(2, {}, {}, {0: 1}, {}), MalformedSnailForm),
+    (LinkForm(0, {1: 1}, {}, {0: 1}, {}), MalformedSnailForm),
+], ids=["a1", "b0", "lam", "lam-first"])
+def test_each_link_form_fault_has_one_error(form, error):
+    """A support fault is BadSupport and a lambda mismatch is its base
+    MalformedSnailForm, from every front, with one message; the lambda
+    check comes first."""
+    raised = _raised(build_link_form, form)
+    assert raised[0] is error
+    assert _raised(form_code, form) == raised
+    if error is BadSupport:
+        assert _raised(build_link_diagram, form.a, form.b, form.c,
+                       form.d) == raised
 
 
 def test_canonical_form_empty_knot():
