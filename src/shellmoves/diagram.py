@@ -355,18 +355,42 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     return GaussDiagram(signs, words)
 
 
-def gauss_code(signs: Mapping[str, int], words: Iterable[Iterable[str]]) -> str:
-    """The one writer of the text :func:`parse_gauss_code` reads, from chord
-    ``signs`` and one word of endpoint tokens (such as ``g<``) per circle."""
-    # by id, not by line: "a\x01" sorts after "a", but its line sorts first
-    chords = [f"chord {c} +" if signs[c] > 0 else f"chord {c} -"
-              for c in sorted(signs)]
-    circles = [" ".join([f"circle {i}:", *w]) for i, w in enumerate(words, 1)]
-    return "\n".join([f"circles: {len(circles)}", *chords, *circles, ""])
+def gauss_code(
+        chords: Iterable[tuple[str, Sequence[str], int | Mapping[str, int]]],
+        words: Sequence[Iterable[tuple[str, Sequence[str]]]]) -> str:
+    """The one writer of the text :func:`parse_gauss_code` reads, given as
+    runs of ids that share a stem.
+
+    ``chords`` holds runs ``(stem, tails, sign)`` in id order: a chord line
+    for the id ``stem + tail`` of each tail, with ``sign`` the sign of every
+    chord of the run or a mapping from each tail to its sign.  Each circle of
+    ``words`` holds runs ``(stem, tails)`` of endpoint tokens ``stem + tail``
+    (such as ``g<``).  Every run has a tail.
+    """
+    ends = {1: " +", -1: " -"}
+    text = [f"circles: {len(words)}"]
+    for stem, tails, sign in chords:
+        sep = "\nchord " + stem
+        if isinstance(sign, int):
+            end = ends[sign]
+            text += sep, (end + sep).join(tails), end
+        else:
+            text += sep, sep.join([t + ends[sign[t]] for t in tails])
+    for i, runs in enumerate(words, 1):
+        text.append(f"\ncircle {i}:")
+        for stem, tails in runs:
+            sep = " " + stem
+            text += sep, sep.join(tails)
+    text.append("\n")
+    return "".join(text)
 
 
 def serialize(G: GaussDiagram) -> str:
-    return gauss_code(G.signs, [map("".join, w) for w in G.circles])
+    # by id, not by line: "a\x01" sorts after "a", but its line sorts first
+    ids = sorted(G.signs)
+    return gauss_code([("", ids, G.signs)] if ids else [],
+                      [[("", [*map("".join, w)])] if w else []
+                       for w in G.circles])
 
 
 # -- shells ------------------------------------------------------------------

@@ -54,7 +54,8 @@ class StaleSite(ShellmovesError):
 
 
 class MalformedSnailForm(ShellmovesError):
-    """A snail form whose nonself coefficients do not give its lambda."""
+    """A snail form with data that are not ints, or whose nonself
+    coefficients do not give its lambda."""
 
 
 class BadSupport(MalformedSnailForm):

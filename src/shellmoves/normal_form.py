@@ -7,18 +7,28 @@ coefficients; 2-component links additionally carry two families of nonself
 snails laid out in parallel between the circles.  :func:`canonical_form`
 (profile to form) and :func:`realize_link` (target to diagram) place them by
 one window rule, :func:`_placed`.
+
+A snail's endpoint tokens are laid out once, by :func:`_snail_words`, and a
+form's snails are named and placed once, by :func:`_layout`.
+:func:`form_code` hands each snail to :func:`diagram.gauss_code`, which
+holds the line syntax, as runs of chord lines and of tokens under its main
+chord's id, so the text is joined a snail at a time, not formatted chord by
+chord; the builders read the same layout and split each token into its
+``(chord, kind)`` pair, as :func:`encode_snail` and realization's gadget
+do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .algebra import LaurentPoly
-from .diagram import (INITIAL, TERMINAL, GaussDiagram, gauss_code, shell_kinds,
-                      shell_layers)
+from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram, gauss_code,
+                      shell_kinds, shell_layers)
 from .errors import (
+    BadSign,
     BadSupport,
     ConstraintViolated,
     InconsistentProfile,
@@ -44,12 +54,17 @@ __all__ = [
 
 
 def _clean(m: Mapping[int, int]) -> dict[int, int]:
+    for k, v in m.items():
+        if type(k) is not int or type(v) is not int:
+            raise MalformedSnailForm(
+                f"slot {k!r} has coefficient {v!r}; both must be ints")
     return {k: v for k, v in sorted(m.items()) if v != 0}
 
 
 @dataclass(frozen=True)
 class KnotForm:
-    """Multiset of self snails a_n S(n), n outside {0, 1}."""
+    """Multiset of self snails a_n S(n), n outside {0, 1}.  Slots and
+    coefficients are exact ints; anything else is MalformedSnailForm."""
 
     a: dict[int, int]
 
@@ -64,7 +79,8 @@ class LinkForm:
     ``a``/``b`` hold self-snail coefficients per circle, ``c``/``d`` the
     nonself-snail coefficients keyed by absolute snail index.  For lam >= 2
     a canonical form supports ``c`` on the window [p, p+lam) and ``d`` on
-    (-p-lam, -p]; ``p`` records the window start.
+    (-p-lam, -p]; ``p`` records the window start.  ``lam``, ``p``, slots and
+    coefficients are exact ints; anything else is MalformedSnailForm.
     """
 
     lam: int
@@ -75,6 +91,9 @@ class LinkForm:
     p: int = 0
 
     def __post_init__(self):
+        if type(self.lam) is not int or type(self.p) is not int:
+            raise MalformedSnailForm(f"lam {self.lam!r} and p {self.p!r} "
+                                     "must be ints")
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _clean(getattr(self, name)))
 
@@ -88,10 +107,17 @@ class LinkForm:
 # -- snail words -----------------------------------------------------------
 
 
-def _snail_words(main: str, shells: list[str], eps: int, n: int,
-                 nonself: bool) -> tuple[dict[str, int], list[str], list[str]]:
-    """Signs, source-word tokens and target-word tokens (such as ``g3s1<``)
-    of a snail; ``shells`` run outermost first.
+def _shell_tokens(shells: list[str]) -> dict[str, list[str]]:
+    """The endpoint tokens of ``shells`` per kind, in their order."""
+    return {kind: [s + kind for s in shells] for kind in (INITIAL, TERMINAL)}
+
+
+def _snail_words(main: str, shells: Mapping[str, list[str]], eps: int, n: int,
+                 nonself: bool) -> tuple[int, list[str], list[str]]:
+    """The shells' sign, and the source-word and target-word tokens (such as
+    ``g3s1<``) of a snail with main chord ``main`` of sign eps and index n;
+    its |n| shells are the first of ``shells``, which holds shell tokens per
+    kind, outermost first.
 
     A self snail is one word: the initial endpoint, then the shells nested
     around the terminal endpoint.  A nonself snail nests them around the
@@ -99,15 +125,14 @@ def _snail_words(main: str, shells: list[str], eps: int, n: int,
     target word.  Each shell reads as :func:`shell_kinds` of the sign of
     the endpoint it surrounds.
     """
-    signs = {main: eps}
-    signs.update(dict.fromkeys(shells, -eps if n > 0 else eps))
-    ini, ter = main + INITIAL, main + TERMINAL
     first, last = shell_kinds(-eps if nonself else eps)
-    before = [s + first for s in shells]
-    after = [s + last for s in reversed(shells)]
+    m = abs(n)
+    before, after = shells[first][:m], shells[last][:m][::-1]
+    ini, ter = main + INITIAL, main + TERMINAL
+    sign = -eps if n > 0 else eps
     if nonself:
-        return signs, [*before, ini, *after], [ter]
-    return signs, [ini, *before, ter, *after], []
+        return sign, [*before, ini, *after], [ter]
+    return sign, [ini, *before, ter, *after], []
 
 
 # splits an endpoint token such as "g3s1<" into its (chord, kind) pair
@@ -118,78 +143,110 @@ def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
     """One snail as a standalone diagram, chords named g, s1..s|n|.
 
     ``kind`` is ``"self"`` (one circle) or ``"nonself"`` (main chord from
-    circle 1 to circle 2).
+    circle 1 to circle 2).  A sign other than the int 1 or -1 is BadSign,
+    and an index that is not an int MalformedSnailForm.
     """
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    if type(eps) is not int or eps not in (1, -1):
+        raise BadSign(f"chord 'g' has sign {eps!r}")
     if kind not in ("self", "nonself"):
         raise ValueError(f"unknown snail kind {kind!r}")
+    if type(n) is not int:
+        raise MalformedSnailForm(f"snail index {n!r} is not an int")
     shells = [f"s{j}" for j in range(1, abs(n) + 1)]
-    signs, src, dst = _snail_words("g", shells, eps, n, kind == "nonself")
-    return GaussDiagram(signs, [map(_pair, w) for w in (src, dst) if w])
+    sign, src, dst = _snail_words("g", _shell_tokens(shells), eps, n,
+                                  kind == "nonself")
+    return GaussDiagram({"g": eps, **dict.fromkeys(shells, sign)},
+                        [map(_pair, w) for w in (src, dst) if w])
 
 
 # -- snail forms -------------------------------------------------------------
 
 
-def _snail_run(coeffs: Mapping[int, int]):
-    """(index, sign) per snail copy, ascending index."""
-    for n in sorted(coeffs):
-        c = coeffs[n]
-        for _ in range(abs(c)):
-            yield n, (1 if c > 0 else -1)
-
-
-def _layout(form: KnotForm | LinkForm
-            ) -> tuple[dict[str, int], list[list[str]]]:
-    """Signs and per-circle endpoint tokens of a form's snails; a support
-    fault raises BadSupport.  The snails of each family (source circle,
-    target circle, coefficients) come in turn, the k-th named ``g{k}`` with
-    shells ``g{k}s1``, ...  A source word extends its source circle, and the
-    nonself snails' terminal endpoints follow all snails on their target
-    circle, reversed, so a family's chords run in parallel."""
+def _layout(form: KnotForm | LinkForm) -> tuple[int, Iterator[tuple]]:
+    """The form's circle count and its snails; a support fault raises
+    BadSupport.  The snails of each family (source circle, target circle,
+    coefficients) come in turn, ascending index.  A source word extends its
+    source circle, and the nonself snails' terminal endpoints follow all
+    snails on their target circle, reversed, so a family's chords run in
+    parallel."""
     if isinstance(form, KnotForm):
         if 0 in form.a or 1 in form.a:
             raise BadSupport("knot snail coefficients must vanish at 0 and 1")
-        mu, families = 1, [(0, 0, form.a)]
-    else:
-        lam = sum(form.c.values()) - sum(form.d.values())
-        if lam != form.lam:
-            raise MalformedSnailForm(f"nonself coefficients give linking "
-                                     f"difference {lam}, form says {form.lam}")
-        if {0, 1} & {*form.a, *form.b}:
-            raise BadSupport("self-snail coefficients must vanish at 0 and 1")
-        mu, families = 2, [(0, 0, form.a), (1, 1, form.b),
-                           (0, 1, form.c), (1, 0, form.d)]
-    signs: dict[str, int] = {}
-    words: list[list[str]] = [[] for _ in range(mu)]
-    tails: list[list[str]] = [[] for _ in range(mu)]
+        return 1, _snails([(0, 0, form.a)])
+    lam = sum(form.c.values()) - sum(form.d.values())
+    if lam != form.lam:
+        raise MalformedSnailForm(f"nonself coefficients give linking "
+                                 f"difference {lam}, form says {form.lam}")
+    if {0, 1} & {*form.a, *form.b}:
+        raise BadSupport("self-snail coefficients must vanish at 0 and 1")
+    return 2, _snails([(0, 0, form.a), (1, 1, form.b),
+                       (0, 1, form.c), (1, 0, form.d)])
+
+
+def _snails(families: list[tuple[int, int, dict[int, int]]]
+            ) -> Iterator[tuple]:
+    """Per index of each family: its source and target circles, the shape
+    of its snails and the main chord ids of its copies.  The k-th snail is
+    named ``g{k}``, with shells ``g{k}s1``, ...  A shape is ``(eps, sign,
+    shells, head, tail)``: the main chord's sign, the shells' sign and id
+    tails, and the source-word and target-word token tails that
+    :func:`_snail_words` gives for the main chord ``""``, sliced from token
+    tables formatted once per form."""
     top = max((abs(n) for _, _, coeffs in families for n in coeffs), default=0)
-    marks = [f"s{j}" for j in range(1, top + 1)]  # formatted once per form
+    marks = [f"s{j}" for j in range(1, top + 1)]
+    tokens = _shell_tokens(marks)
     k = 0
     for src, dst, coeffs in families:
-        for n, eps in _snail_run(coeffs):
-            k += 1
-            main = f"g{k}"
-            shells = [main + m for m in marks[:abs(n)]]
-            snail, head, tail = _snail_words(main, shells, eps, n, src != dst)
-            signs.update(snail)
-            words[src] += head
-            tails[dst] += tail
-    return signs, [w + t[::-1] for w, t in zip(words, tails)]
+        for n in sorted(coeffs):
+            c, m = coeffs[n], abs(n)
+            eps = 1 if c > 0 else -1
+            sign, head, tail = _snail_words("", tokens, eps, n, src != dst)
+            yield (src, dst, (eps, sign, marks[:m], head, tail),
+                   [*map("g{}".format, range(k + 1, k + abs(c) + 1))])
+            k += abs(c)
 
 
 def _snail_diagram(form: KnotForm | LinkForm) -> GaussDiagram:
     """The diagram of :func:`_layout`, unchecked: each chord has both ends."""
-    signs, words = _layout(form)
+    mu, snails = _layout(form)
+    signs: dict[str, int] = {}
+    words: list[list[Endpoint]] = [[] for _ in range(mu)]
+    tails: list[list[Endpoint]] = [[] for _ in range(mu)]
+    for src, dst, (eps, sign, shells, head, tail), mains in snails:
+        for g in mains:
+            signs[g] = eps
+            for s in shells:
+                signs[g + s] = sign
+            words[src] += map(_pair, [g + t for t in head])
+            tails[dst] += map(_pair, [g + t for t in tail])
     return GaussDiagram._unchecked(
-        signs, tuple([tuple(map(_pair, w)) for w in words]))
+        signs, tuple([tuple(w + t[::-1]) for w, t in zip(words, tails)]))
 
 
 def form_code(form: KnotForm | LinkForm) -> str:
-    """The form's diagram as ``serialize`` writes it, joined from its tokens
-    without building it."""
-    return gauss_code(*_layout(form))
+    """The form's diagram as ``serialize`` writes it, written a snail at a
+    time without building it."""
+    mu, snails = _layout(form)
+    # chord runs by sort key: sorting g and g + "s" sorts by id, since every
+    # id that starts with g + "s" is a shell of g
+    chords: dict[str, tuple[str, list[str], int]] = {}
+    ordered: dict[int, list[str]] = {}  # shell ids by count, in id order
+    words: list[list[tuple[str, list[str]]]] = [[] for _ in range(mu)]
+    tails: list[list[tuple[str, list[str]]]] = [[] for _ in range(mu)]
+    bare = [""]  # the main chord's own line
+    for src, dst, (eps, sign, shells, head, tail), mains in snails:
+        m = len(shells)
+        if m not in ordered:
+            ordered[m] = sorted(shells)
+        for g in mains:
+            chords[g] = g, bare, eps
+            if m:
+                chords[g + "s"] = g, ordered[m], sign
+            words[src].append((g, head))
+            if tail:
+                tails[dst].append((g, tail))
+    return gauss_code([chords[key] for key in sorted(chords)],
+                      [w + t[::-1] for w, t in zip(words, tails)])
 
 
 def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
@@ -312,10 +369,12 @@ def _append_gadget(G: GaussDiagram, circle: int, positive: bool
     of the given circle.  The positive one is appended starting at its
     shell's terminal endpoint."""
     g, s = G._fresh_ids("r", 2)
-    signs, word, _ = _snail_words(g, [s], 1 if positive else -1, 1, False)
+    eps = 1 if positive else -1
+    sign, word, _ = _snail_words(g, _shell_tokens([s]), eps, 1, False)
     if positive:
         word = word[-1:] + word[:-1]
-    return G._edited({circle: [*G.circles[circle], *map(_pair, word)]}, signs)
+    return G._edited({circle: [*G.circles[circle], *map(_pair, word)]},
+                     {g: eps, s: sign})
 
 
 def _nonself_anchor(G: GaussDiagram) -> tuple[GaussDiagram, str]:

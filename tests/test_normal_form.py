@@ -65,7 +65,7 @@ def test_encode_nonself_snail():
 
 
 def test_encode_snail_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSign, match="^chord 'g' has sign 2$"):
         encode_snail("self", 2, 1)
     with pytest.raises(ValueError):
         encode_snail("weird", 1, 1)
@@ -221,3 +221,45 @@ def test_rebuilt_canonical_form_is_equivalent_to_source(reference_link):
     G = build_link_form(sf)
     assert profile(G) == profile(reference_link)
     assert not isomorphic(G, reference_link)  # different diagrams, same class
+
+
+@pytest.mark.parametrize("eps", [2, 0, -2, 1.0, -1.0, True, False, "1", None],
+                         ids=repr)
+def test_encode_snail_gives_every_bad_sign_one_error(eps):
+    """Any sign but the int 1 or -1 is BadSign, with the message the
+    checking constructor gives a bad chord sign."""
+    with pytest.raises(BadSign, match=f"^chord 'g' has sign {eps!r}$"):
+        encode_snail("self", eps, 1)
+
+
+@pytest.mark.parametrize("n", [1.0, "2", True, None], ids=repr)
+def test_encode_snail_rejects_an_index_that_is_not_an_int(n):
+    with pytest.raises(MalformedSnailForm, match="is not an int$"):
+        encode_snail("nonself", 1, n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KnotForm({2: 1.0}),
+    lambda: KnotForm({2.0: 1}),
+    lambda: KnotForm({"2": 1}),
+    lambda: KnotForm({2: True}),
+    lambda: KnotForm({True: 1, 2: 1}),
+    lambda: LinkForm(0, {2: 1.0}, {}, {}, {}),
+    lambda: LinkForm(0, {}, {"2": 1}, {}, {}),
+    lambda: LinkForm(1, {}, {}, {0: True}, {}),
+    lambda: LinkForm(0, {}, {}, {}, {0: 0.0}),
+    lambda: LinkForm(1.0, {}, {}, {0: 1}, {}),
+    lambda: LinkForm(True, {}, {}, {0: 1}, {}),
+    lambda: LinkForm(2, {}, {}, {0: 1, 1: 1}, {}, 0.0),
+    lambda: build_knot_form({2: 1.0}),
+    lambda: build_link_diagram({}, {}, {2.0: 1}, {}),
+], ids=["knot-coeff-float", "knot-slot-float", "knot-slot-str",
+        "knot-coeff-bool", "knot-slot-bool", "link-a-float", "link-b-str",
+        "link-c-bool", "link-d-zero-float", "link-lam-float", "link-lam-bool",
+        "link-p-float", "build-knot", "build-link"])
+def test_snail_forms_take_only_int_data(make):
+    """A slot, coefficient, lambda or window start that is not an exact int
+    is MalformedSnailForm when the form is made, before any writer or
+    builder reads it."""
+    with pytest.raises(MalformedSnailForm, match="must be ints$"):
+        make()

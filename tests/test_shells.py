@@ -35,7 +35,6 @@ from shellmoves.moves import (
 )
 from shellmoves.normal_form import (
     _clean,
-    _snail_run,
     build_knot_form,
     build_link_diagram,
     encode_snail,
@@ -80,6 +79,14 @@ def ref_nonself_snail_words(main, shells, eps, n):
     src.append((main, INITIAL))
     src += [(s, after) for s in reversed(shells)]
     return signs, src, [(main, TERMINAL)]
+
+
+def _snail_run(coeffs):
+    """(index, sign) per snail copy, ascending index."""
+    for n in sorted(coeffs):
+        c = coeffs[n]
+        for _ in range(abs(c)):
+            yield n, (1 if c > 0 else -1)
 
 
 def ref_encode_snail(kind, eps, n):
