@@ -28,15 +28,13 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for e, c in items:
-            acc[e] = acc.get(e, 0) + c
+        if isinstance(coeffs, Mapping):  # distinct exponents: no summing
+            acc = coeffs
+        else:
+            acc = {}
+            for e, c in coeffs:
+                acc[e] = acc.get(e, 0) + c
         self._terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
 
     def coeffs(self) -> dict[int, int]:
         return dict(self._terms)

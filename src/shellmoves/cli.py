@@ -39,10 +39,11 @@ INVARIANT_VIOLATION = 2
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise GaussCodeError(f"cannot read {path}: {e}") from None
+    return data.decode("utf-8")  # callers split lines: CRLF and CR read alike
 
 
 def _load(path: str) -> GaussDiagram:

@@ -278,15 +278,16 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
     ``#`` starts a comment; blank lines are ignored.
 
-    Every token is a declared endpoint, so three end checks (one token per
-    endpoint, none twice, no id with ``<>:``) stand for the constructor's,
-    which names the fault of a text that fails one.
+    Each circle line pops its tokens from the table of endpoints not yet
+    read, so two end checks (the table is empty and no token was read twice;
+    no id holds ``<>:``) stand for the constructor's, which names the fault
+    of a text that fails one.  A line whose pop misses re-reads its tokens:
+    a bad or undeclared one raises, and a repeated one fails an end check.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    lines = list(filter(None, map(str.strip, raws)))
     if not lines:
         raise GaussCodeError("empty Gauss code")
     head = lines[0].replace(":", " : ").split()
@@ -300,9 +301,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         raise CircleCountMismatch("circle count must be positive")
 
     signs: dict[str, int] = {}
-    tokens: dict[str, Endpoint] = {}  # "g<" and "g>" for each chord g
+    unread: dict[str, Endpoint] = {}  # "g<" and "g>" until a line reads them
     words: list[Word] = []
-    read: list[str] = []  # every endpoint token, in order
     for line in lines[1:]:
         # a chord line is three words; a circle line's body is split below
         parts = line.split(None, 3)
@@ -319,8 +319,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             if cid in signs:
                 raise GaussCodeError(f"chord {cid!r} declared twice")
             signs[cid] = sign
-            tokens[cid + INITIAL] = (cid, INITIAL)
-            tokens[cid + TERMINAL] = (cid, TERMINAL)
+            unread[cid + INITIAL] = (cid, INITIAL)
+            unread[cid + TERMINAL] = (cid, TERMINAL)
         elif keyword == "circle":
             headpart, _, body = line.partition(":")
             parts = headpart.split()
@@ -334,22 +334,25 @@ def parse_gauss_code(text: str) -> GaussDiagram:
                 raise CircleCountMismatch(
                     f"expected circle {len(words) + 1}, got {idx}")
             toks = body.split()
-            read += toks
             try:
-                words.append(tuple(map(tokens.__getitem__, toks)))
-            except KeyError as miss:
-                tok = miss.args[0]
-                if tok[-1] not in (INITIAL, TERMINAL) or len(tok) < 2:
-                    raise GaussCodeError(f"bad endpoint token {tok!r}") from None
-                raise UnknownChordId(
-                    f"token {tok!r} references undeclared chord") from None
+                words.append(tuple(map(unread.pop, toks)))
+            except KeyError:  # a token read twice, or one that raises here
+                for tok in toks:
+                    if tok[-1] not in (INITIAL, TERMINAL) or len(tok) < 2:
+                        raise GaussCodeError(
+                            f"bad endpoint token {tok!r}") from None
+                    if tok[:-1] not in signs:
+                        raise UnknownChordId(f"token {tok!r} references "
+                                             "undeclared chord") from None
+                words.append(tuple((tok[:-1], tok[-1]) for tok in toks))
         else:
             raise GaussCodeError(f"unrecognized line {line!r}")
     if len(words) != mu:
         raise CircleCountMismatch(
             f"declared {mu} circles but found {len(words)} circle lines")
     ids = "".join(signs)
-    if (len(read) == len(set(read)) == 2 * len(signs)
+    # 2n tokens and no endpoint left unread: each endpoint read once
+    if (not unread and sum(map(len, words)) == 2 * len(signs)
             and "<" not in ids and ">" not in ids and ":" not in ids):
         return GaussDiagram._unchecked(signs, tuple(words))
     return GaussDiagram(signs, words)

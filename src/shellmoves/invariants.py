@@ -173,8 +173,8 @@ def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
     if G.mu == 1:
         n_writhes = {n: v for n, v in walks[0].table.items() if n != 0}
         odd = sum(v for n, v in n_writhes.items() if n % 2)
-        total = LaurentPoly.const(sum(n_writhes.values()))
-        return KnotProfile(LaurentPoly(n_writhes) - total, n_writhes, odd)
+        w = LaurentPoly({**n_writhes, 0: -sum(n_writhes.values())})
+        return KnotProfile(w, n_writhes, odd)
     (w1, w2), signs = walks, G.signs
     # each nonself chord's (index, sign), of type (1,2), then (2,1)
     f, g = ([(w_to.terminals[x] - p + signs[x], signs[x])

@@ -54,6 +54,9 @@ __all__ = [
 
 
 def _clean(m: Mapping[int, int]) -> dict[int, int]:
+    if not isinstance(m, Mapping):
+        raise MalformedSnailForm(f"snail data {m!r} is not a mapping; "
+                                 "slots and coefficients must be ints")
     for k, v in m.items():
         if type(k) is not int or type(v) is not int:
             raise MalformedSnailForm(

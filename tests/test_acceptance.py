@@ -180,7 +180,7 @@ def test_criterion_9_realization():
         raw = {n: rng.randint(-3, 3) for n in rng.sample(range(-6, 8), 4)}
         f = LaurentPoly(raw)
         f = f + LaurentPoly({1: -f.derivative_at_one()})
-        f = f + LaurentPoly.const(-f.eval_at_one())
+        f = f + LaurentPoly({0: -f.eval_at_one()})
         assert writhe_polynomial(realize_knot(f)) == f
     # 50 violating targets per constructor, rejected naming the clause
     for _ in range(50):

@@ -190,7 +190,7 @@ def test_derivative_sum_well_defined_on_classes():
         f1 = _random_poly(rng)
         g1 = _random_poly(rng)
         # force f1(1) - g1(1) = s by fixing the constant coefficient
-        g1 = g1 + LP.const(f1.eval_at_one() - g1.eval_at_one() - s)
+        g1 = g1 + LP({0: f1.eval_at_one() - g1.eval_at_one() - s})
         assert f1.eval_at_one() - g1.eval_at_one() == s
         k = rng.randint(-4, 4)
         f2, g2 = f1.shift(k), g1.shift(-k)

@@ -308,6 +308,27 @@ def test_parse_error_exit_code(files):
     assert run("invariants", str(files("x.gd", "")) + ".missing")[0] == 65
 
 
+@pytest.mark.parametrize("command", ["invariants", "normalize", "fmt"])
+def test_crlf_and_cr_input_print_as_lf(tmp_path, command):
+    """Input is read as bytes and split into lines by the reader, so CRLF
+    and CR-only copies of a code print the same bytes as the LF original."""
+    link = serialize(build_link_diagram(**REFERENCE_LINK_SNAILS))
+    for code in ("# a knot\n\n" + REFERENCE_KNOT_CODE, link):
+        outs = []
+        for i, newline in enumerate(("\n", "\r\n", "\r")):
+            path = tmp_path / f"{i}.gd"
+            path.write_bytes(code.replace("\n", newline).encode("utf-8"))
+            outs.append(run(command, str(path)))
+        assert outs[0][0] == 0 and outs == [outs[0]] * 3
+
+
+def test_undecodable_input_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.gd"
+    path.write_bytes(b"circles: 1\nchord \xff +\n")
+    assert run("invariants", str(path)) == (65, "")
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     import os
     import subprocess

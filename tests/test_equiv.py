@@ -175,7 +175,7 @@ def test_realize_knot_random_targets():
              if n not in (0, 1)}
         f = LaurentPoly(a)
         f = f + LaurentPoly({1: -f.derivative_at_one()})
-        f = f + LaurentPoly.const(-f.eval_at_one())
+        f = f + LaurentPoly({0: -f.eval_at_one()})
         assert f.eval_at_one() == 0 and f.derivative_at_one() == 0
         assert writhe_polynomial(realize_knot(f)) == f
 

@@ -253,13 +253,17 @@ def test_encode_snail_rejects_an_index_that_is_not_an_int(n):
     lambda: LinkForm(2, {}, {}, {0: 1, 1: 1}, {}, 0.0),
     lambda: build_knot_form({2: 1.0}),
     lambda: build_link_diagram({}, {}, {2.0: 1}, {}),
+    lambda: KnotForm(None),
+    lambda: KnotForm([(2, 1)]),
+    lambda: LinkForm(0, {}, {}, {}, None),
 ], ids=["knot-coeff-float", "knot-slot-float", "knot-slot-str",
         "knot-coeff-bool", "knot-slot-bool", "link-a-float", "link-b-str",
         "link-c-bool", "link-d-zero-float", "link-lam-float", "link-lam-bool",
-        "link-p-float", "build-knot", "build-link"])
+        "link-p-float", "build-knot", "build-link", "knot-none", "knot-pairs",
+        "link-d-none"])
 def test_snail_forms_take_only_int_data(make):
-    """A slot, coefficient, lambda or window start that is not an exact int
-    is MalformedSnailForm when the form is made, before any writer or
-    builder reads it."""
+    """A slot, coefficient, lambda or window start that is not an exact int,
+    and snail data that is not a mapping, is MalformedSnailForm when the
+    form is made, before any writer or builder reads it."""
     with pytest.raises(MalformedSnailForm, match="must be ints$"):
         make()

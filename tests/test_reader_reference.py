@@ -171,6 +171,30 @@ def test_bad_chord_id_alone_keeps_its_message(text, message):
     assert _outcome(parse_gauss_code, text) == want
 
 
+@pytest.mark.parametrize("text, error", [
+    ("circles: 1\nchord g +\ncircle 1: g< g> g< g",
+     "bad endpoint token 'g'"),
+    ("circles: 2\nchord g +\ncircle 1: g< g< g>\ncircle 2: h>",
+     "token 'h>' references undeclared chord"),
+], ids=["repeat-then-bad-token", "repeat-then-undeclared-later"])
+def test_token_faults_after_a_repeat_raise_as_the_reference(text, error):
+    """A repeated token does not stop the reader: a bad or undeclared token
+    after it, on its line or a later one, raises as it would alone."""
+    assert _outcome(ref_parse_gauss_code, text)[1] == error
+    _assert_reads_as_reference(text)
+
+
+def test_comments_and_blank_lines_read_as_absent():
+    bare = serialize(random_diagram(random.Random(31), 2, 8))
+    lines = bare.splitlines()
+    noisy = "\n\n".join(f"{line}  # note {i}" for i, line in enumerate(lines))
+    noisy = "# head\n\n" + noisy.replace("chord", "  chord", 1) + "\n#"
+    assert _outcome(parse_gauss_code, noisy) == \
+        _outcome(parse_gauss_code, bare)
+    _assert_reads_as_reference(noisy)
+    _assert_reads_as_reference(bare)
+
+
 def _text(signs, circles):
     return "\n".join(
         [f"circles: {len(circles)}"]
@@ -179,8 +203,8 @@ def _text(signs, circles):
 
 
 # texts that pass the reader's own lines but fail one of its end checks
-# (token count, distinct tokens, ids free of "<>:"), so the checking
-# constructor names the fault
+# (no endpoint unread, no token read twice, ids free of "<>:"), so the
+# checking constructor names the fault
 FALLBACKS = [
     pytest.param({"g": 1, "h": -1}, [["g<", "g<", "g>", "h<", "h>"]],
                  id="duplicate"),
@@ -196,6 +220,8 @@ FALLBACKS = [
                  id="id-with->-and-missing"),
     pytest.param({"a:b": -1, "h": 1}, [["h<", "a:b<", "h>", "a:b>", "h>"]],
                  id="id-with-:-and-duplicate"),
+    pytest.param({"g": 1, "h": -1}, [["g<", "g>", "h<"], ["h>", "g>"]],
+                 id="duplicate-after-every-endpoint"),
 ]
 
 
