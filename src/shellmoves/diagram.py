@@ -69,9 +69,8 @@ class GaussDiagram:
     __slots__ = ("signs", "circles")
 
     def __init__(self, signs: Mapping[str, int], circles: Iterable[Word]):
-        object.__setattr__(self, "signs", dict(signs))
-        object.__setattr__(self, "circles",
-                           tuple(tuple(w) for w in circles))
+        _set_signs(self, dict(signs))
+        _set_circles(self, tuple(tuple(w) for w in circles))
         self._validate()
 
     @classmethod
@@ -81,8 +80,8 @@ class GaussDiagram:
         copy, so the caller hands over fresh objects that keep every
         chord's two endpoints in the words, under ids the text carries."""
         out = object.__new__(cls)
-        object.__setattr__(out, "signs", signs)
-        object.__setattr__(out, "circles", circles)
+        _set_signs(out, signs)
+        _set_circles(out, circles)
         return out
 
     def __setattr__(self, name: str, value) -> None:
@@ -214,6 +213,10 @@ class GaussDiagram:
         words = " | ".join(" ".join(map("".join, w)) or "-"
                            for w in self.circles)
         return f"<GaussDiagram mu={self.mu} chords={len(self.signs)} {words}>"
+
+
+# the slots' own setters, which the blocked ``__setattr__`` does not reach
+_set_signs, _set_circles = GaussDiagram.signs.__set__, GaussDiagram.circles.__set__
 
 
 class CircleWalk(NamedTuple):

@@ -33,6 +33,10 @@ class WrongComponentCount(ShellmovesError):
     """Operation requires a specific number of circles."""
 
 
+class NotADiagram(ShellmovesError):
+    """An argument that must be a GaussDiagram is not one."""
+
+
 class UnsupportedComponentCount(ShellmovesError):
     """Invariants are only implemented for one- and two-circle diagrams."""
 

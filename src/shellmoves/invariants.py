@@ -23,7 +23,7 @@ from .algebra import LaurentPoly, LinkingClass, gamma_class
 from .diagram import INITIAL, GaussDiagram, circle_walk
 # the benchmark's tracer wraps invariants.surgery (perfbench/spans.py)
 from .diagram import surgery
-from .errors import UnsupportedComponentCount
+from .errors import NotADiagram, UnsupportedComponentCount
 
 __all__ = [
     "KnotProfile",
@@ -166,6 +166,9 @@ class LinkProfile(_Profile):
 
 def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
     """Assemble the full invariant profile of a 1- or 2-circle diagram."""
+    if not isinstance(G, GaussDiagram):
+        raise NotADiagram(
+            f"profile needs a GaussDiagram, not {type(G).__name__}")
     if G.mu not in (1, 2):
         raise UnsupportedComponentCount(
             f"profiles cover 1 or 2 circles, not {G.mu}")

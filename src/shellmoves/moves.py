@@ -309,19 +309,20 @@ def _apply_s2_delete(G, site):
 # -- site enumeration ----------------------------------------------------------
 
 
-def _gaps(G: GaussDiagram):
-    for c, word in enumerate(G.circles):
-        for g in range(max(len(word), 1)):
-            yield c, g
+def _gaps(G: GaussDiagram) -> list[tuple[int, int]]:
+    return [(c, g) for c, w in enumerate(G.circles) for g in range(len(w) or 1)]
 
 
-def _adjacent_pairs(G: GaussDiagram):
+def _gap_count(G: GaussDiagram) -> int:
+    return sum(len(w) or 1 for w in G.circles)
+
+
+def _gap_at(G: GaussDiagram, i: int) -> tuple[int, int]:
+    """The ``i``-th gap that ``_gaps`` lists."""
     for c, word in enumerate(G.circles):
-        n = len(word)
-        if n < 2:
-            continue
-        for p in range(n):
-            yield c, p, word[p], word[(p + 1) % n]
+        if i < (len(word) or 1):
+            return c, i
+        i -= len(word) or 1
 
 
 def _sites_r1_insert(G):
@@ -330,16 +331,18 @@ def _sites_r1_insert(G):
 
 
 def _sites_r1_delete(G):
-    # a chord alone on its circle is adjacent at 0 and 1; keep the first
+    # a chord alone on its circle is adjacent at 0 and 1; keep the first.
+    # The zip also pairs a one-endpoint circle's endpoint with itself: u == v
     free: dict[str, tuple[int, int]] = {}
-    for c, p, u, v in _adjacent_pairs(G):
-        if u[0] == v[0]:
-            free.setdefault(u[0], (c, p))
+    for c, word in enumerate(G.circles):
+        for p, u, v in zip(range(len(word)), word, word[1:] + word[:1]):
+            if u[0] == v[0] and u != v:
+                free.setdefault(u[0], (c, p))
     return [MoveSite(R1_DELETE, (free[cid],)) for cid in G.signs if cid in free]
 
 
 def _sites_r2_insert(G):
-    gaps = list(_gaps(G))
+    gaps = _gaps(G)
     out = []
     for a in gaps:
         for b in gaps:
@@ -353,12 +356,16 @@ def _sites_r2_insert(G):
 
 
 def _sites_r2_delete(G):
-    tt = {(x, y): (c, p) for c, p, (x, a), (y, b) in _adjacent_pairs(G)
-          if a == b == TERMINAL}
+    tt, ii = {}, []
+    for c, word in enumerate(G.circles):
+        for p, (x, a), (y, b) in zip(range(len(word)), word, word[1:] + word[:1]):
+            if a == b:
+                if a == TERMINAL:
+                    tt[x, y] = (c, p)
+                else:
+                    ii.append((c, p, x, y))
     out = []
-    for c, p, (x, a), (y, b) in _adjacent_pairs(G):
-        if a != INITIAL or b != INITIAL:
-            continue
+    for c, p, x, y in ii:
         for variant, key in (("par", (x, y)), ("anti", (y, x))):
             spot = tt.get(key)
             if spot is not None:
@@ -375,22 +382,23 @@ def _sites_r3(G):
     # the configuration (hp>, hq>), (hp<, x<), (hq<, x>) and its image
     # (hq>, hp>), (x<, hp<), (x>, hq<), matched so the exchange is an
     # involution; a TT pair's II partner is the pair starting or ending at hp<
+    signs = G.signs
     tt, it, ti, ii_from, ii_to = {}, {}, {}, {}, {}
-    for c, p, (u, a), (v, b) in _adjacent_pairs(G):
-        if a != b:
-            (it if a == INITIAL else ti)[u, v] = (c, p)
-        elif a == TERMINAL:
-            tt[u, v] = (c, p)
-        else:
-            ii_from[u] = (v, (c, p))
-            ii_to[v] = (u, (c, p))
+    for c, word in enumerate(G.circles):
+        for p, (u, a), (v, b) in zip(range(len(word)), word, word[1:] + word[:1]):
+            if a != b:
+                (it if a == INITIAL else ti)[u, v] = (c, p)
+            elif a == INITIAL:
+                ii_from[u] = (v, (c, p))
+                ii_to[v] = (u, (c, p))
+            elif signs[u] == -1 and signs[v] == -1:  # only hp, hq < 0 match
+                tt[u, v] = (c, p)
     out = []
     for image, ii, third in ((False, ii_from, it), (True, ii_to, ti)):
         for (h1, h2), a1 in tt.items():
             hp, hq = (h2, h1) if image else (h1, h2)
             x, a2 = ii.get(hp, (hp, None))  # x = hp: no partner
-            if (hp == hq or x in (hp, hq) or G.signs[hp] != -1
-                    or G.signs[hq] != -1 or G.signs[x] != 1):
+            if hp == hq or x in (hp, hq) or signs[x] != 1:
                 continue
             a3 = third.get((x, hq) if image else (hq, x))
             if a3 is not None:
@@ -411,7 +419,9 @@ def _sites_s1(G):
 
 def _s2_insert_spots(G):
     """S2_insert's pattern: adjacent endpoints of two different chords."""
-    return [(c, p) for c, p, u, v in _adjacent_pairs(G) if u[0] != v[0]]
+    return [(c, p) for c, word in enumerate(G.circles)
+            for p, u, v in zip(range(len(word)), word, word[1:] + word[:1])
+            if u[0] != v[0]]
 
 
 def _sites_s2_insert(G):
@@ -500,7 +510,7 @@ def count_move_sites(G: GaussDiagram, kind: str) -> int:
     sign per ordered pair of gaps plus a ``tfirst`` twin per shared gap,
     4g^2 + 4g sites; S2_insert has one site per spot of its pattern."""
     if kind in (R1_INSERT, R2_INSERT):
-        g = sum(len(w) or 1 for w in G.circles)
+        g = _gap_count(G)
         return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
     if kind == S2_INSERT:
         return len(_s2_insert_spots(G))
@@ -520,16 +530,17 @@ def _sample_site(G: GaussDiagram, kind: str, rng: random.Random
     coincide, adds ``tfirst`` with probability 1/2.  With G gaps, an
     R2_insert site on two gaps has probability 1/(4 G^2) and each of the two
     orders on one gap 1/(8 G^2); :func:`count_move_sites` counts these
-    sites from the same G.  S2_insert draws one of the spots its finder's
-    sites are made from, in their order, as drawing a site would.  Other
-    kinds are uniform over :func:`find_move_sites`."""
+    sites from the same G.  A gap is drawn as its index in ``_gaps``,
+    ``rng.choice(range(G))``, the draw ``rng.choice`` makes over the listed
+    gaps (``seq[_randbelow(len(seq))]``).  S2_insert draws one of the spots
+    its finder's sites are made from, in their order, as drawing a site
+    would.  Other kinds are uniform over :func:`find_move_sites`."""
     if kind == R1_INSERT:
-        gaps = list(_gaps(G))
-        return MoveSite(R1_INSERT, (rng.choice(gaps),),
-                        (rng.choice("+-"), "IT"))
+        gap = _gap_at(G, rng.choice(range(_gap_count(G))))
+        return MoveSite(R1_INSERT, (gap,), (rng.choice("+-"), "IT"))
     if kind == R2_INSERT:
-        gaps = list(_gaps(G))
-        a, b = rng.choice(gaps), rng.choice(gaps)
+        gaps = range(_gap_count(G))
+        a, b = _gap_at(G, rng.choice(gaps)), _gap_at(G, rng.choice(gaps))
         params = [rng.choice(["par", "anti"]), rng.choice("+-")]
         if a == b and rng.random() < 0.5:
             params.append("tfirst")
@@ -546,8 +557,12 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
     """Apply ``steps`` random applicable moves, deterministically in ``seed``.
 
     Kinds with no sites are re-rolled; insertions that would push the chord
-    count past ``chord_cap`` count as having none.
+    count past ``chord_cap`` count as having none.  ``steps``, ``seed`` and
+    ``chord_cap`` must be exact ints.
     """
+    for name, value in (("steps", steps), ("seed", seed), ("chord_cap", chord_cap)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if steps < 0:
         raise ValueError(f"steps must not be negative, got {steps}")
     if chord_cap < len(G):

@@ -147,12 +147,12 @@ def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
 
     ``kind`` is ``"self"`` (one circle) or ``"nonself"`` (main chord from
     circle 1 to circle 2).  A sign other than the int 1 or -1 is BadSign,
-    and an index that is not an int MalformedSnailForm.
+    and another kind or an index that is not an int MalformedSnailForm.
     """
     if type(eps) is not int or eps not in (1, -1):
         raise BadSign(f"chord 'g' has sign {eps!r}")
     if kind not in ("self", "nonself"):
-        raise ValueError(f"unknown snail kind {kind!r}")
+        raise MalformedSnailForm(f"unknown snail kind {kind!r}")
     if type(n) is not int:
         raise MalformedSnailForm(f"snail index {n!r} is not an int")
     shells = [f"s{j}" for j in range(1, abs(n) + 1)]

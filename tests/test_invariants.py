@@ -6,7 +6,8 @@ import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import parse_gauss_code, swap_components
-from shellmoves.errors import NotASelfChord, UnsupportedComponentCount
+from shellmoves.errors import (NotADiagram, NotASelfChord, ShellmovesError,
+                               UnsupportedComponentCount)
 from shellmoves.invariants import (
     linking_class,
     linking_data,
@@ -259,3 +260,10 @@ def test_snail_diagram_profile_reads_off_the_snail_data():
                     - sum(m * v for m, v in c.items())
                     - sum(m * v for m, v in d.items()))
             assert pr.shell_sum == want
+
+
+@pytest.mark.parametrize("arg", ["circles: 1", None, 0, {}, ("circles",)])
+def test_profile_rejects_what_is_not_a_diagram(arg):
+    with pytest.raises(NotADiagram, match="^profile needs a GaussDiagram, not "):
+        profile(arg)
+    assert issubclass(NotADiagram, ShellmovesError)

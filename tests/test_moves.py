@@ -308,6 +308,25 @@ def test_walks_preserve_profile():
         assert profile(H) == before
 
 
+@pytest.mark.parametrize("steps, seed, cap, name", [
+    (True, 1, 3, "steps"),
+    (2.5, 1, 3, "steps"),
+    ("2", 1, 3, "steps"),
+    (2, None, 3, "seed"),
+    (2, 1.0, 3, "seed"),
+    (2, False, 3, "seed"),
+    (2, "7", 3, "seed"),
+    (2, 1, "5", "chord_cap"),
+    (2, 1, 5.0, "chord_cap"),
+    (2, 1, None, "chord_cap"),
+])
+def test_random_walk_takes_only_exact_ints(steps, seed, cap, name):
+    # seed=None would seed from OS entropy and steps=True walk one step
+    G = parse_gauss_code(FREE)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        random_walk(G, steps, seed, cap)
+
+
 def test_trace_text_roundtrip():
     rng = random.Random(39)
     for _ in range(300):

@@ -67,7 +67,7 @@ def test_encode_nonself_snail():
 def test_encode_snail_rejects_bad_args():
     with pytest.raises(BadSign, match="^chord 'g' has sign 2$"):
         encode_snail("self", 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedSnailForm, match="^unknown snail kind 'weird'$"):
         encode_snail("weird", 1, 1)
     with pytest.raises(BadSign, match="^chord 'g' has sign 1.0$"):
         encode_snail("self", 1.0, 2)
