@@ -268,8 +268,8 @@ def _bound(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and each command's own, built once."""
     ap = argparse.ArgumentParser(
         prog="shellmoves",
         description="Gauss-diagram invariants, shell moves and normal forms")
@@ -317,16 +317,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fmt", help="canonicalize Gauss-code whitespace")
     p.add_argument("file")
     p.set_defaults(run=_cmd_fmt)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap, commands = _build_parser()
+    # a known command's own parser reads its arguments; the rest go to ap
+    command = commands.get(argv[0]) if argv else None
     try:
         # help goes to ``out``; usage errors stay on stderr
         with contextlib.redirect_stdout(out):
-            args = ap.parse_args(argv)
+            args = (command.parse_args(argv[1:]) if command
+                    else ap.parse_args(argv))
     except SystemExit as e:
         return 0 if e.code == 0 else USAGE_ERROR
     try:

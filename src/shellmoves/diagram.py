@@ -20,6 +20,7 @@ from .errors import (
     DuplicateEndpoint,
     GaussCodeError,
     MissingEndpoint,
+    NotADiagram,
     NotANonselfChord,
     NotASelfChord,
     UnknownChordId,
@@ -550,4 +551,8 @@ def canonical_key(G: GaussDiagram):
 
 def isomorphic(G: GaussDiagram, H: GaussDiagram) -> bool:
     """Same diagram up to rotating each circle and renaming chords."""
+    for D in (G, H):
+        if not isinstance(D, GaussDiagram):
+            raise NotADiagram(
+                f"isomorphic needs a GaussDiagram, not {type(D).__name__}")
     return G.mu == H.mu and canonical_key(G) == canonical_key(H)

@@ -17,12 +17,13 @@ from .diagram import GaussDiagram, canonical_key
 from .errors import (
     BudgetExceeded,
     ComponentCountMismatch,
+    NotADiagram,
     UnsupportedComponentCount,
     WrongComponentCount,
 )
 from .invariants import LAMBDA_LABEL, LinkProfile, linking_data, profile
 from .moves import (MoveSite, apply_move, chord_change, count_move_sites,
-                    find_move_sites, fits)
+                    find_move_sites, fits, least_counts)
 
 __all__ = [
     "Verdict",
@@ -50,6 +51,13 @@ def _mismatch(label: str, a, b) -> str:
     return f"{label} mismatch: {a} vs {b}"
 
 
+def _need_diagrams(who: str, *args) -> None:
+    for G in args:
+        if not isinstance(G, GaussDiagram):
+            raise NotADiagram(
+                f"{who} needs a GaussDiagram, not {type(G).__name__}")
+
+
 def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     """Decide shell-move equivalence from the complete invariant suite.
 
@@ -57,6 +65,7 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     field that differs (for a table, its lowest differing slot), in the
     inputs' own component order for every lambda, as ``profile`` reads.
     """
+    _need_diagrams("s_equivalent", G, H)
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     if G.mu not in (1, 2):
@@ -91,13 +100,33 @@ def check_consistency(pr: LinkProfile) -> bool:
 
 _EXPANSION_ORDER = ("R1_delete", "R2_delete", "S2_delete", "S1", "R3",
                     "R1_insert", "R2_insert", "S2_insert")
-# (kind, chord change, changes in positive chords), in expansion order
-_EXPANSION = tuple((kind, *chord_change(kind)) for kind in _EXPANSION_ORDER)
+# (kind, chord change, changes in positive chords, least counts), in order
+_EXPANSION = tuple((kind, *chord_change(kind), least_counts(kind))
+                   for kind in _EXPANSION_ORDER)
+_GAP_COUNTED = ("R1_insert", "R2_insert")  # the circle lengths fix the count
 
 
 def _signature(G: GaussDiagram) -> tuple[int, tuple[int, ...]]:
     """Positive chords and circle lengths, which isomorphic diagrams share."""
     return [*G.signs.values()].count(1), tuple(map(len, G.circles))
+
+
+def _plan(G: GaussDiagram, cap: int, size: int, goal_positive: int) -> list:
+    """``(kind, builds, held, count)`` for each kind that fits and can have
+    a site on a node with ``G``'s signature, in expansion order; ``count``
+    is a held kind's site count if the circle lengths fix it, else None."""
+    n, positive = len(G), _signature(G)[0]
+    plan = []
+    for kind, change, gains, (chords, plus, minus) in _EXPANSION:
+        if (not fits(G, kind, cap) or n < chords or positive < plus
+                or n - positive < minus):
+            continue
+        builds = n + change == size and goal_positive - positive in gains
+        held = change > 0 and not builds
+        count = (count_move_sites(G, kind)
+                 if held and kind in _GAP_COUNTED else None)
+        plan.append((kind, builds, held, count))
+    return plan
 
 
 def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
@@ -109,8 +138,9 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     chords, shallow depth).  Returns a replayable trace, or None when the
     bounded graph holds no path.  Raises BudgetExceeded once ``node_budget``
     candidate diagrams have been generated without an answer, in which case
-    absence is not certified, and ValueError when ``G`` already has more
-    than ``chord_cap`` chords or a bound is negative.
+    absence is not certified, NotADiagram for an argument that is not a
+    GaussDiagram, and ValueError when ``G`` already has more than
+    ``chord_cap`` chords or a bound is negative or not an exact int.
 
     The frontier is a stream of ``(diagram, trace)`` pairs, so a hit
     returns its parent's trace plus its own site.  A level holds one entry
@@ -126,8 +156,17 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     counted (:func:`~shellmoves.moves.count_move_sites`) without being
     listed.  :func:`_frontier` lists, builds and keys a held or unkeyed
     child only when the next level asks for it, so whatever lies past a
-    hit, the budget or the last level is never built or keyed.
+    hit, the budget or the last level is never built or keyed.  A node
+    follows its signature's plan (:func:`_plan`), made once per search,
+    which leaves out each kind whose least counts (``moves.least_counts``)
+    the node lacks: such a kind has no site, so budget, frontier and answer
+    are those of listing every kind at every node.
     """
+    _need_diagrams("bfs_witness", G, H)
+    for name, value in (("max_depth", max_depth), ("chord_cap", chord_cap),
+                        ("node_budget", node_budget)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     if chord_cap < len(G):
@@ -146,16 +185,18 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     seen = {start}
     frontier: Iterable[tuple[GaussDiagram, tuple[MoveSite, ...]]] = [(G, ())]
     generated = 0
+    plans: dict[tuple[int, tuple[int, ...]], list] = {}
     for depth in range(max_depth):
         level: list[tuple[GaussDiagram, tuple, str, list | None]] = []
         for diagram, trace in frontier:
-            n, gain = len(diagram), goal[0] - _signature(diagram)[0]
-            for kind, change, positive in _EXPANSION:
-                if not fits(diagram, kind, chord_cap):
-                    continue
-                builds = n + change == size and gain in positive
-                if change > 0 and not builds:
-                    generated += count_move_sites(diagram, kind)
+            sig = _signature(diagram)
+            plan = plans.get(sig)
+            if plan is None:
+                plan = plans[sig] = _plan(diagram, chord_cap, size, goal[0])
+            for kind, builds, held, count in plan:
+                if held:
+                    generated += (count_move_sites(diagram, kind)
+                                  if count is None else count)
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
                     level.append((diagram, trace, kind, None))

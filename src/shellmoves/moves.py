@@ -20,7 +20,10 @@ The finders list R1 insertions only in order ``IT`` (initial, then
 terminal), while the handler also accepts ``TI``.  R3 uses one sign
 pattern: ``hp`` and ``hq`` negative, ``x`` positive.  One R3 type suffices
 with R1 and R2 (Polyak, "Minimal generating sets of Reidemeister moves",
-Quantum Topology 1, 2010).
+Quantum Topology 1, 2010).  A site needs at least so many chords, positive
+and negative chords (``least_counts``): R1_delete 1/0/0, R2_delete 2/1/1, R3
+3/1/2 (its sign pattern), S1 2/0/0, S2_insert 2/0/0 and S2_delete 4/1/1 (two
+shells of cancelling signs around two chords); the R1 and R2 insertions none.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "find_move_sites",
     "count_move_sites",
     "chord_change",
+    "least_counts",
     "fits",
     "apply_move",
     "apply_move_with_inverse",
@@ -107,8 +111,12 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
                             ) -> tuple[GaussDiagram, MoveSite]:
     """Apply a move and return the site that undoes it in the image.  A
     site of the wrong shape (a kind not a known str, anchors not a tuple of
-    pairs of exact ints) is stale, as one out of range is."""
-    kind, anchors, params = site
+    pairs of exact ints, or not three fields at all) is stale, as one out of
+    range is."""
+    try:
+        kind, anchors, params = site
+    except (TypeError, ValueError):
+        raise StaleSite(f"a site has three fields, not {site!r}") from None
     try:
         k = _kind(kind)
     except ValueError as e:
@@ -129,6 +137,8 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
             _check(0 <= p <= n, "bad gap")
         elif not 0 <= p < n:
             raise StaleSite(f"no position {p} on circle {c + 1}")
+    if type(site) is not MoveSite:
+        site = MoveSite(kind, anchors, params)
     return k.apply(G, site)
 
 
@@ -459,19 +469,24 @@ class _Kind(NamedTuple):
     change: int = 0            # signed change in chord count
     positive: tuple[int, ...] = (0,)  # each change in positive chords
     gaps: bool = False         # anchors are gaps 0..len(word), not positions
+    least: tuple[int, int, int] = (0, 0, 0)  # chords, + and - chords of a site
 
 
 _KINDS = {
     R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, (0, 1),
                      True),
-    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1, (0, -1)),
+    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1, (0, -1),
+                     least=(1, 0, 0)),
     R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, (1,),
                      True),
-    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2, (-1,)),
-    R3: _Kind(_apply_r3, _sites_r3, 3, (0,)),
-    S1: _Kind(_apply_s1, _sites_s1, 1, (0,)),
-    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2, (1,)),
-    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2, (-1,)),
+    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2, (-1,),
+                     least=(2, 1, 1)),
+    R3: _Kind(_apply_r3, _sites_r3, 3, (0,), least=(3, 1, 2)),
+    S1: _Kind(_apply_s1, _sites_s1, 1, (0,), least=(2, 0, 0)),
+    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2, (1,),
+                     least=(2, 0, 0)),
+    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2, (-1,),
+                     least=(4, 1, 1)),
 }
 
 MOVE_KINDS = tuple(_KINDS)
@@ -490,6 +505,11 @@ def chord_change(kind: str) -> tuple[int, tuple[int, ...]]:
     number of positive chords it can add."""
     k = _kind(kind)
     return k.change, k.positive
+
+
+def least_counts(kind: str) -> tuple[int, int, int]:
+    """The fewest chords, + chords and - chords any ``kind`` site needs."""
+    return _kind(kind).least
 
 
 def fits(G: GaussDiagram, kind: str, chord_cap: int) -> bool:

@@ -302,6 +302,22 @@ def test_help_goes_to_out_and_usage_errors_to_stderr(capsys):
     assert "usage: shellmoves" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (("witness", "a", "b", "--depth", "1", "--bogus"), "shellmoves witness"),
+    (("fuzz", "a", "--steps", "1", "--seed", "1", "--cap", "2", "x"),
+     "shellmoves fuzz"),
+    (("fmt", "a", "b"), "shellmoves fmt"),
+])
+def test_an_unrecognized_argument_prints_the_commands_usage(capsys, argv,
+                                                            usage):
+    # the command's own parser reads its arguments, so it names them
+    assert run(*argv) == (64, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {usage} [-h]"), err
+    assert err.endswith(f"{usage}: error: unrecognized arguments: "
+                        f"{argv[-1]}\n"), err
+
+
 def test_parse_error_exit_code(files):
     bad = files("bad.gd", "circles: 1\nchord g +\ncircle 1: g<\n")
     assert run("invariants", bad)[0] == 65

@@ -9,8 +9,8 @@ from shellmoves.diagram import (
     isomorphic,
     parse_gauss_code,
 )
-from shellmoves.equiv import bfs_witness
-from shellmoves.errors import StaleSite
+from shellmoves.equiv import bfs_witness, s_equivalent
+from shellmoves.errors import NotADiagram, StaleSite
 from shellmoves.invariants import (
     linking_data,
     profile,
@@ -25,6 +25,7 @@ from shellmoves.moves import (
     count_move_sites,
     find_move_sites,
     fits,
+    least_counts,
     random_walk,
     site_from_text,
     site_to_text,
@@ -73,7 +74,9 @@ def test_count_move_sites_is_the_finders_length():
     lambda G, kind: count_move_sites(G, kind),
     lambda G, kind: chord_change(kind),
     lambda G, kind: fits(G, kind, 3),
-], ids=["find_move_sites", "count_move_sites", "chord_change", "fits"])
+    lambda G, kind: least_counts(kind),
+], ids=["find_move_sites", "count_move_sites", "chord_change", "fits",
+        "least_counts"])
 def test_every_kind_reader_rejects_an_unknown_kind(reader, kind):
     with pytest.raises(ValueError, match=r"^unknown move kind "):
         reader(parse_gauss_code(FREE), kind)
@@ -96,6 +99,38 @@ def test_negative_bounds_are_rejected():
         bfs_witness(G, G, 0, 3, -1)
     assert random_walk(G, 0, 1, 3)[1] == []
     assert bfs_witness(G, G, 0, 3) == []
+
+
+@pytest.mark.parametrize("depth, cap, budget, name", [
+    (True, 3, 10, "max_depth"),
+    ("2", 3, 10, "max_depth"),
+    (2.0, 3, 10, "max_depth"),
+    (2, 3.0, 10, "chord_cap"),
+    (2, "3", 10, "chord_cap"),
+    (2, 3, 1.5, "node_budget"),
+    (2, 3, None, "node_budget"),
+    (2, 3, False, "node_budget"),
+])
+def test_bfs_witness_takes_only_exact_ints(depth, cap, budget, name):
+    # max_depth=True would search one level and node_budget=1.5 search on
+    G, H = parse_gauss_code(FREE), parse_gauss_code(EMPTY)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        bfs_witness(G, H, depth, cap, budget)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("bfs_witness", lambda G, x: bfs_witness(x, G, 2, 3)),
+    ("bfs_witness", lambda G, x: bfs_witness(G, x, 2, 3)),
+    ("s_equivalent", lambda G, x: s_equivalent(x, G)),
+    ("s_equivalent", lambda G, x: s_equivalent(G, x)),
+    ("isomorphic", lambda G, x: isomorphic(x, G)),
+    ("isomorphic", lambda G, x: isomorphic(G, x)),
+])
+@pytest.mark.parametrize("x", [FREE, None, (("g", 1),)])
+def test_a_non_diagram_is_rejected(name, call, x):
+    with pytest.raises(NotADiagram,
+                       match=f"^{name} needs a GaussDiagram, not "):
+        call(parse_gauss_code(FREE), x)
 
 
 def test_s1_sites_on_double_shell_snail():
@@ -133,6 +168,34 @@ def test_apply_rejects_stale_sites():
         apply_move(H, site)
     with pytest.raises(StaleSite):
         apply_move(G, MoveSite("S2_delete", ((0, 0),)))
+
+
+@pytest.mark.parametrize("site", [
+    5,
+    None,
+    "R1_delete",
+    ("R1_delete",),
+    ("R1_delete", ((0, 0),)),
+    ("R1_delete", ((0, 0),), (), ()),
+])
+def test_a_site_that_is_not_three_fields_is_stale(site):
+    G = parse_gauss_code(FREE)
+    for apply in (apply_move, apply_move_with_inverse):
+        with pytest.raises(StaleSite):
+            apply(G, site)
+
+
+def test_a_plain_tuple_site_applies_as_its_move_site():
+    """A site equals the plain tuple of its three fields, and applies so."""
+    rng = random.Random(33)
+    for _ in range(200):
+        G = random_diagram(rng, rng.choice((1, 2)), 5)
+        for kind in MOVE_KINDS:
+            for site in find_move_sites(G, kind)[:3]:
+                H, inv = apply_move_with_inverse(G, tuple(site))
+                want, want_inv = apply_move_with_inverse(G, site)
+                assert (H.signs, H.circles, inv) == (
+                    want.signs, want.circles, want_inv)
 
 
 def random_sites(seed, trials, kinds=MOVE_KINDS):
