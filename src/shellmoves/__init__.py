@@ -24,10 +24,8 @@ from .normal_form import (
     KnotForm,
     LinkForm,
     build_knot_form,
-    build_link_diagram,
     build_link_form,
     canonical_form,
-    encode_snail,
     realize_knot,
     realize_link,
 )
@@ -47,11 +45,9 @@ __all__ = [
     "apply_move",
     "bfs_witness",
     "build_knot_form",
-    "build_link_diagram",
     "build_link_form",
     "canonical_form",
     "check_consistency",
-    "encode_snail",
     "find_move_sites",
     "gamma_class",
     "isomorphic",

@@ -44,6 +44,7 @@ __all__ = [
     "swap_components",
     "canonical_key",
     "isomorphic",
+    "require_diagrams",
 ]
 
 INITIAL = "<"
@@ -220,6 +221,16 @@ class GaussDiagram:
 _set_signs, _set_circles = GaussDiagram.signs.__set__, GaussDiagram.circles.__set__
 
 
+def require_diagrams(who: str, *args) -> None:
+    """The one type check of the functions that take diagrams: NotADiagram,
+    naming ``who``, for the first of ``args`` that is not a GaussDiagram.
+    Public entry points call it; the internals they reach do not."""
+    for G in args:
+        if not isinstance(G, GaussDiagram):
+            raise NotADiagram(
+                f"{who} needs a GaussDiagram, not {type(G).__name__}")
+
+
 class CircleWalk(NamedTuple):
     """What :func:`circle_walk` yields for ``profile``: nothing per self-chord."""
 
@@ -393,6 +404,7 @@ def gauss_code(
 
 
 def serialize(G: GaussDiagram) -> str:
+    require_diagrams("serialize", G)
     # by id, not by line: "a\x01" sorts after "a", but its line sorts first
     ids = sorted(G.signs)
     return gauss_code([("", ids, G.signs)] if ids else [],
@@ -442,7 +454,10 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
 
     The reference in ``tests/test_link_profile_reference.py`` reads the
     book's nonself indices off this circle; ``profile`` reads their twist
-    class from one :func:`circle_walk` per circle without building it."""
+    class from one :func:`circle_walk` per circle without building it.
+    Public as the book's reading, which the benchmark's tracer wraps by
+    name; no code in the package calls it."""
+    require_diagrams("surgery", G)
     G.require_mu(2)
     ci, pi = G.locate(gamma0, INITIAL)
     ct, pt = G.locate(gamma0, TERMINAL)
@@ -456,6 +471,7 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
 
 def swap_components(G: GaussDiagram) -> GaussDiagram:
     """Exchange the two circles (relabel the components)."""
+    require_diagrams("swap_components", G)
     G.require_mu(2)
     return G._edited({0: G.circles[1], 1: G.circles[0]})
 
@@ -551,8 +567,5 @@ def canonical_key(G: GaussDiagram):
 
 def isomorphic(G: GaussDiagram, H: GaussDiagram) -> bool:
     """Same diagram up to rotating each circle and renaming chords."""
-    for D in (G, H):
-        if not isinstance(D, GaussDiagram):
-            raise NotADiagram(
-                f"isomorphic needs a GaussDiagram, not {type(D).__name__}")
+    require_diagrams("isomorphic", G, H)
     return G.mu == H.mu and canonical_key(G) == canonical_key(H)

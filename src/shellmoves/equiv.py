@@ -13,11 +13,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .diagram import GaussDiagram, canonical_key
+from .diagram import GaussDiagram, canonical_key, require_diagrams
 from .errors import (
     BudgetExceeded,
     ComponentCountMismatch,
-    NotADiagram,
     UnsupportedComponentCount,
     WrongComponentCount,
 )
@@ -51,13 +50,6 @@ def _mismatch(label: str, a, b) -> str:
     return f"{label} mismatch: {a} vs {b}"
 
 
-def _need_diagrams(who: str, *args) -> None:
-    for G in args:
-        if not isinstance(G, GaussDiagram):
-            raise NotADiagram(
-                f"{who} needs a GaussDiagram, not {type(G).__name__}")
-
-
 def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     """Decide shell-move equivalence from the complete invariant suite.
 
@@ -65,7 +57,7 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     field that differs (for a table, its lowest differing slot), in the
     inputs' own component order for every lambda, as ``profile`` reads.
     """
-    _need_diagrams("s_equivalent", G, H)
+    require_diagrams("s_equivalent", G, H)
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
     if G.mu not in (1, 2):
@@ -84,7 +76,9 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
 
 def check_consistency(pr: LinkProfile) -> bool:
     """The index-weighted writhe sums and the class derivative cancel:
-    exactly for lambda = 0, mod lambda otherwise (undefined for |lambda| = 1)."""
+    exactly for lambda = 0, mod lambda otherwise (undefined for |lambda| = 1).
+    Public as the paper's consistency relation, a check on a profile built
+    by hand; no code in the package calls it."""
     if not isinstance(pr, LinkProfile):
         raise WrongComponentCount("consistency needs a 2-circle profile")
     lam = abs(pr.lam)
@@ -162,7 +156,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     the node lacks: such a kind has no site, so budget, frontier and answer
     are those of listing every kind at every node.
     """
-    _need_diagrams("bfs_witness", G, H)
+    require_diagrams("bfs_witness", G, H)
     for name, value in (("max_depth", max_depth), ("chord_cap", chord_cap),
                         ("node_budget", node_budget)):
         if type(value) is not int:

@@ -33,7 +33,11 @@ class WrongComponentCount(ShellmovesError):
     """Operation requires a specific number of circles."""
 
 
-class NotADiagram(ShellmovesError):
+class WrongArgumentType(ShellmovesError, TypeError):
+    """An argument is not of the type the function takes."""
+
+
+class NotADiagram(WrongArgumentType):
     """An argument that must be a GaussDiagram is not one."""
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, LinkingClass, gamma_class
-from .diagram import INITIAL, GaussDiagram, circle_walk
+from .diagram import INITIAL, GaussDiagram, circle_walk, require_diagrams
 # the benchmark's tracer wraps invariants.surgery (perfbench/spans.py)
 from .diagram import surgery
-from .errors import NotADiagram, UnsupportedComponentCount
+from .errors import UnsupportedComponentCount
 
 __all__ = [
     "KnotProfile",
@@ -44,7 +44,10 @@ def self_writhe_tables(G: GaussDiagram) -> tuple[dict[int, int], ...]:
 
 
 def writhe_polynomial(G: GaussDiagram) -> LaurentPoly:
-    """W(t) = sum_{n != 0} J_n t^n - sum_{n != 0} J_n."""
+    """W(t) = sum_{n != 0} J_n t^n - sum_{n != 0} J_n of a knot: public as
+    the paper's complete knot invariant, though no code in the package
+    calls it (``profile(G).writhe`` is the same value)."""
+    require_diagrams("writhe_polynomial", G)
     G.require_mu(1)
     return profile(G).writhe
 
@@ -53,6 +56,7 @@ def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
     """(Lk(K1,K2), Lk(K2,K1), lambda): signed counts of the two nonself
     chord types, read at their circle-1 endpoints (an initial endpoint marks
     type (1,2), a terminal one type (2,1)), and their difference."""
+    require_diagrams("linking_data", G)
     G.require_mu(2)
     on_circle2 = {chord for chord, _ in G.circles[1]}
     lk12 = lk21 = 0
@@ -68,7 +72,9 @@ def linking_data(G: GaussDiagram) -> tuple[int, int, int]:
 
 def linking_class(G: GaussDiagram) -> LinkingClass:
     """Twist class of the nonself index polynomials in Gamma(|lambda|), as
-    :func:`profile` reads it."""
+    :func:`profile` reads it: public as the paper's linking class, which
+    the benchmark's tracer wraps by name; no code in the package calls it."""
+    require_diagrams("linking_class", G)
     G.require_mu(2)
     return profile(G).linking_class
 
@@ -166,9 +172,7 @@ class LinkProfile(_Profile):
 
 def profile(G: GaussDiagram) -> KnotProfile | LinkProfile:
     """Assemble the full invariant profile of a 1- or 2-circle diagram."""
-    if not isinstance(G, GaussDiagram):
-        raise NotADiagram(
-            f"profile needs a GaussDiagram, not {type(G).__name__}")
+    require_diagrams("profile", G)
     if G.mu not in (1, 2):
         raise UnsupportedComponentCount(
             f"profiles cover 1 or 2 circles, not {G.mu}")

@@ -32,7 +32,7 @@ import random
 from typing import Callable, NamedTuple
 
 from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
-                      is_shell_layer, shell_layers)
+                      is_shell_layer, require_diagrams, shell_layers)
 from .errors import StaleSite
 
 __all__ = [
@@ -580,6 +580,7 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
     count past ``chord_cap`` count as having none.  ``steps``, ``seed`` and
     ``chord_cap`` must be exact ints.
     """
+    require_diagrams("random_walk", G)
     for name, value in (("steps", steps), ("seed", seed), ("chord_cap", chord_cap)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")

@@ -14,8 +14,7 @@ form's snails are named and placed once, by :func:`_layout`.
 holds the line syntax, as runs of chord lines and of tokens under its main
 chord's id, so the text is joined a snail at a time, not formatted chord by
 chord; the builders read the same layout and split each token into its
-``(chord, kind)`` pair, as :func:`encode_snail` and realization's gadget
-do.
+``(chord, kind)`` pair, as realization's gadget does.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ from .algebra import LaurentPoly
 from .diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram, gauss_code,
                       shell_kinds, shell_layers)
 from .errors import (
-    BadSign,
     BadSupport,
     ConstraintViolated,
     InconsistentProfile,
     MalformedSnailForm,
     NegativeLambda,
     NotRealizable,
+    WrongArgumentType,
 )
 from .invariants import (KnotProfile, LinkProfile, link_slots,
                          self_writhe_tables, shell_sum)
@@ -42,9 +41,7 @@ from .invariants import (KnotProfile, LinkProfile, link_slots,
 __all__ = [
     "KnotForm",
     "LinkForm",
-    "encode_snail",
     "build_knot_form",
-    "build_link_diagram",
     "build_link_form",
     "form_code",
     "canonical_form",
@@ -142,26 +139,6 @@ def _snail_words(main: str, shells: Mapping[str, list[str]], eps: int, n: int,
 _pair = itemgetter(slice(None, -1), -1)
 
 
-def encode_snail(kind: str, eps: int, n: int) -> GaussDiagram:
-    """One snail as a standalone diagram, chords named g, s1..s|n|.
-
-    ``kind`` is ``"self"`` (one circle) or ``"nonself"`` (main chord from
-    circle 1 to circle 2).  A sign other than the int 1 or -1 is BadSign,
-    and another kind or an index that is not an int MalformedSnailForm.
-    """
-    if type(eps) is not int or eps not in (1, -1):
-        raise BadSign(f"chord 'g' has sign {eps!r}")
-    if kind not in ("self", "nonself"):
-        raise MalformedSnailForm(f"unknown snail kind {kind!r}")
-    if type(n) is not int:
-        raise MalformedSnailForm(f"snail index {n!r} is not an int")
-    shells = [f"s{j}" for j in range(1, abs(n) + 1)]
-    sign, src, dst = _snail_words("g", _shell_tokens(shells), eps, n,
-                                  kind == "nonself")
-    return GaussDiagram({"g": eps, **dict.fromkeys(shells, sign)},
-                        [map(_pair, w) for w in (src, dst) if w])
-
-
 # -- snail forms -------------------------------------------------------------
 
 
@@ -257,20 +234,9 @@ def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
     return _snail_diagram(KnotForm(a))
 
 
-def build_link_diagram(a: Mapping[int, int], b: Mapping[int, int],
-                       c: Mapping[int, int], d: Mapping[int, int]
-                       ) -> GaussDiagram:
-    """General snail-form 2-component diagram.
-
-    Self snails sit on an arc of their own circle; the nonself families run
-    between the circles in parallel, so the terminal endpoints appear in
-    reverse order on the far circle.
-    """
-    return build_link_form(
-        LinkForm(sum(c.values()) - sum(d.values()), a, b, c, d))
-
-
 def build_link_form(form: LinkForm) -> GaussDiagram:
+    """Self snails on an arc of their own circle, and the nonself families
+    in parallel between the circles, as :func:`_layout` places them."""
     return _snail_diagram(form)
 
 
@@ -308,7 +274,7 @@ def canonical_form(profile) -> KnotForm | LinkForm:
     if isinstance(profile, KnotProfile):
         return KnotForm({n: v for n, v in profile.n_writhes.items() if n != 1})
     if not isinstance(profile, LinkProfile):
-        raise TypeError(f"not a profile: {profile!r}")
+        raise WrongArgumentType(f"not a profile: {profile!r}")
     lam = profile.lam
     if lam < 0:
         raise NegativeLambda(
@@ -333,6 +299,9 @@ def realize_knot(f: LaurentPoly) -> GaussDiagram:
     Realizable exactly when f(1) = f'(1) = 0; the snail coefficients are the
     coefficients of f away from exponents 0 and 1.
     """
+    if not isinstance(f, LaurentPoly):
+        raise WrongArgumentType(
+            f"realize_knot needs a LaurentPoly, not {type(f).__name__}")
     if f.eval_at_one() != 0:
         raise NotRealizable(f"value at 1 is {f.eval_at_one()}, not 0")
     if f.derivative_at_one() != 0:

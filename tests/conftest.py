@@ -8,8 +8,7 @@ from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import Endpoint, GaussDiagram, INITIAL, TERMINAL, parse_gauss_code
 from shellmoves.errors import ConstraintViolated
 from shellmoves.invariants import profile
-from shellmoves.normal_form import (LinkForm, build_link_diagram, encode_snail,
-                                    realize_link)
+from shellmoves.normal_form import LinkForm, build_link_form, realize_link
 
 # Five-chord one-circle diagram with index writhes J_3 = J_-1 = 1, J_1 = -2,
 # hence writhe polynomial t^-1 - 2t + t^3 and odd writhe 0.  Chord indices,
@@ -32,6 +31,13 @@ REFERENCE_LINK_SNAILS = dict(a={2: 2, 3: -1}, b={-1: 2},
                              c={0: 1, -1: 1, 4: 1}, d={2: 2, 3: -1})
 
 
+def link_from_snails(a, b, c, d) -> GaussDiagram:
+    """The snail-form link with self snails ``a``/``b`` and nonself snails
+    ``c``/``d``, its lambda read off ``c`` and ``d``."""
+    return build_link_form(
+        LinkForm(sum(c.values()) - sum(d.values()), a, b, c, d))
+
+
 @pytest.fixture
 def reference_knot() -> GaussDiagram:
     return parse_gauss_code(REFERENCE_KNOT_CODE)
@@ -39,7 +45,47 @@ def reference_knot() -> GaussDiagram:
 
 @pytest.fixture
 def reference_link() -> GaussDiagram:
-    return build_link_diagram(**REFERENCE_LINK_SNAILS)
+    return link_from_snails(**REFERENCE_LINK_SNAILS)
+
+
+# -- one snail, written out by hand -----------------------------------------------
+
+
+def ref_self_snail_words(main, shells, eps, n):
+    sigma = -eps * (1 if n > 0 else -1) if n else 0
+    near = INITIAL if eps > 0 else TERMINAL
+    far = TERMINAL if eps > 0 else INITIAL
+    signs = {main: eps}
+    signs.update({s: sigma for s in shells})
+    word = [(main, INITIAL)]
+    word += [(s, near) for s in shells]
+    word.append((main, TERMINAL))
+    word += [(s, far) for s in reversed(shells)]
+    return signs, word
+
+
+def ref_nonself_snail_words(main, shells, eps, n):
+    sigma = -eps * (1 if n > 0 else -1) if n else 0
+    before = INITIAL if eps < 0 else TERMINAL
+    after = TERMINAL if eps < 0 else INITIAL
+    signs = {main: eps}
+    signs.update({s: sigma for s in shells})
+    src = [(s, before) for s in shells]
+    src.append((main, INITIAL))
+    src += [(s, after) for s in reversed(shells)]
+    return signs, src, [(main, TERMINAL)]
+
+
+def ref_encode_snail(kind, eps, n):
+    """The snail S(n) of sign ``eps`` as a standalone diagram through the
+    checking constructor, chords named g, s1..s|n|: on one circle for
+    ``kind`` "self", from circle 1 to circle 2 for "nonself"."""
+    shells = [f"s{j}" for j in range(1, abs(n) + 1)]
+    if kind == "self":
+        signs, word = ref_self_snail_words("g", shells, eps, n)
+        return GaussDiagram(signs, [word])
+    signs, src, dst = ref_nonself_snail_words("g", shells, eps, n)
+    return GaussDiagram(signs, [src, dst])
 
 
 # -- one-shot chord queries that only tests ask ---------------------------------
@@ -334,14 +380,14 @@ def oracle_pool() -> tuple[list[GaussDiagram], list[GaussDiagram]]:
         parse_gauss_code("circles: 1\ncircle 1:"),
         parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>"),
         parse_gauss_code("circles: 1\nchord g -\ncircle 1: g< g>"),
-        encode_snail("self", 1, 1),
+        ref_encode_snail("self", 1, 1),
         parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
                          "circle 1: x< y< x> y>"),
         parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
                          "circle 1: x< x> y< y>"),
         parse_gauss_code("circles: 1\nchord x +\nchord y +\n"
                          "circle 1: x< y< x> y>"),
-        encode_snail("self", 1, 2),
+        ref_encode_snail("self", 1, 2),
     ]
     links = [
         parse_gauss_code("circles: 2\ncircle 1:\ncircle 2:"),

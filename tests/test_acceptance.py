@@ -15,7 +15,6 @@ from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import apply_move, random_walk
 from shellmoves.normal_form import (
     build_knot_form,
-    build_link_diagram,
     build_link_form,
     canonical_form,
     realize_knot,
@@ -27,6 +26,7 @@ from conftest import (
     REFERENCE_LINK_SNAILS,
     assert_link_targets_hit,
     chord_type,
+    link_from_snails,
     oracle_pool,
     random_canonical_form,
     random_diagram,
@@ -42,7 +42,7 @@ def _report(n, text):
 
 def test_criterion_1_reference_link_writhes():
     t0 = time.time()
-    G = build_link_diagram(**REFERENCE_LINK_SNAILS)
+    G = link_from_snails(**REFERENCE_LINK_SNAILS)
     pr = profile(G)
     assert (pr.lk12, pr.lk21) == (3, 1)
     assert pr.lam == 2
@@ -55,7 +55,7 @@ def test_criterion_1_reference_link_writhes():
 
 def test_criterion_2_reference_link_linking_class():
     t0 = time.time()
-    G = build_link_diagram(**REFERENCE_LINK_SNAILS)
+    G = link_from_snails(**REFERENCE_LINK_SNAILS)
     # the undressed chord from circle 1 to circle 2 gives the book tables
     gamma0 = next(c for c in G.signs if chord_type(G, c) == (1, 2)
                   and f"{c}s1" not in G.signs)

@@ -9,9 +9,9 @@ from shellmoves.cli import main
 from shellmoves.diagram import isomorphic, parse_gauss_code, serialize
 from shellmoves.errors import StaleSite
 from shellmoves.moves import apply_move, site_from_text
-from shellmoves.normal_form import build_link_diagram, encode_snail
 
-from conftest import REFERENCE_KNOT_CODE, REFERENCE_LINK_SNAILS
+from conftest import (REFERENCE_KNOT_CODE, REFERENCE_LINK_SNAILS,
+                      link_from_snails, ref_encode_snail)
 
 EMPTY = "circles: 1\ncircle 1:\n"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>\n"
@@ -41,7 +41,7 @@ def test_invariants_knot(files):
 
 
 def test_invariants_link(files):
-    G = build_link_diagram(**REFERENCE_LINK_SNAILS)
+    G = link_from_snails(**REFERENCE_LINK_SNAILS)
     path = files("l.gd", serialize(G))
     code, out = run("invariants", path)
     assert code == 0
@@ -52,7 +52,7 @@ def test_invariants_link(files):
 
 
 def test_invariants_json(files):
-    G = build_link_diagram(**REFERENCE_LINK_SNAILS)
+    G = link_from_snails(**REFERENCE_LINK_SNAILS)
     path = files("l.gd", serialize(G))
     code, out = run("invariants", path, "--json")
     assert code == 0
@@ -61,7 +61,7 @@ def test_invariants_json(files):
 
 
 def test_invariants_deterministic(files):
-    path = files("l.gd", serialize(build_link_diagram(**REFERENCE_LINK_SNAILS)))
+    path = files("l.gd", serialize(link_from_snails(**REFERENCE_LINK_SNAILS)))
     assert run("invariants", path) == run("invariants", path)
 
 
@@ -74,7 +74,7 @@ def test_normalize_knot(files):
 
 
 def test_normalize_link(files):
-    path = files("l.gd", serialize(build_link_diagram(**REFERENCE_LINK_SNAILS)))
+    path = files("l.gd", serialize(link_from_snails(**REFERENCE_LINK_SNAILS)))
     code, out = run("normalize", path)
     assert code == 0
     assert "a: {2:2, 3:-1}" in out
@@ -83,7 +83,7 @@ def test_normalize_link(files):
 
 
 def test_normalize_negative_lambda_swaps(files):
-    G = build_link_diagram(**REFERENCE_LINK_SNAILS)
+    G = link_from_snails(**REFERENCE_LINK_SNAILS)
     from shellmoves.diagram import swap_components
     path = files("l.gd", serialize(swap_components(G)))
     code, out = run("normalize", path)
@@ -96,7 +96,7 @@ def test_equiv_exit_codes(files):
     b = files("b.gd", FREE)
     code, out = run("equiv", a, b)
     assert code == 0 and "all conditions met" in out
-    c = files("c.gd", serialize(encode_snail("self", 1, 2)))
+    c = files("c.gd", serialize(ref_encode_snail("self", 1, 2)))
     code, out = run("equiv", a, c)
     assert code == 1 and "writhe polynomial mismatch" in out
 
@@ -164,7 +164,7 @@ def test_realize_checks_shell_sum(files):
 
 
 def test_fuzz_ok(files):
-    path = files("l.gd", serialize(build_link_diagram(**REFERENCE_LINK_SNAILS)))
+    path = files("l.gd", serialize(link_from_snails(**REFERENCE_LINK_SNAILS)))
     code, out = run("fuzz", path, "--steps", "30", "--seed", "7", "--cap", "40")
     assert code == 0 and out.startswith("ok:")
 
@@ -182,7 +182,7 @@ def test_witness_and_replay(files, tmp_path):
 
 def test_witness_none(files):
     a = files("a.gd", FREE)
-    c = files("c.gd", serialize(encode_snail("self", 1, 2)))
+    c = files("c.gd", serialize(ref_encode_snail("self", 1, 2)))
     code, out = run("witness", a, c, "--depth", "1", "--budget", "2000")
     assert code == 1 and "none within bounds" in out
 
@@ -328,7 +328,7 @@ def test_parse_error_exit_code(files):
 def test_crlf_and_cr_input_print_as_lf(tmp_path, command):
     """Input is read as bytes and split into lines by the reader, so CRLF
     and CR-only copies of a code print the same bytes as the LF original."""
-    link = serialize(build_link_diagram(**REFERENCE_LINK_SNAILS))
+    link = serialize(link_from_snails(**REFERENCE_LINK_SNAILS))
     for code in ("# a knot\n\n" + REFERENCE_KNOT_CODE, link):
         outs = []
         for i, newline in enumerate(("\n", "\r\n", "\r")):

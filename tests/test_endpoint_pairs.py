@@ -13,11 +13,11 @@ from shellmoves.diagram import (GaussDiagram, parse_gauss_code, serialize,
 from shellmoves.invariants import profile
 from shellmoves.moves import (MOVE_KINDS, apply_move, find_move_sites,
                               random_walk, site_from_text, site_to_text)
-from shellmoves.normal_form import (build_knot_form, build_link_diagram,
-                                    encode_snail, realize_knot, realize_link)
+from shellmoves.normal_form import build_knot_form, realize_knot, realize_link
 
-from conftest import (R3_BLOCKS, R3_SIGNS, random_diagram,
-                      random_link_targets, random_link_with_lambda)
+from conftest import (R3_BLOCKS, R3_SIGNS, link_from_snails, random_diagram,
+                      random_link_targets, random_link_with_lambda,
+                      ref_encode_snail)
 
 
 def assert_pairs(G):
@@ -68,10 +68,10 @@ def test_snail_forms_and_realizations_make_pairs():
     rng = random.Random(42)
     for n in (-3, -1, 0, 1, 2, 4):
         for eps in (1, -1):
-            assert_pairs(encode_snail("self", eps, n))
-            assert_pairs(encode_snail("nonself", eps, n))
+            assert_pairs(ref_encode_snail("self", eps, n))
+            assert_pairs(ref_encode_snail("nonself", eps, n))
     assert_pairs(build_knot_form({-2: 1, 2: -1, 3: 2}))
-    assert_pairs(build_link_diagram({2: 1}, {-1: -2}, {0: 1, 3: -1}, {2: 1}))
+    assert_pairs(link_from_snails({2: 1}, {-1: -2}, {0: 1, 3: -1}, {2: 1}))
     for _ in range(20):
         assert_pairs(realize_knot(profile(random_diagram(rng, 1, 10)).writhe))
     assert_pairs(realize_knot(LaurentPoly()))

@@ -21,16 +21,15 @@ from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import (apply_move, random_walk, site_from_text,
                               site_to_text)
 from shellmoves.normal_form import (
-    build_link_diagram,
     build_link_form,
     canonical_form,
-    encode_snail,
     realize_knot,
     realize_link,
 )
 
-from conftest import (assert_link_targets_hit, random_diagram,
-                      random_link_targets, random_link_with_lambda)
+from conftest import (assert_link_targets_hit, link_from_snails,
+                      random_diagram, random_link_targets,
+                      random_link_with_lambda, ref_encode_snail)
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -42,7 +41,7 @@ def test_equiv_empty_vs_free_chord():
 
 
 def test_equiv_distinguishes_snails():
-    v = s_equivalent(encode_snail("self", 1, 2), encode_snail("self", 1, 3))
+    v = s_equivalent(ref_encode_snail("self", 1, 2), ref_encode_snail("self", 1, 3))
     assert not v.equivalent
     assert "writhe polynomial" in v.reason
 
@@ -74,8 +73,8 @@ def test_negative_lambda_link_is_equivalent_to_its_walk(reference_link):
 
 def test_negative_lambda_reason_names_the_component_as_profile_does():
     # the index-5 snail sits on component 1 of A, where invariants lists it
-    A = swap_components(build_link_diagram({}, {5: 1}, {0: 2}, {}))
-    B = swap_components(build_link_diagram({}, {}, {0: 2}, {}))
+    A = swap_components(link_from_snails({}, {5: 1}, {0: 2}, {}))
+    B = swap_components(link_from_snails({}, {}, {0: 2}, {}))
     assert profile(A).lam == -2 and profile(A).jn1 == {1: -5, 5: 1}
     assert profile(A).jn2 == {}
     assert s_equivalent(A, B).reason == \
@@ -83,8 +82,8 @@ def test_negative_lambda_reason_names_the_component_as_profile_does():
 
 
 def test_negative_lambda_reason_prints_linking_numbers_as_profile_does():
-    A = swap_components(build_link_diagram({}, {}, {0: 2}, {}))
-    B = swap_components(build_link_diagram({}, {}, {0: 3}, {0: 1}))
+    A = swap_components(link_from_snails({}, {}, {0: 2}, {}))
+    B = swap_components(link_from_snails({}, {}, {0: 3}, {0: 1}))
     pa, pb = profile(A), profile(B)
     assert (pa.lam, pa.lk12, pa.lk21) == (-2, 0, 2)
     assert (pb.lam, pb.lk12, pb.lk21) == (-2, 1, 3)
@@ -93,16 +92,16 @@ def test_negative_lambda_reason_prints_linking_numbers_as_profile_does():
 
 
 def test_equiv_reports_first_failing_slot():
-    A = build_link_diagram({3: 1}, {}, {0: 1, 1: 1}, {0: 2})
-    B = build_link_diagram({3: 2}, {}, {0: 1, 1: 1}, {0: 2})
+    A = link_from_snails({3: 1}, {}, {0: 1, 1: 1}, {0: 2})
+    B = link_from_snails({3: 2}, {}, {0: 1, 1: 1}, {0: 2})
     v = s_equivalent(A, B)
     assert not v.equivalent
     assert "component-1" in v.reason and "n=3" in v.reason
 
 
 def test_equiv_linking_class_clause():
-    A = build_link_diagram({}, {}, {0: 1, 3: 1}, {0: 2})
-    B = build_link_diagram({}, {}, {0: 1, 1: 1}, {0: 2})
+    A = link_from_snails({}, {}, {0: 1, 3: 1}, {0: 2})
+    B = link_from_snails({}, {}, {0: 1, 1: 1}, {0: 2})
     v = s_equivalent(A, B)
     assert not v.equivalent and "linking class" in v.reason
 
@@ -110,8 +109,8 @@ def test_equiv_linking_class_clause():
 def test_equiv_shell_sum_clause():
     # a self snail at index -1 only touches the shell slots {1, -1} of a
     # lambda = 2 link, so every other clause agrees and the shell sum decides
-    A = build_link_diagram({}, {}, {0: 2}, {})
-    B = build_link_diagram({-1: 1}, {}, {0: 2}, {})
+    A = link_from_snails({}, {}, {0: 2}, {})
+    B = link_from_snails({-1: 1}, {}, {0: 2}, {})
     va, vb = profile(A), profile(B)
     assert va.invariant_jn1() == vb.invariant_jn1()
     assert va.linking_class == vb.linking_class
@@ -248,7 +247,7 @@ def test_consistency_holds_on_random_diagrams():
 
 
 def test_consistency_breaks_under_derivative_tweak():
-    pr = profile(build_link_diagram({}, {}, {0: 1, 2: -1}, {1: 0}))
+    pr = profile(link_from_snails({}, {}, {0: 1, 2: -1}, {1: 0}))
     assert pr.lam == 0
     assert not check_consistency(replace(pr, f_prime=pr.f_prime + 1))
 
@@ -289,7 +288,7 @@ def test_witness_free_chord_to_empty():
 
 
 def test_witness_one_shell_swap_found_within_depth_two():
-    G = encode_snail("self", 1, 2)
+    G = ref_encode_snail("self", 1, 2)
     H, trace = random_walk(G, 1, seed=4, chord_cap=8)
     assert trace[0].kind == "S2_insert"
     tr = bfs_witness(G, H, 2, 8, node_budget=50000)
@@ -327,7 +326,8 @@ def test_a_ti_kink_is_one_deletion_away_but_two_moves_to_insert(sign):
 
 def test_witness_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        bfs_witness(encode_snail("self", 1, 2), encode_snail("self", 1, 3),
+        bfs_witness(ref_encode_snail("self", 1, 2),
+                    ref_encode_snail("self", 1, 3),
                     6, 8, node_budget=50)
 
 
@@ -359,8 +359,8 @@ def test_witness_mu_mismatch():
 def test_witness_traces_connect_equivalent_diagrams_only():
     rng = random.Random(66)
     pool = [parse_gauss_code(EMPTY), parse_gauss_code(FREE),
-            encode_snail("self", 1, 1), encode_snail("self", -1, 1),
-            encode_snail("self", 1, 2)]
+            ref_encode_snail("self", 1, 1), ref_encode_snail("self", -1, 1),
+            ref_encode_snail("self", 1, 2)]
     for A in pool:
         for B in pool:
             try:

@@ -15,15 +15,16 @@ from shellmoves.invariants import (
     writhe_polynomial,
 )
 from shellmoves.moves import random_walk
-from shellmoves.normal_form import build_link_diagram, encode_snail
 
 from conftest import (
     REFERENCE_KNOT_INDICES,
     chord_type,
     is_free,
+    link_from_snails,
     random_diagram,
     random_link_with_lambda,
     ref_detect_shells,
+    ref_encode_snail,
 )
 from test_link_profile_reference import ref_nonself_writhe_tables
 
@@ -34,7 +35,7 @@ def test_knot_index_free_chord():
 
 
 def test_knot_index_snail_base():
-    assert encode_snail("self", 1, 2).arc_sign_sum("g") == 2
+    assert ref_encode_snail("self", 1, 2).arc_sign_sum("g") == 2
 
 
 def test_knot_index_of_shells_is_one():
@@ -60,7 +61,7 @@ def test_reference_knot_indices_and_writhe(reference_knot):
 def test_writhe_empty_and_snail():
     assert writhe_polynomial(parse_gauss_code("circles: 1\ncircle 1:")) == \
         LaurentPoly()
-    assert writhe_polynomial(encode_snail("self", 1, 2)) == \
+    assert writhe_polynomial(ref_encode_snail("self", 1, 2)) == \
         LaurentPoly({2: 1, 1: -2, 0: 1})
 
 
@@ -238,7 +239,7 @@ def test_snail_diagram_profile_reads_off_the_snail_data():
         d = {rng.randint(-3, 4): rng.randint(-2, 2) for _ in range(2)}
         c = {m: v for m, v in c.items() if v}
         d = {m: v for m, v in d.items() if v}
-        G = build_link_diagram(a, b, c, d)
+        G = link_from_snails(a, b, c, d)
         pr = profile(G)
         lam = pr.lam
         assert lam == sum(c.values()) - sum(d.values())

@@ -32,12 +32,11 @@ from shellmoves.invariants import (
     shell_sum,
 )
 from shellmoves.moves import random_walk
-from shellmoves.normal_form import (LinkForm, build_link_diagram,
-                                    canonical_form, realize_link)
+from shellmoves.normal_form import LinkForm, canonical_form, realize_link
 
-from conftest import (random_link_with_lambda, ref_append_gadget,
-                      ref_check_support, ref_nonself_anchor,
-                      ref_transfer_shells)
+from conftest import (link_from_snails, random_link_with_lambda,
+                      ref_append_gadget, ref_check_support,
+                      ref_nonself_anchor, ref_transfer_shells)
 
 
 # -- the reference: slot rules written out per regime ------------------------------
@@ -82,8 +81,8 @@ def ref_realize_lam0(a, b, c, d, target_shell_sum):
             target_shell_sum != a.get(1, 0) + b.get(1, 0):
         raise ConstraintViolated(
             "shell-sum target conflicts with the slot-1 writhe targets")
-    G = build_link_diagram({n: v for n, v in a.items() if n != 1},
-                           {n: v for n, v in b.items() if n != 1}, c, d)
+    G = link_from_snails({n: v for n, v in a.items() if n != 1},
+                         {n: v for n, v in b.items() if n != 1}, c, d)
     t1, _ = self_writhe_tables(G)
     x = a.get(1, 0) - t1.get(1, 0)
     if x:
@@ -104,9 +103,9 @@ def ref_realize_lam1(a, b, c, d, target_shell_sum):
             f"(a): second linking number is forced to {c0 - 1}")
     if target_shell_sum is not None:
         raise ConstraintViolated("no shell-sum invariant exists for lam = 1")
-    G = build_link_diagram({n: v for n, v in a.items() if n != 1},
-                           {n: v for n, v in b.items() if n != 2},
-                           {0: c0}, {0: c0 - 1})
+    G = link_from_snails({n: v for n, v in a.items() if n != 1},
+                         {n: v for n, v in b.items() if n != 2},
+                         {0: c0}, {0: c0 - 1})
     t1, t2 = self_writhe_tables(G)
     G = ref_apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
     G = ref_apply_gadgets(G, 1, b.get(2, 0) - t2.get(2, 0), flip=True)
@@ -140,7 +139,7 @@ def ref_realize_lam_ge2(lam, a, b, c, d, target_shell_sum):
             "shell-sum target conflicts with the four slot targets")
     k = total // lam
     p = -k - a.get(-lam + 1, 0) + b.get(lam + 1, 0)
-    G = build_link_diagram(
+    G = link_from_snails(
         {n: v for n, v in a.items() if n not in (1, -lam + 1)},
         {n: v for n, v in b.items() if n not in (1, lam + 1)},
         {p + m: v for m, v in c.items()},

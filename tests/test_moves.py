@@ -30,10 +30,9 @@ from shellmoves.moves import (
     site_from_text,
     site_to_text,
 )
-from shellmoves.normal_form import encode_snail
 
 from conftest import (chord_type, oracle_pool, random_diagram,
-                      ref_detect_shells)
+                      ref_detect_shells, ref_encode_snail)
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -135,7 +134,7 @@ def test_a_non_diagram_is_rejected(name, call, x):
 
 def test_s1_sites_on_double_shell_snail():
     # each shell can slide to the other endpoint of the main chord
-    assert len(find_move_sites(encode_snail("self", 1, 2), "S1")) == 2
+    assert len(find_move_sites(ref_encode_snail("self", 1, 2), "S1")) == 2
 
 
 def test_r1_delete_frees_the_circle():
@@ -145,7 +144,7 @@ def test_r1_delete_frees_the_circle():
 
 
 def test_single_shell_snail_cancels_by_slide_then_pair_removal():
-    G = encode_snail("self", 1, 1)
+    G = ref_encode_snail("self", 1, 1)
     G = apply_move(G, find_move_sites(G, "S1")[0])
     site, = find_move_sites(G, "R2_delete")
     assert isomorphic(apply_move(G, site), parse_gauss_code(EMPTY))

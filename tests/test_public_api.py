@@ -5,20 +5,26 @@ and the runtime imports nothing outside the standard library."""
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import shellmoves
+from shellmoves.diagram import serialize
+
+from conftest import REFERENCE_LINK_SNAILS, link_from_snails
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = """
 GaussDiagram KnotForm KnotProfile LaurentPoly LinkForm LinkProfile LinkingClass
-MoveSite Verdict apply_move bfs_witness build_knot_form build_link_diagram
-build_link_form canonical_form check_consistency encode_snail find_move_sites
-gamma_class isomorphic linking_class linking_data parse_gauss_code parse_poly
-profile random_walk realize_knot realize_link s_equivalent serialize surgery
-swap_components writhe_polynomial
+MoveSite Verdict apply_move bfs_witness build_knot_form build_link_form
+canonical_form check_consistency find_move_sites gamma_class isomorphic
+linking_class linking_data parse_gauss_code parse_poly profile random_walk
+realize_knot realize_link s_equivalent serialize surgery swap_components
+writhe_polynomial
 """.split()
 
 
@@ -31,6 +37,18 @@ def test_every_exported_name_resolves(module):
 
 def test_package_exports_are_pinned():
     assert shellmoves.__all__ == PUBLIC
+
+
+def test_the_readme_example_runs(tmp_path, monkeypatch):
+    """README.md's ``python`` block runs as written on a lambda = 2 link
+    saved as ``link.gd``, so a name it shows cannot leave the API unseen."""
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    (tmp_path / "link.gd").write_text(
+        serialize(link_from_snails(**REFERENCE_LINK_SNAILS)))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -3,8 +3,9 @@ and ``diagram.is_shell_layer`` recognises them, for the snail builders, the
 S1 and S2 moves and realization alike.
 
 The code below is the earlier form of each of those places, which wrote the
-orientation rule out by hand; it lives only here, as the reference the
-shared helpers are compared against on seeded inputs.
+orientation rule out by hand; it lives only in the tests (one snail's
+words in ``conftest.py``, the rest here), as the reference the shared
+helpers are compared against on seeded inputs.
 """
 
 import random
@@ -33,16 +34,13 @@ from shellmoves.moves import (
     find_move_sites,
     random_walk,
 )
-from shellmoves.normal_form import (
-    _clean,
-    build_knot_form,
-    build_link_diagram,
-    encode_snail,
-)
+from shellmoves.normal_form import _clean, build_knot_form
 
-from conftest import (random_diagram, random_link_with_lambda,
-                      ref_append_gadget, ref_fresh_ids,
-                      ref_nonself_anchor, ref_transfer_shells)
+from conftest import (link_from_snails, random_diagram,
+                      random_link_with_lambda, ref_append_gadget,
+                      ref_fresh_ids, ref_nonself_anchor,
+                      ref_nonself_snail_words, ref_self_snail_words,
+                      ref_transfer_shells)
 
 
 def _word(G, c):
@@ -56,46 +54,12 @@ def _word(G, c):
 # -- reference: snail words and builders ------------------------------------------
 
 
-def ref_self_snail_words(main, shells, eps, n):
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    near = INITIAL if eps > 0 else TERMINAL
-    far = TERMINAL if eps > 0 else INITIAL
-    signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    word = [(main, INITIAL)]
-    word += [(s, near) for s in shells]
-    word.append((main, TERMINAL))
-    word += [(s, far) for s in reversed(shells)]
-    return signs, word
-
-
-def ref_nonself_snail_words(main, shells, eps, n):
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    before = INITIAL if eps < 0 else TERMINAL
-    after = TERMINAL if eps < 0 else INITIAL
-    signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    src = [(s, before) for s in shells]
-    src.append((main, INITIAL))
-    src += [(s, after) for s in reversed(shells)]
-    return signs, src, [(main, TERMINAL)]
-
-
 def _snail_run(coeffs):
     """(index, sign) per snail copy, ascending index."""
     for n in sorted(coeffs):
         c = coeffs[n]
         for _ in range(abs(c)):
             yield n, (1 if c > 0 else -1)
-
-
-def ref_encode_snail(kind, eps, n):
-    shells = [f"s{j}" for j in range(1, abs(n) + 1)]
-    if kind == "self":
-        signs, word = ref_self_snail_words("g", shells, eps, n)
-        return GaussDiagram(signs, [word])
-    signs, src, dst = ref_nonself_snail_words("g", shells, eps, n)
-    return GaussDiagram(signs, [src, dst])
 
 
 class RefBuilder:
@@ -137,7 +101,7 @@ def ref_build_knot_form(a):
     return b.diagram()
 
 
-def ref_build_link_diagram(a, b, c, d):
+def ref_link_from_snails(a, b, c, d):
     a, b, c, d = _clean(a), _clean(b), _clean(c), _clean(d)
     if 0 in a or 1 in a or 0 in b or 1 in b:
         raise BadSupport("self-snail coefficients must vanish at 0 and 1")
@@ -307,9 +271,9 @@ def shelled_diagrams(n_seeds):
         if pick == 0:
             G = build_knot_form(coefficients(rng, (0, 1)))
         elif pick == 1:
-            G = build_link_diagram(coefficients(rng, (0, 1)),
-                                   coefficients(rng, (0, 1)),
-                                   coefficients(rng), coefficients(rng))
+            G = link_from_snails(coefficients(rng, (0, 1)),
+                                 coefficients(rng, (0, 1)),
+                                 coefficients(rng), coefficients(rng))
         else:
             G = random_diagram(rng, pick - 1, 8)
         yield G
@@ -351,14 +315,6 @@ def test_is_shell_layer_matches_the_flank_rule():
 # -- builders -------------------------------------------------------------------------
 
 
-def test_encode_snail_matches_reference():
-    for kind in ("self", "nonself"):
-        for eps in (1, -1):
-            for n in range(-7, 8):
-                assert same(encode_snail(kind, eps, n),
-                            ref_encode_snail(kind, eps, n)), (kind, eps, n)
-
-
 def test_snail_forms_match_reference():
     rng = random.Random(6)
     for _ in range(400):
@@ -366,8 +322,8 @@ def test_snail_forms_match_reference():
         assert same(build_knot_form(a), ref_build_knot_form(a)), a
         args = (coefficients(rng, (0, 1)), coefficients(rng, (0, 1)),
                 coefficients(rng), coefficients(rng))
-        assert same(build_link_diagram(*args),
-                    ref_build_link_diagram(*args)), args
+        assert same(link_from_snails(*args),
+                    ref_link_from_snails(*args)), args
 
 
 def realize_targets(G):
@@ -421,7 +377,8 @@ def test_realize_link_matches_reference(monkeypatch):
         return H, cid
 
     with monkeypatch.context() as m:
-        m.setattr(normal_form, "build_link_diagram", ref_build_link_diagram)
+        m.setattr(normal_form, "build_link_form", lambda form:
+                  ref_link_from_snails(form.a, form.b, form.c, form.d))
         m.setattr(normal_form, "_append_gadget",
                   counted("gadget", ref_append_gadget))
         m.setattr(normal_form, "_nonself_anchor", anchor)
