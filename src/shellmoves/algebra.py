@@ -14,6 +14,8 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from .errors import WrongArgumentType
+
 __all__ = ["LaurentPoly", "LinkingClass", "gamma_class", "least_rotation",
            "parse_poly", "period"]
 
@@ -116,6 +118,9 @@ _TERM_RE = re.compile(
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the textual form produced by ``str(LaurentPoly)``."""
+    if not isinstance(text, str):
+        raise WrongArgumentType(
+            f"parse_poly needs a str, not {type(text).__name__}")
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
@@ -220,6 +225,9 @@ def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
     twists read g's vector from -r, then -r - j*p, so the least of them is
     the least rotation of that vector cut into blocks of length p.
     """
+    if not (isinstance(s, int) and isinstance(f, LaurentPoly)
+            and isinstance(g, LaurentPoly)):
+        raise WrongArgumentType("gamma_class needs an int and two LaurentPolys")
     if s < 0:
         raise ValueError("modulus must be nonnegative")
     if s == 0:

@@ -24,6 +24,7 @@ from .errors import (
     NotANonselfChord,
     NotASelfChord,
     UnknownChordId,
+    WrongArgumentType,
     WrongComponentCount,
 )
 
@@ -299,6 +300,9 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     of a text that fails one.  A line whose pop misses re-reads its tokens:
     a bad or undeclared one raises, and a repeated one fails an end check.
     """
+    if not isinstance(text, str):
+        raise WrongArgumentType(
+            f"parse_gauss_code needs a str, not {type(text).__name__}")
     raws = text.splitlines()
     if "#" in text:
         raws = [raw.split("#", 1)[0] for raw in raws]

@@ -21,8 +21,10 @@ from .errors import (
     WrongComponentCount,
 )
 from .invariants import LAMBDA_LABEL, LinkProfile, linking_data, profile
-from .moves import (MoveSite, apply_move, chord_change, count_move_sites,
-                    find_move_sites, fits, least_counts)
+# a child is built unchecked, from a site just listed on its parent, under
+# the name by which the benchmark's tracer and the tests count builds
+from .moves import (MoveSite, apply_listed as apply_move, chord_change,
+                    count_move_sites, find_move_sites, fits, least_counts)
 
 __all__ = [
     "Verdict",
@@ -145,16 +147,18 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     (read by :func:`~shellmoves.moves.chord_change`) builds each child as
     it is generated, since only such a child can be ``H``, and keys it at
     once if its positive chords and circle lengths, which isomorphic
-    diagrams share, are ``H``'s.  Any other kind is held: its children are
-    ``(site, None, None)``, or ``None`` for an insertion, whose sites are
-    counted (:func:`~shellmoves.moves.count_move_sites`) without being
-    listed.  :func:`_frontier` lists, builds and keys a held or unkeyed
-    child only when the next level asks for it, so whatever lies past a
-    hit, the budget or the last level is never built or keyed.  A node
+    diagrams share, are ``H``'s.  Any other kind is held: its children
+    are ``(site, None, None, None)``, or ``None`` for an insertion, whose
+    sites are counted (:func:`~shellmoves.moves.count_move_sites`) without
+    being listed.  :func:`_frontier` lists, builds and keys a held or
+    unkeyed child only when the next level asks for it, so whatever lies
+    past a hit, the budget or the last level is never built or keyed.  A node
     follows its signature's plan (:func:`_plan`), made once per search,
     which leaves out each kind whose least counts (``moves.least_counts``)
     the node lacks: such a kind has no site, so budget, frontier and answer
-    are those of listing every kind at every node.
+    are those of listing every kind at every node.  A built child carries
+    its signature into the frontier; children are built unchecked
+    (:func:`~shellmoves.moves.apply_listed`) from sites just listed.
     """
     require_diagrams("bfs_witness", G, H)
     for name, value in (("max_depth", max_depth), ("chord_cap", chord_cap),
@@ -177,13 +181,12 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     goal = _signature(H)
     spent = f"{node_budget} candidates generated"
     seen = {start}
-    frontier: Iterable[tuple[GaussDiagram, tuple[MoveSite, ...]]] = [(G, ())]
+    frontier: Iterable[tuple] = [(G, (), _signature(G))]
     generated = 0
     plans: dict[tuple[int, tuple[int, ...]], list] = {}
     for depth in range(max_depth):
         level: list[tuple[GaussDiagram, tuple, str, list | None]] = []
-        for diagram, trace in frontier:
-            sig = _signature(diagram)
+        for diagram, trace, sig in frontier:
             plan = plans.get(sig)
             if plan is None:
                 plan = plans[sig] = _plan(diagram, chord_cap, size, goal[0])
@@ -200,14 +203,15 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                     generated += 1
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
-                    child = key = None
+                    child = key = child_sig = None
                     if builds:
                         child = apply_move(diagram, site)
-                        if _signature(child) == goal:
+                        child_sig = _signature(child)
+                        if child_sig == goal:
                             key = canonical_key(child)
                             if key == target:
                                 return [*trace, site]
-                    children.append((site, child, key))
+                    children.append((site, child, key, child_sig))
                 level.append((diagram, trace, kind, children))
         if depth + 1 == max_depth or not level:
             return None
@@ -215,20 +219,19 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     return None
 
 
-def _frontier(seen: set, level: list
-              ) -> Iterator[tuple[GaussDiagram, tuple[MoveSite, ...]]]:
-    """The unseen children of ``level`` with their traces, in generation
-    order, listing a counted kind's sites, building a held child and keying
-    an unkeyed one only when it is reached."""
+def _frontier(seen: set, level: list) -> Iterator[tuple]:
+    """The unseen children of ``level`` with their traces and signatures,
+    in generation order, listing a counted kind's sites, building a held
+    child and keying an unkeyed one only when it is reached."""
     for diagram, trace, kind, children in level:
         if children is None:
-            children = [(site, None, None)
+            children = [(site, None, None, None)
                         for site in find_move_sites(diagram, kind)]
-        for site, child, key in children:
+        for site, child, key, sig in children:
             if child is None:
                 child = apply_move(diagram, site)
             if key is None:
                 key = canonical_key(child)
             if key not in seen:
                 seen.add(key)
-                yield child, (*trace, site)
+                yield child, (*trace, site), sig or _signature(child)

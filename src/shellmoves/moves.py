@@ -7,17 +7,20 @@ swapping two adjacent endpoints at the price of one shell on each chord (S2).
 
 A move site pins the rewrite to concrete positions in the current words, so
 sites can be serialized, replayed, and invalidated (StaleSite) once the
-diagram changes underneath them.  Every anchor of every kind is range-checked
-before any parameter.  Each pattern is stated once, so a deletion or exchange
-site applies exactly when its kind's finder lists it: R3's pattern is its
-finder, which the handler asks; R2_delete's (``_validate_r2_pattern``), S1's
-(``diagram.is_shell_layer``) and S2_delete's (``_validate_s2_delete``) is one
-check that finder and handler share.  The one site applied but not listed is
-R1_delete at the second endpoint of a circle holding one chord alone, whose
-finder lists the first.
+diagram changes underneath them.  Each kind's fault test states its pattern
+once, and the deletion and exchange finders (R2_delete, R3, S1, S2_delete)
+list a candidate exactly when it passes, so such a site applies exactly when
+its finder lists it.  The one site applied but not listed is R1_delete at
+the second endpoint of a circle holding one chord alone, whose finder lists
+the first.  :func:`apply_move` checks a site's shape, every anchor's range
+before any parameter, then the fault test.  :func:`random_walk` and
+:func:`~shellmoves.equiv.bfs_witness` pass the sites they just listed or
+drew to :func:`apply_listed`, which neither checks nor builds an inverse
+site: a listed site passed its fault test on that very diagram, and a drawn
+insertion's gaps and parameters are valid by construction.
 
 The finders list R1 insertions only in order ``IT`` (initial, then
-terminal), while the handler also accepts ``TI``.  R3 uses one sign
+terminal), while the fault test also accepts ``TI``.  R3 uses one sign
 pattern: ``hp`` and ``hq`` negative, ``x`` positive.  One R3 type suffices
 with R1 and R2 (Polyak, "Minimal generating sets of Reidemeister moves",
 Quantum Topology 1, 2010).  A site needs at least so many chords, positive
@@ -45,6 +48,7 @@ __all__ = [
     "fits",
     "apply_move",
     "apply_move_with_inverse",
+    "apply_listed",
     "random_walk",
     "site_to_text",
     "site_from_text",
@@ -137,49 +141,77 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
             _check(0 <= p <= n, "bad gap")
         elif not 0 <= p < n:
             raise StaleSite(f"no position {p} on circle {c + 1}")
-    if type(site) is not MoveSite:
-        site = MoveSite(kind, anchors, params)
-    return k.apply(G, site)
+    fault = k.fault(G, anchors, params)
+    _check(fault is None, fault)
+    return k.rewrite(G, anchors, params, True)
 
 
-def _apply_r1_insert(G, site):
-    (c, g), = site.anchors
-    sgn, order = site.params
-    eps = _sgn(sgn)
-    _check(order in ("IT", "TI"), f"bad insertion order {order!r}")
+def apply_listed(G: GaussDiagram, site: MoveSite) -> GaussDiagram:
+    """The image of a site just listed or drawn on ``G``: no check, no inverse."""
+    return _KINDS[site.kind].rewrite(G, site.anchors, site.params, False)
+
+
+# -- per kind: the fault test (an in-range site's StaleSite message, or None),
+# then the rewrite (the image, with the inverse site if ``inverse``) -----------
+
+
+def _fault_r1_insert(G, anchors, params):
+    sgn, order = params
+    if sgn not in ("+", "-"):
+        return f"bad sign parameter {sgn!r}"
+    if order not in ("IT", "TI"):
+        return f"bad insertion order {order!r}"
+
+
+def _rewrite_r1_insert(G, anchors, params, inverse):
+    (c, g), = anchors
+    sgn, order = params
     word = G.circles[c]
     cid, = G._fresh_ids("n", 1)
     pair = ((cid, INITIAL), (cid, TERMINAL))
     if order == "TI":
         pair = pair[::-1]
-    return (G._edited({c: word[:g] + pair + word[g:]}, {cid: eps}),
-            MoveSite(R1_DELETE, ((c, g),)))
+    H = G._edited({c: word[:g] + pair + word[g:]}, {cid: _sgn(sgn)})
+    return (H, MoveSite(R1_DELETE, ((c, g),))) if inverse else H
 
 
-def _apply_r1_delete(G, site):
-    (c, p), = site.anchors
-    u, v = _pair(G, c, p)
-    chord, kind = u
+def _fault_r1_delete(G, anchors, params):
+    u, v = _pair(G, *anchors[0])
     # on a one-endpoint circle u and v are the same endpoint
-    _check(chord == v[0] and u != v, "tokens are not a free chord")
+    return None if u[0] == v[0] and u != v else "tokens are not a free chord"
+
+
+def _rewrite_r1_delete(G, anchors, params, inverse):
+    (c, p), = anchors
+    chord, kind = G.circles[c][p]
+    H = _without(G, chord)
+    if not inverse:
+        return H
     # the chord's endpoints close up into the gap where the earlier one stood
     gap = min(p, (p + 1) % len(G.circles[c]))
     order = "IT" if kind == INITIAL else "TI"
-    inv = MoveSite(R1_INSERT, ((c, gap),),
-                   ("+" if G.signs[chord] > 0 else "-", order))
-    return _without(G, chord), inv
+    return H, MoveSite(R1_INSERT, ((c, gap),),
+                       ("+" if G.signs[chord] > 0 else "-", order))
 
 
-def _apply_r2_insert(G, site):
-    (c1, g1), (c2, g2) = site.anchors
-    variant, sgn = site.params[:2]
+def _fault_r2_insert(G, anchors, params):
+    variant, sgn, *extra = params
     # when both blocks target one gap, "tfirst" puts the terminal pair first
-    t_first = site.params[2:] == ("tfirst",)
-    if len(site.params) == 3 and not t_first:
-        raise StaleSite(f"bad parameter {site.params[2]!r}")
+    if extra and extra != ["tfirst"]:
+        return f"bad parameter {extra[0]!r}"
+    if sgn not in ("+", "-"):
+        return f"bad sign parameter {sgn!r}"
+    if variant not in ("par", "anti"):
+        return f"bad variant {variant!r}"
+    if extra and anchors[0] != anchors[1]:
+        return "tfirst needs a shared gap"
+
+
+def _rewrite_r2_insert(G, anchors, params, inverse):
+    (c1, g1), (c2, g2) = anchors
+    variant, sgn = params[:2]
+    t_first = len(params) == 3
     eps = _sgn(sgn)
-    _check(variant in ("par", "anti"), f"bad variant {variant!r}")
-    _check(not t_first or (c1, g1) == (c2, g2), "tfirst needs a shared gap")
     x, y = G._fresh_ids("n", 2)
     head = ((x, INITIAL), (y, INITIAL))
     tail = ((x, TERMINAL), (y, TERMINAL))
@@ -194,38 +226,41 @@ def _apply_r2_insert(G, site):
     words = {c1: word[:g1] + head + word[g1:]}
     word = words[c1] if c1 == c2 else G.circles[c2]
     words[c2] = word[:p2] + tail + word[p2:]
-    inv = MoveSite(R2_DELETE, ((c1, p1), (c2, p2)), (variant,))
-    return G._edited(words, {x: eps, y: -eps}), inv
+    H = G._edited(words, {x: eps, y: -eps})
+    return (H, MoveSite(R2_DELETE, ((c1, p1), (c2, p2)), (variant,))
+            ) if inverse else H
 
 
-def _validate_r2_pattern(G, site):
+def _fault_r2_delete(G, anchors, params):
     """Initials of opposite-signed chords x, y at the first anchor, their
     terminals at the second in the same (par) or swapped (anti) order."""
-    (c1, p1), (c2, p2) = site.anchors
-    variant, = site.params
+    (c1, p1), (c2, p2) = anchors
+    variant, = params
     (x, a), (y, b) = _pair(G, c1, p1)
-    _check(a == INITIAL and b == INITIAL, "first pair must be initials")
-    _check(x != y, "pair needs two chords")
-    _check(G.signs[x] == -G.signs[y], "chords must have opposite signs")
-    u, v = _pair(G, c2, p2)
+    if a != INITIAL or b != INITIAL:
+        return "first pair must be initials"
+    if x == y:
+        return "pair needs two chords"
+    if G.signs[x] != -G.signs[y]:
+        return "chords must have opposite signs"
     if variant == "par":
-        _check(u == (x, TERMINAL) and v == (y, TERMINAL),
-               "terminal pair mismatch")
+        ends = (x, TERMINAL), (y, TERMINAL)
     elif variant == "anti":
-        _check(u == (y, TERMINAL) and v == (x, TERMINAL),
-               "terminal pair mismatch")
+        ends = (y, TERMINAL), (x, TERMINAL)
     else:
-        raise StaleSite(f"bad variant {variant!r}")
-    return x, y
+        return f"bad variant {variant!r}"
+    return None if _pair(G, c2, p2) == ends else "terminal pair mismatch"
 
 
-def _apply_r2_delete(G, site):
-    x, y = _validate_r2_pattern(G, site)
-    (c1, p1), (c2, p2) = site.anchors
+def _rewrite_r2_delete(G, anchors, params, inverse):
+    (c1, p1), (c2, p2) = anchors
+    (x, _), (y, _) = _pair(G, c1, p1)
+    H = _without(G, x, y)
+    if not inverse:
+        return H
     n1, n2 = len(G.circles[c1]), len(G.circles[c2])
     # four distinct endpoints, so four distinct positions
     pos = {(c1, p1), (c1, (p1 + 1) % n1), (c2, p2), (c2, (p2 + 1) % n2)}
-    variant = site.params[0]
 
     def _gap(c, p):
         second = (p + 1) % len(G.circles[c])
@@ -233,31 +268,49 @@ def _apply_r2_delete(G, site):
         return second - removed_before
 
     g1, g2 = _gap(c1, p1), _gap(c2, p2)
-    params = [variant, "+" if G.signs[x] > 0 else "-"]
+    inv = (*params, "+" if G.signs[x] > 0 else "-")
     if c1 == c2 and g1 == g2 and (p2 + 2) % n1 == p1:
-        params.append("tfirst")
-    inv = MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), tuple(params))
-    return _without(G, x, y), inv
+        inv += ("tfirst",)
+    return H, MoveSite(R2_INSERT, ((c1, g1), (c2, g2)), inv)
 
 
-def _apply_r3(G, site):
-    # the finder states the pattern; its six endpoints sit at six positions
-    _check(site in _sites_r3(G), "no triple-exchange pattern at the given pairs")
+def _fault_r3(G, anchors, params):
+    """The pairs at the anchors read (hp>, hq>), (hp<, x<), (hq<, x>), or
+    each pair reversed (the image), with hp and hq negative, x positive."""
+    pairs = [_pair(G, c, p) for c, p in anchors]
+    if pairs[1][0][0] != pairs[0][0][0]:  # no II pair at hp<: the image?
+        pairs = [pair[::-1] for pair in pairs]
+    ((hp, a), (hq, b)), ((h, k), (x, k2)), third = pairs
+    signs = G.signs
+    if (a == b == TERMINAL and k == k2 == INITIAL and h == hp != hq
+            and third == ((hq, INITIAL), (x, TERMINAL)) and x not in (hp, hq)
+            and signs[hp] == signs[hq] == -1 and signs[x] == 1):
+        return None
+    return "no triple-exchange pattern at the given pairs"
+
+
+def _rewrite_r3(G, anchors, params, inverse):
+    # the fault test's six endpoints sit at six positions
     words = {}
-    for c, p in site.anchors:
+    for c, p in anchors:
         w = words.setdefault(c, list(G.circles[c]))
         q = (p + 1) % len(w)
         w[p], w[q] = w[q], w[p]
-    return G._edited(words), MoveSite(R3, site.anchors)
+    H = G._edited(words)
+    return (H, MoveSite(R3, anchors)) if inverse else H
 
 
-def _apply_s1(G, site):
-    (c, p), = site.anchors
+def _fault_s1(G, anchors, params):
+    (c, p), = anchors
     word = G.circles[c]
-    e = word[p]
-    u, v = word[p - 1], word[(p + 1) % len(word)]
-    _check(is_shell_layer(G, u, e, v), "no shell flanking this endpoint")
-    shell = u[0]
+    if not is_shell_layer(G, word[p - 1], word[p], word[(p + 1) % len(word)]):
+        return "no shell flanking this endpoint"
+
+
+def _rewrite_s1(G, anchors, params, inverse):
+    (c, p), = anchors
+    word = G.circles[c]
+    shell, e = word[p - 1][0], word[p]
     # the shell's endpoints flank e, so only circle c loses them
     words = {c: [ep for ep in word if ep[0] != shell]}
     chord, kind = e
@@ -266,13 +319,19 @@ def _apply_s1(G, site):
     w = words.setdefault(c2, list(G.circles[c2]))
     p2 = w.index(target)
     w[p2:p2 + 1] = shell_layers(target, G.endpoint_sign(target), [shell])
-    return G._edited(words), MoveSite(S1, ((c2, p2 + 1),))
+    H = G._edited(words)
+    return (H, MoveSite(S1, ((c2, p2 + 1),))) if inverse else H
 
 
-def _apply_s2_insert(G, site):
-    (c, p), = site.anchors
+def _fault_s2_insert(G, anchors, params):
+    e, f = _pair(G, *anchors[0])
+    if e[0] == f[0]:
+        return "adjacent endpoints must belong to two chords"
+
+
+def _rewrite_s2_insert(G, anchors, params, inverse):
+    (c, p), = anchors
     e, f = _pair(G, c, p)
-    _check(e[0] != f[0], "adjacent endpoints must belong to two chords")
     word = G.circles[c]
     n = len(word)
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
@@ -282,38 +341,41 @@ def _apply_s2_insert(G, site):
         new, anchor = word[:p] + block + word[p + 2:], p
     else:  # pair wraps around the basepoint; the block starts the word
         new, anchor = block + word[1:p], 0
-    return (G._edited({c: new}, {v: se * sf, u: -se * sf}),
-            MoveSite(S2_DELETE, ((c, anchor),)))
+    H = G._edited({c: new}, {v: se * sf, u: -se * sf})
+    return (H, MoveSite(S2_DELETE, ((c, anchor),))) if inverse else H
 
 
-def _validate_s2_delete(G, site):
+def _fault_s2_delete(G, anchors, params):
     """The six-endpoint window at the anchor reads u f u v e v: shells u
     around f and v around e, oriented by the signs they surround, with
-    cancelling signs.  Returns the window (u, f, u2, v, e, v2)."""
-    (c, p), = site.anchors
+    cancelling signs."""
+    (c, p), = anchors
     word = G.circles[c]
     n = len(word)
-    _check(n >= 6, "word too short")
+    if n < 6:
+        return "word too short"
     t = [word[(p + i) % n] for i in range(6)]
-    _check(len(set(t)) == 6, "window overlaps itself")
+    if len(set(t)) != 6:
+        return "window overlaps itself"
     u, f, u2, v, e, v2 = t
-    _check(u[0] == u2[0] and v[0] == v2[0], "not two shells")
-    _check(is_shell_layer(G, u, f, u2) and is_shell_layer(G, v, e, v2),
-           "shells mis-oriented")
-    _check(len({u[0], v[0], e[0], f[0]}) == 4, "chords must differ")
+    if u[0] != u2[0] or v[0] != v2[0]:
+        return "not two shells"
+    if not (is_shell_layer(G, u, f, u2) and is_shell_layer(G, v, e, v2)):
+        return "shells mis-oriented"
+    if len({u[0], v[0], e[0], f[0]}) != 4:
+        return "chords must differ"
     se, sf = G.endpoint_sign(e), G.endpoint_sign(f)
-    _check(G.signs[v[0]] == se * sf and G.signs[u[0]] == -se * sf,
-           "shell signs do not cancel")
-    return t
+    if G.signs[v[0]] != se * sf or G.signs[u[0]] != -se * sf:
+        return "shell signs do not cancel"
 
 
-def _apply_s2_delete(G, site):
-    u, f, _, v, e, _ = _validate_s2_delete(G, site)
-    (c, p), = site.anchors
+def _rewrite_s2_delete(G, anchors, params, inverse):
+    (c, p), = anchors
     word = G.circles[c]
     rot = word[p:] + word[:p]
-    return (G._edited({c: (e, f) + rot[6:]}, drop=(u[0], v[0])),
-            MoveSite(S2_INSERT, ((c, 0),)))
+    u, f, _, v, e, _ = rot[:6]
+    H = G._edited({c: (e, f) + rot[6:]}, drop=(u[0], v[0]))
+    return (H, MoveSite(S2_INSERT, ((c, 0),))) if inverse else H
 
 
 # -- site enumeration ----------------------------------------------------------
@@ -353,19 +415,13 @@ def _sites_r1_delete(G):
 
 def _sites_r2_insert(G):
     gaps = _gaps(G)
-    out = []
-    for a in gaps:
-        for b in gaps:
-            for variant in ("par", "anti"):
-                for s in ("+", "-"):
-                    out.append(MoveSite(R2_INSERT, (a, b), (variant, s)))
-                    if a == b:
-                        out.append(MoveSite(R2_INSERT, (a, b),
-                                            (variant, s, "tfirst")))
-    return out
+    return [MoveSite(R2_INSERT, (a, b), (variant, s, *tfirst))
+            for a in gaps for b in gaps for variant in ("par", "anti")
+            for s in ("+", "-") for tfirst in ([], ["tfirst"])[:1 + (a == b)]]
 
 
 def _sites_r2_delete(G):
+    # an II pair's candidates are the TT pairs of its chords in either order
     tt, ii = {}, []
     for c, word in enumerate(G.circles):
         for p, (x, a), (y, b) in zip(range(len(word)), word, word[1:] + word[:1]):
@@ -376,43 +432,44 @@ def _sites_r2_delete(G):
                     ii.append((c, p, x, y))
     out = []
     for c, p, x, y in ii:
-        for variant, key in (("par", (x, y)), ("anti", (y, x))):
+        for params, key in ((("par",), (x, y)), (("anti",), (y, x))):
             spot = tt.get(key)
             if spot is not None:
-                site = MoveSite(R2_DELETE, ((c, p), spot), (variant,))
-                try:
-                    _validate_r2_pattern(G, site)
-                except StaleSite:
-                    continue
-                out.append(site)
+                anchors = ((c, p), spot)
+                if _fault_r2_delete(G, anchors, params) is None:
+                    out.append(MoveSite(R2_DELETE, anchors, params))
     return out
 
 
 def _sites_r3(G):
-    # the configuration (hp>, hq>), (hp<, x<), (hq<, x>) and its image
-    # (hq>, hp>), (x<, hp<), (x>, hq<), matched so the exchange is an
-    # involution; a TT pair's II partner is the pair starting or ending at hp<
+    # each TT pair (u>, v>) of two negative chords is a candidate twice: as
+    # (hp>, hq>), whose partners start at hp< and hq<, then as (hq>, hp>),
+    # whose II partner ends at hp< and whose TI partner starts at x>
     signs = G.signs
-    tt, it, ti, ii_from, ii_to = {}, {}, {}, {}, {}
-    for c, word in enumerate(G.circles):
-        for p, (u, a), (v, b) in zip(range(len(word)), word, word[1:] + word[:1]):
-            if a != b:
-                (it if a == INITIAL else ti)[u, v] = (c, p)
-            elif a == INITIAL:
-                ii_from[u] = (v, (c, p))
-                ii_to[v] = (u, (c, p))
-            elif signs[u] == -1 and signs[v] == -1:  # only hp, hq < 0 match
-                tt[u, v] = (c, p)
+    tt = [(c, p, u, v) for c, word in enumerate(G.circles)
+          for p, (u, a), (v, b) in zip(range(len(word)), word, word[1:] + word[:1])
+          if a == b == TERMINAL and signs[u] == signs[v] == -1]
+    if not tt:
+        return []
+    at = {ep: (c, p) for c, word in enumerate(G.circles)
+          for p, ep in enumerate(word)}
     out = []
-    for image, ii, third in ((False, ii_from, it), (True, ii_to, ti)):
-        for (h1, h2), a1 in tt.items():
-            hp, hq = (h2, h1) if image else (h1, h2)
-            x, a2 = ii.get(hp, (hp, None))  # x = hp: no partner
-            if hp == hq or x in (hp, hq) or signs[x] != 1:
+    for image in (False, True):
+        for c, p, u, v in tt:
+            c2, p2 = at[(v if image else u), INITIAL]  # hp<
+            word = G.circles[c2]
+            if image:  # the II partner (x<, hp<)
+                p2 = (p2 - 1) % len(word)
+                x, k = word[p2]
+            else:  # the II partner (hp<, x<)
+                x, k = word[(p2 + 1) % len(word)]
+            # most candidates already fail on x: an initial of a + chord
+            if k != INITIAL or signs[x] != 1:
                 continue
-            a3 = third.get((x, hq) if image else (hq, x))
-            if a3 is not None:
-                out.append(MoveSite(R3, (a1, a2, a3)))
+            anchors = ((c, p), (c2, p2), at[x, TERMINAL] if image else
+                       at[v, INITIAL])
+            if _fault_r3(G, anchors, ()) is None:
+                out.append(MoveSite(R3, anchors))
     return out
 
 
@@ -420,9 +477,9 @@ def _sites_s1(G):
     out = []
     for c, word in enumerate(G.circles):
         triples = zip(word[-1:] + word[:-1], word, word[1:] + word[:1])
-        for p, (u, e, v) in enumerate(triples):
+        for p, (u, _, v) in enumerate(triples):
             # most positions already fail on the chords
-            if u[0] == v[0] and is_shell_layer(G, u, e, v):
+            if u[0] == v[0] and _fault_s1(G, ((c, p),), ()) is None:
                 out.append(MoveSite(S1, ((c, p),)))
     return out
 
@@ -447,14 +504,9 @@ def _sites_s2_delete(G):
         ids = [ep[0] for ep in word + word[:5]]
         for p in range(n):
             # most positions already fail on the shell chords
-            if ids[p] != ids[p + 2] or ids[p + 3] != ids[p + 5]:
-                continue
-            site = MoveSite(S2_DELETE, ((c, p),))
-            try:
-                _validate_s2_delete(G, site)
-            except StaleSite:
-                continue
-            out.append(site)
+            if (ids[p] == ids[p + 2] and ids[p + 3] == ids[p + 5]
+                    and _fault_s2_delete(G, ((c, p),), ()) is None):
+                out.append(MoveSite(S2_DELETE, ((c, p),)))
     return out
 
 
@@ -462,7 +514,8 @@ def _sites_s2_delete(G):
 
 
 class _Kind(NamedTuple):
-    apply: Callable[[GaussDiagram, MoveSite], tuple[GaussDiagram, MoveSite]]
+    fault: Callable[[GaussDiagram, tuple, tuple], str | None]
+    rewrite: Callable[[GaussDiagram, tuple, tuple, bool], object]
     find: Callable[[GaussDiagram], list[MoveSite]]
     n_anchors: int
     n_params: tuple[int, ...]  # allowed parameter counts
@@ -473,20 +526,20 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    R1_INSERT: _Kind(_apply_r1_insert, _sites_r1_insert, 1, (2,), 1, (0, 1),
-                     True),
-    R1_DELETE: _Kind(_apply_r1_delete, _sites_r1_delete, 1, (0,), -1, (0, -1),
-                     least=(1, 0, 0)),
-    R2_INSERT: _Kind(_apply_r2_insert, _sites_r2_insert, 2, (2, 3), 2, (1,),
-                     True),
-    R2_DELETE: _Kind(_apply_r2_delete, _sites_r2_delete, 2, (1,), -2, (-1,),
-                     least=(2, 1, 1)),
-    R3: _Kind(_apply_r3, _sites_r3, 3, (0,), least=(3, 1, 2)),
-    S1: _Kind(_apply_s1, _sites_s1, 1, (0,), least=(2, 0, 0)),
-    S2_INSERT: _Kind(_apply_s2_insert, _sites_s2_insert, 1, (0,), 2, (1,),
-                     least=(2, 0, 0)),
-    S2_DELETE: _Kind(_apply_s2_delete, _sites_s2_delete, 1, (0,), -2, (-1,),
-                     least=(4, 1, 1)),
+    R1_INSERT: _Kind(_fault_r1_insert, _rewrite_r1_insert, _sites_r1_insert,
+                     1, (2,), 1, (0, 1), True),
+    R1_DELETE: _Kind(_fault_r1_delete, _rewrite_r1_delete, _sites_r1_delete,
+                     1, (0,), -1, (0, -1), least=(1, 0, 0)),
+    R2_INSERT: _Kind(_fault_r2_insert, _rewrite_r2_insert, _sites_r2_insert,
+                     2, (2, 3), 2, (1,), True),
+    R2_DELETE: _Kind(_fault_r2_delete, _rewrite_r2_delete, _sites_r2_delete,
+                     2, (1,), -2, (-1,), least=(2, 1, 1)),
+    R3: _Kind(_fault_r3, _rewrite_r3, _sites_r3, 3, (0,), least=(3, 1, 2)),
+    S1: _Kind(_fault_s1, _rewrite_s1, _sites_s1, 1, (0,), least=(2, 0, 0)),
+    S2_INSERT: _Kind(_fault_s2_insert, _rewrite_s2_insert, _sites_s2_insert,
+                     1, (0,), 2, (1,), least=(2, 0, 0)),
+    S2_DELETE: _Kind(_fault_s2_delete, _rewrite_s2_delete, _sites_s2_delete,
+                     1, (0,), -2, (-1,), least=(4, 1, 1)),
 }
 
 MOVE_KINDS = tuple(_KINDS)
@@ -533,7 +586,9 @@ def count_move_sites(G: GaussDiagram, kind: str) -> int:
         g = _gap_count(G)
         return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
     if kind == S2_INSERT:
-        return len(_s2_insert_spots(G))
+        # the spots of _s2_insert_spots, counted without listing them
+        return sum(u[0] != v[0] for word in G.circles
+                   for u, v in zip(word, word[1:] + word[:1]))
     return len(find_move_sites(G, kind))
 
 
@@ -578,7 +633,7 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
 
     Kinds with no sites are re-rolled; insertions that would push the chord
     count past ``chord_cap`` count as having none.  ``steps``, ``seed`` and
-    ``chord_cap`` must be exact ints.
+    ``chord_cap`` must be exact ints.  Each drawn site is applied unchecked.
     """
     require_diagrams("random_walk", G)
     for name, value in (("steps", steps), ("seed", seed), ("chord_cap", chord_cap)):
@@ -599,7 +654,7 @@ def random_walk(G: GaussDiagram, steps: int, seed: int, chord_cap: int
             site = _sample_site(G, kind, rng)
             if site is None:
                 continue
-            G = apply_move(G, site)
+            G = apply_listed(G, site)
             trace.append(site)
             break
         else:

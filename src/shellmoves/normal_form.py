@@ -237,6 +237,9 @@ def build_knot_form(a: Mapping[int, int]) -> GaussDiagram:
 def build_link_form(form: LinkForm) -> GaussDiagram:
     """Self snails on an arc of their own circle, and the nonself families
     in parallel between the circles, as :func:`_layout` places them."""
+    if not isinstance(form, LinkForm):
+        raise WrongArgumentType(
+            f"build_link_form needs a LinkForm, not {type(form).__name__}")
     return _snail_diagram(form)
 
 
@@ -387,6 +390,9 @@ def realize_link(lam: int, a: Mapping[int, int], b: Mapping[int, int],
     Snails realize the targets off the shell slots of :func:`link_slots`; a
     shell transfer and gadgets then fill the shell slots.
     """
+    if not (isinstance(lam, int)
+            and all(isinstance(m, Mapping) for m in (a, b, c, d))):
+        raise WrongArgumentType("realize_link needs an int and four mappings")
     if lam < 0:
         raise NegativeLambda("realization targets assume lam >= 0")
     a = {n: v for n, v in a.items() if v}

@@ -1,10 +1,12 @@
 """Typed errors for arguments of the wrong type: every public function that
 takes a diagram names itself in one ``NotADiagram`` message, through
-``diagram.require_diagrams``, and the profile and polynomial readers raise
+``diagram.require_diagrams``, and the profile and polynomial readers, the
+text readers, ``build_link_form``, ``realize_link`` and ``gamma_class`` raise
 ``WrongArgumentType``; both are ``ShellmovesError`` subclasses."""
 
 import pytest
 
+from shellmoves.algebra import LaurentPoly, gamma_class, parse_poly
 from shellmoves.diagram import (isomorphic, parse_gauss_code, serialize,
                                 surgery, swap_components)
 from shellmoves.equiv import bfs_witness, s_equivalent
@@ -12,7 +14,8 @@ from shellmoves.errors import NotADiagram, ShellmovesError, WrongArgumentType
 from shellmoves.invariants import (linking_class, linking_data, profile,
                                    writhe_polynomial)
 from shellmoves.moves import random_walk
-from shellmoves.normal_form import canonical_form, realize_knot
+from shellmoves.normal_form import (build_link_form, canonical_form,
+                                    realize_knot, realize_link)
 
 FREE = parse_gauss_code("circles: 1\nchord g +\ncircle 1: g< g>")
 
@@ -46,7 +49,16 @@ def test_every_diagram_reader_rejects_a_string(name, call):
     (lambda: canonical_form(FREE), "^not a profile: <GaussDiagram "),
     (lambda: realize_knot({1: 1}),
      "^realize_knot needs a LaurentPoly, not dict$"),
-], ids=["canonical-form-str", "canonical-form-diagram", "realize-knot-dict"])
+    (lambda: build_link_form("x"), "^build_link_form needs a LinkForm, not str$"),
+    (lambda: parse_gauss_code(5), "^parse_gauss_code needs a str, not int$"),
+    (lambda: parse_poly(5), "^parse_poly needs a str, not int$"),
+    (lambda: realize_link("x", {}, {}, {}, {}),
+     "^realize_link needs an int and four mappings$"),
+    (lambda: gamma_class("x", LaurentPoly(), LaurentPoly()),
+     "^gamma_class needs an int and two LaurentPolys$"),
+], ids=["canonical-form-str", "canonical-form-diagram", "realize-knot-dict",
+        "build-link-form-str", "parse-gauss-code-int", "parse-poly-int",
+        "realize-link-str", "gamma-class-str"])
 def test_wrong_argument_types_are_typed(call, message):
     with pytest.raises(WrongArgumentType, match=message):
         call()
