@@ -413,11 +413,15 @@ def _sites_r1_delete(G):
     return [MoveSite(R1_DELETE, (free[cid],)) for cid in G.signs if cid in free]
 
 
+# R2_insert's parameters on two gaps, and on one gap with each tfirst twin
+_R2_PARAMS = tuple((v, s) for v in ("par", "anti") for s in ("+", "-"))
+_R2_ONE_GAP = tuple(p for v, s in _R2_PARAMS for p in ((v, s), (v, s, "tfirst")))
+
+
 def _sites_r2_insert(G):
     gaps = _gaps(G)
-    return [MoveSite(R2_INSERT, (a, b), (variant, s, *tfirst))
-            for a in gaps for b in gaps for variant in ("par", "anti")
-            for s in ("+", "-") for tfirst in ([], ["tfirst"])[:1 + (a == b)]]
+    return [MoveSite(R2_INSERT, (a, b), params) for a in gaps for b in gaps
+            for params in (_R2_ONE_GAP if a == b else _R2_PARAMS)]
 
 
 def _sites_r2_delete(G):
@@ -477,9 +481,10 @@ def _sites_s1(G):
     out = []
     for c, word in enumerate(G.circles):
         triples = zip(word[-1:] + word[:-1], word, word[1:] + word[:1])
-        for p, (u, _, v) in enumerate(triples):
-            # most positions already fail on the chords
-            if u[0] == v[0] and _fault_s1(G, ((c, p),), ()) is None:
+        for p, (u, e, v) in enumerate(triples):
+            # most positions already fail on the chords; is_shell_layer is
+            # S1's fault test
+            if u[0] == v[0] and is_shell_layer(G, u, e, v):
                 out.append(MoveSite(S1, ((c, p),)))
     return out
 
