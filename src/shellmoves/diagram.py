@@ -251,6 +251,7 @@ def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
     the basepoint (terminal first), that plus the circle total, tabled once
     the walk knows it.  A chord whose other endpoint lies off ``word`` keeps
     its prefix in ``initials`` or ``terminals``, by its endpoint's kind.
+    The table lists its slots in order, so equal tables print alike.
     """
     table: dict[int, int] = {}
     initials: dict[str, int] = {}
@@ -275,8 +276,8 @@ def circle_walk(word: Word, signs: Mapping[str, int]) -> CircleWalk:
     for n, sign in wraps:
         n += run
         table[n] = table.get(n, 0) + sign
-    return CircleWalk({n: v for n, v in table.items() if v}, initials,
-                      terminals)
+    return CircleWalk({n: v for n, v in sorted(table.items()) if v},
+                      initials, terminals)
 
 
 # -- text format -----------------------------------------------------------
@@ -456,8 +457,8 @@ def surgery(G: GaussDiagram, gamma0: str) -> GaussDiagram:
     ``gamma0``, deleting it.  The merged circle follows each original circle
     in its own orientation, spliced at the removed endpoints.
 
-    The reference in ``tests/test_link_profile_reference.py`` reads the
-    book's nonself indices off this circle; ``profile`` reads their twist
+    The tests' reference library, ``tests/reference.py``, reads the book's
+    nonself indices off this circle; ``profile`` reads their twist
     class from one :func:`circle_walk` per circle without building it.
     Public as the book's reading, which the benchmark's tracer wraps by
     name; no code in the package calls it."""

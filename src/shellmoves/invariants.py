@@ -6,9 +6,9 @@ self-chord that is its arc sum when the arc does not wrap past the basepoint
 (:func:`~shellmoves.diagram.circle_walk` adds the circle total when it does).
 The book indexes nonself chords on the circle merged along a reference
 chord gamma0 (:func:`~shellmoves.diagram.surgery`), and keeps only the twist
-class of the resulting index polynomials; that reading lives in
-``tests/test_link_profile_reference.py`` as the reference.  :func:`profile`
-reads the same class with no gamma0, from one prefix-sum walk per circle
+class of the resulting index polynomials; that reading lives in the tests'
+reference library, ``tests/reference.py``.  :func:`profile` reads the
+same class with no gamma0, from one prefix-sum walk per circle
 (:func:`linking_class` reads it there too): moving a circle's basepoint or
 choosing another gamma0 shifts every (1,2) index by some k and every (2,1)
 index by -k, a twist, and single indices by the circle totals -lambda and

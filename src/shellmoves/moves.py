@@ -79,14 +79,6 @@ class MoveSite(NamedTuple):
     params: tuple[str, ...] = ()
 
 
-def _sgn(s: str) -> int:
-    if s == "+":
-        return 1
-    if s == "-":
-        return -1
-    raise StaleSite(f"bad sign parameter {s!r}")
-
-
 def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
     """``G`` with the named chords erased: their signs and endpoints."""
     return G._edited({c: [ep for ep in w if ep[0] not in chords]
@@ -96,11 +88,6 @@ def _without(G: GaussDiagram, *chords: str) -> GaussDiagram:
 def _pair(G: GaussDiagram, c: int, p: int) -> tuple[Endpoint, Endpoint]:
     word = G.circles[c]
     return word[p], word[(p + 1) % len(word)]
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise StaleSite(msg)
 
 
 # -- apply -------------------------------------------------------------------
@@ -138,11 +125,13 @@ def apply_move_with_inverse(G: GaussDiagram, site: MoveSite
             raise StaleSite(f"no circle {c + 1}")
         n = len(G.circles[c])
         if k.gaps:
-            _check(0 <= p <= n, "bad gap")
+            if not 0 <= p <= n:
+                raise StaleSite("bad gap")
         elif not 0 <= p < n:
             raise StaleSite(f"no position {p} on circle {c + 1}")
     fault = k.fault(G, anchors, params)
-    _check(fault is None, fault)
+    if fault is not None:
+        raise StaleSite(fault)
     return k.rewrite(G, anchors, params, True)
 
 
@@ -171,7 +160,8 @@ def _rewrite_r1_insert(G, anchors, params, inverse):
     pair = ((cid, INITIAL), (cid, TERMINAL))
     if order == "TI":
         pair = pair[::-1]
-    H = G._edited({c: word[:g] + pair + word[g:]}, {cid: _sgn(sgn)})
+    H = G._edited({c: word[:g] + pair + word[g:]},
+                  {cid: 1 if sgn == "+" else -1})
     return (H, MoveSite(R1_DELETE, ((c, g),))) if inverse else H
 
 
@@ -211,7 +201,7 @@ def _rewrite_r2_insert(G, anchors, params, inverse):
     (c1, g1), (c2, g2) = anchors
     variant, sgn = params[:2]
     t_first = len(params) == 3
-    eps = _sgn(sgn)
+    eps = 1 if sgn == "+" else -1
     x, y = G._fresh_ids("n", 2)
     head = ((x, INITIAL), (y, INITIAL))
     tail = ((x, TERMINAL), (y, TERMINAL))

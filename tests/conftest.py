@@ -1,14 +1,21 @@
-"""Shared fixtures: frozen reference diagrams and random generators."""
+"""Shared fixtures: frozen reference diagrams, random generators and the
+seeded inputs that more than one test module reads.  The reference
+implementations live in ``reference.py``."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from shellmoves.algebra import LaurentPoly, gamma_class
-from shellmoves.diagram import Endpoint, GaussDiagram, INITIAL, TERMINAL, parse_gauss_code
-from shellmoves.errors import ConstraintViolated
+from shellmoves.diagram import (Endpoint, GaussDiagram, INITIAL, TERMINAL,
+                                canonical_key, parse_gauss_code)
 from shellmoves.invariants import profile
 from shellmoves.normal_form import LinkForm, build_link_form, realize_link
+
+from reference import (ref_apply_r3, ref_encode_snail, ref_random_walk,
+                       ref_sites_r3, ref_weighted)
 
 # Five-chord one-circle diagram with index writhes J_3 = J_-1 = 1, J_1 = -2,
 # hence writhe polynomial t^-1 - 2t + t^3 and odd writhe 0.  Chord indices,
@@ -48,47 +55,7 @@ def reference_link() -> GaussDiagram:
     return link_from_snails(**REFERENCE_LINK_SNAILS)
 
 
-# -- one snail, written out by hand -----------------------------------------------
-
-
-def ref_self_snail_words(main, shells, eps, n):
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    near = INITIAL if eps > 0 else TERMINAL
-    far = TERMINAL if eps > 0 else INITIAL
-    signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    word = [(main, INITIAL)]
-    word += [(s, near) for s in shells]
-    word.append((main, TERMINAL))
-    word += [(s, far) for s in reversed(shells)]
-    return signs, word
-
-
-def ref_nonself_snail_words(main, shells, eps, n):
-    sigma = -eps * (1 if n > 0 else -1) if n else 0
-    before = INITIAL if eps < 0 else TERMINAL
-    after = TERMINAL if eps < 0 else INITIAL
-    signs = {main: eps}
-    signs.update({s: sigma for s in shells})
-    src = [(s, before) for s in shells]
-    src.append((main, INITIAL))
-    src += [(s, after) for s in reversed(shells)]
-    return signs, src, [(main, TERMINAL)]
-
-
-def ref_encode_snail(kind, eps, n):
-    """The snail S(n) of sign ``eps`` as a standalone diagram through the
-    checking constructor, chords named g, s1..s|n|: on one circle for
-    ``kind`` "self", from circle 1 to circle 2 for "nonself"."""
-    shells = [f"s{j}" for j in range(1, abs(n) + 1)]
-    if kind == "self":
-        signs, word = ref_self_snail_words("g", shells, eps, n)
-        return GaussDiagram(signs, [word])
-    signs, src, dst = ref_nonself_snail_words("g", shells, eps, n)
-    return GaussDiagram(signs, [src, dst])
-
-
-# -- one-shot chord queries that only tests ask ---------------------------------
+# -- one-shot chord queries that only tests ask -------------------------------
 
 
 def chord_type(G: GaussDiagram, chord: str) -> tuple[int, int] | None:
@@ -112,124 +79,38 @@ def circle_sign_sum(G: GaussDiagram, circle: int) -> int:
     return sum(G.endpoint_sign(ep) for ep in G.circles[circle])
 
 
-def ref_nest_around(G, circle, p):
-    word = G.circles[circle]
-    n = len(word)
-    e = word[p]
-    want_initial_first = G.endpoint_sign(e) > 0
-    layers = []
-    k = 0
-    while 2 * (k + 1) + 1 <= n:
-        a, a_kind = word[(p - 1 - k) % n]
-        b, b_kind = word[(p + 1 + k) % n]
-        if a != b or a == e[0] or a_kind == b_kind:
-            break
-        if (a_kind == INITIAL) != want_initial_first:
-            break
-        layers.append(a)
-        k += 1
-    return layers
-
-
-def ref_detect_shells(G):
-    """The chords nested as a shell around some endpoint."""
-    return {cid for ci, word in enumerate(G.circles) for p in range(len(word))
-            for cid in ref_nest_around(G, ci, p)}
-
-
-# -- realization blocks, written out by hand ------------------------------------
-#
-# References for the package's private realization helpers and its fresh-id
-# scheme; tests that rebuild ``realize_link`` call these, never the code
-# they check.
-
-
-def ref_fresh_ids(G, prefix, n):
-    """The first ``n`` ids ``<prefix><k>`` not in use, for k > len(G)."""
-    out = []
-    k = len(G.signs)
-    while len(out) < n:
-        k += 1
-        if f"{prefix}{k}" not in G.signs:
-            out.append(f"{prefix}{k}")
-    return out
-
-
-def ref_check_support(name, coeffs, banned):
-    hit = sorted(set(coeffs) & banned)
-    if any(coeffs[n] for n in hit):
-        raise ConstraintViolated(
-            f"{name} must vanish on slots {sorted(banned)}; got {hit}")
-
-
-def ref_dress_endpoint(G, chord, kind, total):
-    if total == 0:
-        return G
-    c, p = G.locate(chord, kind)
-    ep = G.circles[c][p]
-    s_ep = G.endpoint_sign(ep)
-    sigma = 1 if total > 0 else -1
-    ids = ref_fresh_ids(G, "r", abs(total))
-    near, far = (INITIAL, TERMINAL) if s_ep > 0 else (TERMINAL, INITIAL)
-    seg = [ep]
-    for sid in ids:
-        seg = [(sid, near)] + seg + [(sid, far)]
-    word = G.circles[c]
-    circles = list(G.circles)
-    circles[c] = word[:p] + tuple(seg) + word[p + 1:]
-    signs = dict(G.signs)
-    signs.update({sid: sigma for sid in ids})
-    return GaussDiagram(signs, circles)
-
-
-def ref_transfer_shells(G, chord, x):
-    """x shells around the nonself chord's circle-1 endpoint and -x around
-    its circle-2 endpoint, the initial endpoint dressed first."""
-    on_first = G.locate(chord, INITIAL)[0] == 0
-    G = ref_dress_endpoint(G, chord, INITIAL, x if on_first else -x)
-    return ref_dress_endpoint(G, chord, TERMINAL, -x if on_first else x)
-
-
-def ref_append_gadget(G, circle, positive):
-    g, s = ref_fresh_ids(G, "r", 2)
-    if positive:
-        block = ((s, TERMINAL), (g, INITIAL),
-                 (s, INITIAL), (g, TERMINAL))
-        signs = {g: 1, s: -1}
-    else:
-        block = ((g, INITIAL), (s, TERMINAL),
-                 (g, TERMINAL), (s, INITIAL))
-        signs = {g: -1, s: 1}
-    circles = list(G.circles)
-    circles[circle] = circles[circle] + block
-    allsigns = dict(G.signs)
-    allsigns.update(signs)
-    return GaussDiagram(allsigns, circles)
-
-
-def ref_nonself_anchor(G):
-    """The first chord in ``signs`` order whose endpoints lie on different
-    circles; with none, a new pair q1 +, q2 - running in parallel from the
-    end of circle 1 to the end of circle 2, and q1."""
-    for cid in G.signs:
-        ci, ct = G.chord_circles(cid)
-        if ci != ct:
-            return G, cid
-    q1, q2 = ref_fresh_ids(G, "r", 2)
-    circles = list(G.circles)
-    circles[0] += ((q1, INITIAL), (q2, INITIAL))
-    circles[1] += ((q1, TERMINAL), (q2, TERMINAL))
-    signs = dict(G.signs)
-    signs.update({q1: 1, q2: -1})
-    return GaussDiagram(signs, circles), q1
-
-
 # an R3 configuration, whose three adjacent endpoint pairs walks seldom
 # bring together: tests deal these blocks into diagrams by hand
 R3_SIGNS = {"p": -1, "q": -1, "x": 1}
 R3_BLOCKS = ((("p", TERMINAL), ("q", TERMINAL)),
              (("p", INITIAL), ("x", INITIAL)),
              (("q", INITIAL), ("x", TERMINAL)))
+
+
+def chord_blocks(rng, signs, count):
+    """``count`` more chords c0, c1, ... with random signs, added to
+    ``signs``, one block per endpoint."""
+    blocks = []
+    for k in range(count):
+        signs[f"c{k}"] = rng.choice((1, -1))
+        blocks += [((f"c{k}", INITIAL),), ((f"c{k}", TERMINAL),)]
+    return blocks
+
+
+def dealt(rng, signs, blocks, mu):
+    """The blocks dealt in random order onto ``mu`` circles, each word
+    rotated at random, with the chords' signs in random order."""
+    blocks = list(blocks)
+    rng.shuffle(blocks)
+    words = [[] for _ in range(mu)]
+    for block in blocks:
+        rng.choice(words).extend(block)
+    for w in words:
+        r = rng.randrange(max(len(w), 1))
+        w[:] = w[r:] + w[:r]
+    order = list(signs)
+    rng.shuffle(order)
+    return GaussDiagram({cid: signs[cid] for cid in order}, words)
 
 
 def random_diagram(rng: random.Random, mu: int, max_chords: int,
@@ -282,15 +163,21 @@ def random_link_with_lambda(rng: random.Random, lam: int,
     return GaussDiagram(signs, [tuple(words[0]), tuple(words[1])])
 
 
+def _random_slots(rng, banned, most, span):
+    """Up to ``most`` nonzero coefficients in -span..span on slots -5..6
+    outside ``banned``."""
+    out = {}
+    for _ in range(rng.randint(0, most)):
+        n = rng.randint(-5, 6)
+        if n not in banned:
+            out[n] = rng.randint(-span, span)
+    return {n: v for n, v in out.items() if v}
+
+
 def random_canonical_form(rng: random.Random, lam: int) -> LinkForm:
     """A random snail form already in canonical position for its regime."""
     def slots(banned):
-        out = {}
-        for _ in range(rng.randint(0, 3)):
-            n = rng.randint(-5, 6)
-            if n not in banned:
-                out[n] = rng.randint(-2, 2)
-        return {n: v for n, v in out.items() if v}
+        return _random_slots(rng, banned, 3, 2)
 
     if lam == 0:
         a, b = slots({0, 1}), slots({0, 1})
@@ -325,12 +212,7 @@ def random_link_targets(rng, lam):
     """Random (a, b, c, d) that satisfy the realization constraints for
     ``lam``: the sums balance and the weighted total is 0 (mod lam)."""
     def slots(banned, k=4):
-        out = {}
-        for _ in range(rng.randint(0, k)):
-            n = rng.randint(-5, 6)
-            if n not in banned:
-                out[n] = rng.randint(-3, 3)
-        return {n: v for n, v in out.items() if v}
+        return _random_slots(rng, banned, k, 3)
 
     if lam == 0:
         a, b = slots({0}), slots({0})
@@ -339,11 +221,7 @@ def random_link_targets(rng, lam):
         if diff:
             d[7] = d.get(7, 0) + diff
             d = {m: v for m, v in d.items() if v}
-        tot = (sum(n * v for n, v in a.items())
-               + sum(n * v for n, v in b.items())
-               + sum(m * v for m, v in c.items())
-               + sum(m * v for m, v in d.items()))
-        a[1] = a.get(1, 0) - tot
+        a[1] = a.get(1, 0) - ref_weighted(a, b, c, d)
         return {n: v for n, v in a.items() if v}, b, c, d
     if lam == 1:
         return slots({0, -1}), slots({0, 1}), {0: rng.randint(-3, 4)}, {}
@@ -351,12 +229,30 @@ def random_link_targets(rng, lam):
     c = {m: rng.randint(-2, 2) for m in range(lam)}
     d = {m: rng.randint(-2, 2) for m in range(lam)}
     d[0] = d.get(0, 0) + (sum(c.values()) - sum(d.values()) - lam)
-    tot = (sum(n * v for n, v in a.items()) + sum(n * v for n, v in b.items())
-           + sum(m * v for m, v in c.items()) - sum(m * v for m, v in d.items()))
-    a[1] = a.get(1, 0) - (tot % lam)
+    a[1] = a.get(1, 0) - (ref_weighted(a, b, c) - ref_weighted(d)) % lam
     return ({n: v for n, v in a.items() if v}, b,
             {m: v for m, v in c.items() if v},
             {m: v for m, v in d.items() if v})
+
+
+def realize_args(pr):
+    """``realize_link`` arguments read off the profile of a link with
+    lambda >= 0, as ``shellmoves realize`` takes them from a target block."""
+    cls, lam = pr.linking_class, pr.lam
+    if lam == 0:
+        c, d = cls.f.coeffs(), cls.g.coeffs()
+    elif lam == 1:
+        c, d = {0: pr.lk12}, {}
+    else:
+        c = dict(enumerate(cls.f.vector(lam)))
+        d = {m: cls.g.vector(lam)[(-m) % lam] for m in range(lam)}
+    return lam, pr.jn1, pr.jn2, c, d
+
+
+def image(G):
+    """The signs in insertion order and the words, as rewrites must give
+    them."""
+    return list(G.signs.items()), G.circles
 
 
 def assert_link_targets_hit(lam, a, b, c, d):
@@ -397,3 +293,121 @@ def oracle_pool() -> tuple[list[GaussDiagram], list[GaussDiagram]]:
                          "circle 1: x< y<\ncircle 2: x> y>"),
     ]
     return knots, links
+
+
+def pool_pairs():
+    """Each unordered pair of the oracle pool's knots, then of its links,
+    a diagram paired with itself included: 46 pairs."""
+    for pool in oracle_pool():
+        for i, A in enumerate(pool):
+            for B in pool[i:]:
+                yield A, B
+
+
+def relabel_and_rotate(rng: random.Random, G: GaussDiagram) -> GaussDiagram:
+    """An isomorphic copy of ``G``: chords renamed at random and every
+    circle rotated at random."""
+    names = list(G.signs)
+    table = dict(zip(names, rng.sample(names, len(names))))
+    circles = []
+    for word in G.circles:
+        word = tuple((table[ep[0]], ep[1]) for ep in word)
+        r = rng.randrange(len(word)) if word else 0
+        circles.append(word[r:] + word[:r])
+    return GaussDiagram({table[c]: s for c, s in G.signs.items()}, circles)
+
+
+# -- the census of small diagrams ---------------------------------------------
+
+# mu: (largest chord count, chord cap, (classes by chord count 0, 1, ...,
+# listed moves within the cap)); a finder that loses a site variant moves the
+# move count even where the components stay as they are
+CENSUS = {1: (4, 4, ([1, 2, 14, 164, 3388], 10600)),
+          2: (3, 3, ([1, 8, 74, 1072], 3148))}
+
+
+def _inserted(word: tuple, gap: int, ep: Endpoint) -> tuple:
+    return word[:gap] + (ep,) + word[gap:]
+
+
+def grown(G: GaussDiagram):
+    """Every diagram made from ``G`` by adding one chord."""
+    cid = f"c{len(G)}"
+    first, last = (cid, INITIAL), (cid, TERMINAL)
+    for ci, word in enumerate(G.circles):
+        for gi in range(len(word) + 1):
+            circles = list(G.circles)
+            circles[ci] = _inserted(word, gi, first)
+            for ct, other in enumerate(circles):
+                for gt in range(len(other) + 1):
+                    words = list(circles)
+                    words[ct] = _inserted(other, gt, last)
+                    for sign in (1, -1):
+                        yield GaussDiagram({**G.signs, cid: sign}, words)
+
+
+@functools.cache
+def census_classes():
+    """One diagram per isomorphism class of the census, in chord-count
+    order: knots of at most 4 chords, then two-circle links of at most 3."""
+    out = []
+    for mu, (most, _, _) in CENSUS.items():
+        empty = GaussDiagram({}, [()] * mu)
+        layer = {canonical_key(empty): empty}
+        out += layer.values()
+        for _ in range(most):
+            layer = {canonical_key(H): H for G in layer.values()
+                     for H in grown(G)}
+            out += layer.values()
+    return out
+
+
+# -- seeded move inputs, built by references only -----------------------------
+
+
+@functools.cache
+def walked_diagrams(count=3000):
+    """1- and 2-circle diagrams of up to 3 chords reached by short walks
+    (the reference walk, so the inputs do not depend on the code tested)."""
+    rng = random.Random(8)
+    out = []
+    for i in range(count):
+        G = random_diagram(rng, 1 + i % 2, 1)
+        G, _ = ref_random_walk(G, rng.randrange(4), rng.randrange(10**6),
+                               len(G) + 2)
+        out.append(G)
+    return out
+
+
+@functools.cache
+def r3_diagrams(count=400):
+    """Diagrams built to hold R3 configurations, which walks seldom reach:
+    the pairs (p>, q>), (p<, x<), (q<, x>) with x + and p, q -, and up to
+    four other chords, dealt as blocks onto one or two circles with each
+    word rotated (so a pair may straddle the basepoint) and the signs in
+    random order; then the image of each of their R3 sites, which holds
+    the swapped configuration."""
+    rng = random.Random(11)
+    out = []
+    for i in range(count):
+        signs = dict(R3_SIGNS)
+        blocks = [*R3_BLOCKS, *chord_blocks(rng, signs, rng.randint(0, 4))]
+        G = dealt(rng, signs, blocks, 1 + i % 2)
+        out.append(G)
+        out += [ref_apply_r3(G, site)[0] for site in ref_sites_r3(G)]
+    return out
+
+
+# -- random Gauss-code text ---------------------------------------------------
+
+CODE_PIECES = ("circles:", "circles: 1", "circles: 2", "circle", "circle 1:",
+               "circle 2:", "circle 3:", "chord", "g", "h", "g<", "g>", "h<",
+               "h>", "<", ">", "+", "-", "0", "1", "2", "-1", ":", "#", " ",
+               "\n", "\t", "é")
+
+
+def texts(pieces):
+    """Random text, and space- or un-joined runs of ``pieces``."""
+    return st.one_of(st.text(), st.lists(st.sampled_from(pieces),
+                                         max_size=24).map(" ".join),
+                     st.lists(st.sampled_from(pieces), max_size=24).map("".join))

@@ -27,13 +27,13 @@ from conftest import (
     assert_link_targets_hit,
     chord_type,
     link_from_snails,
-    oracle_pool,
+    pool_pairs,
     random_canonical_form,
     random_diagram,
     random_link_targets,
     random_link_with_lambda,
 )
-from test_link_profile_reference import ref_nonself_writhe_tables
+from reference import ref_nonself_writhe_tables
 
 
 def _report(n, text):
@@ -140,26 +140,24 @@ def test_criterion_7_normal_form_roundtrip():
 def test_criterion_8_oracle_concordance():
     t0 = time.time()
     found = missed = skipped = 0
-    for pool in oracle_pool():
-        for i, A in enumerate(pool):
-            for B in pool[i:]:
-                expected = s_equivalent(A, B).equivalent
-                try:
-                    trace = bfs_witness(A, B, 6, 8, node_budget=9000)
-                except BudgetExceeded:
-                    skipped += 1
-                    continue
-                if trace is None:
-                    missed += expected  # absence certified, soft log only
-                    continue
-                # hard requirement: a found trace implies equivalence...
-                assert expected, "oracle found a path between distinct classes"
-                # ...and replays to the target
-                cur = A
-                for site in trace:
-                    cur = apply_move(cur, site)
-                assert isomorphic(cur, B)
-                found += 1
+    for A, B in pool_pairs():
+        expected = s_equivalent(A, B).equivalent
+        try:
+            trace = bfs_witness(A, B, 6, 8, node_budget=9000)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        if trace is None:
+            missed += expected  # absence certified, soft log only
+            continue
+        # hard requirement: a found trace implies equivalence...
+        assert expected, "oracle found a path between distinct classes"
+        # ...and replays to the target
+        cur = A
+        for site in trace:
+            cur = apply_move(cur, site)
+        assert isomorphic(cur, B)
+        found += 1
     elapsed = time.time() - t0
     assert elapsed < 120.0
     _report(8, f"{found} witnesses replayed, {skipped} budget-capped, "

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from shellmoves.algebra import LaurentPoly, LinkingClass, gamma_class, parse_poly
+from shellmoves.algebra import LaurentPoly, gamma_class, parse_poly
+
+from reference import ref_gamma_class, ref_related_by_twist
 
 LP = LaurentPoly
 
@@ -112,28 +114,6 @@ def _times_modulus(s, r):
     return r.shift(s) - r
 
 
-def _related_by_twist(s, f1, g1, f2, g2):
-    """Independent check: is (f2, g2) = (t^k f1 + (t^s-1)p, t^-k g1 + (t^s-1)q)?"""
-    if s == 0:
-        for fa, fb, ga, gb in [(f1, f2, g1, g2)]:
-            if bool(fa) != bool(fb) or bool(ga) != bool(gb):
-                return False
-            if fa:
-                k = fb.min_exp() - fa.min_exp()
-            elif ga:
-                k = ga.min_exp() - gb.min_exp()
-            else:
-                return True
-            return fa.shift(k) == fb and ga.shift(-k) == gb
-    if s == 1:
-        return (f1.eval_at_one(), g1.eval_at_one()) == \
-            (f2.eval_at_one(), g2.eval_at_one())
-    return any(
-        f1.shift(k).vector(s) == f2.vector(s)
-        and g1.shift(-k).vector(s) == g2.vector(s)
-        for k in range(s))
-
-
 def test_gamma_class_equality_matches_exhaustive_twist_check():
     rng = random.Random(9)
     for _ in range(400):
@@ -149,16 +129,7 @@ def test_gamma_class_equality_matches_exhaustive_twist_check():
         else:
             f2, g2 = _random_poly(rng), _random_poly(rng)
         same = gamma_class(s, f1, g1) == gamma_class(s, f2, g2)
-        assert same == _related_by_twist(s, f1, g1, f2, g2)
-
-
-def ref_gamma_class(s, f, g):
-    """Every one of the s twists for s >= 1, each read as its concatenated
-    vectors: the least is the canonical pair."""
-    fv, gv = f.vector(s), g.vector(s)
-    best = min(tuple(fv[(i - k) % s] for i in range(s))
-               + tuple(gv[(i + k) % s] for i in range(s)) for k in range(s))
-    return LinkingClass(s, LP.from_vector(best[:s]), LP.from_vector(best[s:]))
+        assert same == ref_related_by_twist(s, f1, g1, f2, g2)
 
 
 def _periodic_vector(rng, s):

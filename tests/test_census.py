@@ -14,38 +14,14 @@ from typing import NamedTuple
 
 import pytest
 
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
-                                canonical_key)
+from shellmoves.diagram import canonical_key
 from shellmoves.invariants import profile
 from shellmoves.moves import MOVE_KINDS, apply_move, find_move_sites, fits
 
-# mu: (largest chord count, chord cap, (classes by chord count 0, 1, ...,
-# listed moves within the cap)); a finder that loses a site variant moves the
-# move count even where the components stay as they are
-CENSUS = {1: (4, 4, ([1, 2, 14, 164, 3388], 10600)),
-          2: (3, 3, ([1, 8, 74, 1072], 3148))}
+from conftest import CENSUS, census_classes
+
 # mu: (profiles of at most 3 chords split across components, all of them)
 SPLIT = {1: (5, 17), 2: (35, 117)}
-
-
-def _inserted(word: tuple, gap: int, ep: Endpoint) -> tuple:
-    return word[:gap] + (ep,) + word[gap:]
-
-
-def _grown(G: GaussDiagram):
-    """Every diagram made from ``G`` by adding one chord."""
-    cid = f"c{len(G)}"
-    first, last = (cid, INITIAL), (cid, TERMINAL)
-    for ci, word in enumerate(G.circles):
-        for gi in range(len(word) + 1):
-            circles = list(G.circles)
-            circles[ci] = _inserted(word, gi, first)
-            for ct, other in enumerate(circles):
-                for gt in range(len(other) + 1):
-                    words = list(circles)
-                    words[ct] = _inserted(other, gt, last)
-                    for sign in (1, -1):
-                        yield GaussDiagram({**G.signs, cid: sign}, words)
 
 
 class Census(NamedTuple):
@@ -60,15 +36,7 @@ class Census(NamedTuple):
 def census(mu: int) -> Census:
     """The census of the diagrams on ``mu`` circles."""
     most, cap, _ = CENSUS[mu]
-    empty = GaussDiagram({}, [()] * mu)
-    layers = [{canonical_key(empty): empty}]
-    for _ in range(most):
-        layer: dict = {}
-        for G in layers[-1].values():
-            for H in _grown(G):
-                layer.setdefault(canonical_key(H), H)
-        layers.append(layer)
-    classes = {key: G for layer in layers for key, G in layer.items()}
+    classes = {canonical_key(G): G for G in census_classes() if G.mu == mu}
     profiles = {key: profile(G) for key, G in classes.items()}
     parent = {key: key for key in classes}
 
@@ -88,7 +56,9 @@ def census(mu: int) -> Census:
                     changed.append((G, site))
                 parent[root(key)] = root(other)
                 edges += 1
-    return Census([len(layer) for layer in layers], edges, changed, profiles,
+    counts = [sum(len(G) == n for G in classes.values())
+              for n in range(most + 1)]
+    return Census(counts, edges, changed, profiles,
                   {key: root(key) for key in classes})
 
 

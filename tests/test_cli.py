@@ -11,7 +11,8 @@ from shellmoves.errors import StaleSite
 from shellmoves.moves import apply_move, site_from_text
 
 from conftest import (REFERENCE_KNOT_CODE, REFERENCE_LINK_SNAILS,
-                      link_from_snails, ref_encode_snail)
+                      link_from_snails)
+from reference import ref_encode_snail
 
 EMPTY = "circles: 1\ncircle 1:\n"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>\n"

@@ -30,8 +30,8 @@ from shellmoves.errors import (
 from shellmoves.invariants import linking_data
 
 from conftest import (chord_type, circle_sign_sum, is_free, random_diagram,
-                      ref_detect_shells)
-from test_iso_key import relabel_and_rotate
+                      relabel_and_rotate)
+from reference import ref_detect_shells, ref_isomorphic
 
 
 def test_parse_free_chord():
@@ -343,27 +343,6 @@ def test_canonical_key_invariant_under_rotation():
         assert canonical_key(GaussDiagram(G.signs, circles)) == canonical_key(G)
 
 
-def _brute_isomorphic(G, H):
-    """Oracle: try every sign-compatible chord bijection and every rotation."""
-    import itertools
-    if G.mu != H.mu or len(G) != len(H):
-        return False
-    gids, hids = sorted(G.signs), sorted(H.signs)
-    for perm in itertools.permutations(hids):
-        m = dict(zip(gids, perm))
-        if any(G.signs[a] != H.signs[m[a]] for a in gids):
-            continue
-        for ci in range(G.mu):
-            gw = tuple((m[e[0]], e[1]) for e in G.circles[ci])
-            hw = list(H.circles[ci])
-            rots = [tuple(hw[r:] + hw[:r]) for r in range(max(len(hw), 1))]
-            if gw not in rots:
-                break
-        else:
-            return True
-    return False
-
-
 def test_isomorphism_matches_brute_force_oracle():
     rng = random.Random(7)
     for trial in range(600):
@@ -372,16 +351,8 @@ def test_isomorphism_matches_brute_force_oracle():
         if rng.random() < 0.5:
             H = random_diagram(rng, mu, 3)
         else:
-            names = list(G.signs)
-            table = dict(zip(names, rng.sample(names, len(names))))
-            signs = {table[c]: s for c, s in G.signs.items()}
-            circles = []
-            for w in G.circles:
-                w2 = tuple((table[e[0]], e[1]) for e in w)
-                r = rng.randrange(len(w2)) if w2 else 0
-                circles.append(w2[r:] + w2[:r])
-            H = GaussDiagram(signs, circles)
-        assert isomorphic(G, H) == _brute_isomorphic(G, H)
+            H = relabel_and_rotate(rng, G)
+        assert isomorphic(G, H) == ref_isomorphic(G, H)
 
 
 def test_diagram_is_immutable_and_copies_round_trip():

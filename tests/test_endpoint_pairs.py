@@ -16,8 +16,8 @@ from shellmoves.moves import (MOVE_KINDS, apply_move, find_move_sites,
 from shellmoves.normal_form import build_knot_form, realize_knot, realize_link
 
 from conftest import (R3_BLOCKS, R3_SIGNS, link_from_snails, random_diagram,
-                      random_link_targets, random_link_with_lambda,
-                      ref_encode_snail)
+                      random_link_targets, random_link_with_lambda)
+from reference import ref_encode_snail
 
 
 def assert_pairs(G):

@@ -29,7 +29,8 @@ from shellmoves.normal_form import (
 
 from conftest import (assert_link_targets_hit, link_from_snails,
                       random_diagram, random_link_targets,
-                      random_link_with_lambda, ref_encode_snail)
+                      random_link_with_lambda)
+from reference import ref_encode_snail
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"

@@ -1,5 +1,5 @@
 """Differential tests of the one-pass chord code against per-chord
-references that live only here: the arc walk (the definition of a chord
+references in ``reference.py``: the arc walk (the definition of a chord
 index), and the per-chord classification of free and nonself chords that
 `find_move_sites(G, "R1_delete")` and `linking_data` once made."""
 
@@ -24,45 +24,14 @@ from shellmoves.invariants import (
     profile,
     self_writhe_tables,
 )
-from shellmoves.moves import R1_DELETE, MoveSite, find_move_sites
+from shellmoves.moves import R1_DELETE, find_move_sites
 
-from conftest import chord_type, is_free, random_diagram
+from conftest import random_diagram
+from reference import (ref_endpoint_index, ref_linking_data,
+                       ref_sites_r1_delete, ref_table, ref_walk_arc_sum)
 
 N_DIAGRAMS = 2000
 MAX_CHORDS = 60
-
-
-def endpoint_index(G: GaussDiagram) -> dict[str, dict[str, tuple[int, int]]]:
-    """chord -> kind -> (circle, position), from one walk over the words."""
-    where: dict[str, dict[str, tuple[int, int]]] = {}
-    for ci, word in enumerate(G.circles):
-        for pos, (chord, kind) in enumerate(word):
-            where.setdefault(chord, {})[kind] = (ci, pos)
-    return where
-
-
-def walk_arc_sum(G: GaussDiagram, where, chord: str) -> int:
-    """Endpoint-sign sum strictly between the chord's initial and terminal
-    endpoints, one step at a time around its circle."""
-    ci, pi = where[chord][INITIAL]
-    ct, pt = where[chord][TERMINAL]
-    assert ci == ct
-    word = G.circles[ci]
-    n = len(word)
-    total = 0
-    p = (pi + 1) % n
-    while p != pt:
-        total += G.endpoint_sign(word[p])
-        p = (p + 1) % n
-    return total
-
-
-def walk_table(G: GaussDiagram, chords, index) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for cid in chords:
-        n = index(cid)
-        table[n] = table.get(n, 0) + G.signs[cid]
-    return {n: v for n, v in table.items() if v}
 
 
 def _diagram(seed: int) -> GaussDiagram:
@@ -94,7 +63,7 @@ def test_arc_sign_sums_match_the_walk():
     wraps = empty = 0
     for seed in range(N_DIAGRAMS):
         G = _diagram(seed)
-        where = endpoint_index(G)
+        where = ref_endpoint_index(G)
         for c, word in enumerate(G.circles):
             empty += not word
             chords = _self_chords(G, where, c)
@@ -103,7 +72,7 @@ def test_arc_sign_sums_match_the_walk():
         for cid in G.signs:
             ci, ct = _circles_of(where, cid)
             if ci == ct:
-                want = walk_arc_sum(G, where, cid)
+                want = ref_walk_arc_sum(G, where, cid)
                 assert G.arc_sign_sum(cid) == want, (seed, cid)
             else:
                 with pytest.raises(NotASelfChord):
@@ -114,10 +83,10 @@ def test_arc_sign_sums_match_the_walk():
 def test_tables_match_the_walk():
     for seed in range(N_DIAGRAMS):
         G = _diagram(seed)
-        where = endpoint_index(G)
+        where = ref_endpoint_index(G)
         assert self_writhe_tables(G) == tuple(
-            walk_table(G, _self_chords(G, where, c),
-                       lambda x: walk_arc_sum(G, where, x))
+            ref_table((ref_walk_arc_sum(G, where, x), G.signs[x])
+                      for x in _self_chords(G, where, c))
             for c in range(G.mu)), seed
 
 
@@ -127,7 +96,7 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
     tables = 0
     for seed in range(0, N_DIAGRAMS, 2):
         G = _diagram(seed)
-        where = endpoint_index(G)
+        where = ref_endpoint_index(G)
         nonself = _nonself(G, where)
         by_type = [[c for c in nonself if where[c][INITIAL][0] == first]
                    for first in (0, 1)]
@@ -135,13 +104,14 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
         assert linking_class(G) == live, seed
         for gamma0 in nonself:
             merged = surgery(G, gamma0)
-            merged_where = endpoint_index(merged)
+            merged_where = ref_endpoint_index(merged)
 
             def index(cid):
                 return (0 if cid == gamma0
-                        else walk_arc_sum(merged, merged_where, cid))
+                        else ref_walk_arc_sum(merged, merged_where, cid))
 
-            t12, t21 = (walk_table(G, chords, index) for chords in by_type)
+            t12, t21 = (ref_table((index(x), G.signs[x]) for x in chords)
+                        for chords in by_type)
             lam = sum(t12.values()) - sum(t21.values())
             assert gamma_class(abs(lam), LaurentPoly(t12),
                                LaurentPoly(t21)) == live, (seed, gamma0)
@@ -181,32 +151,6 @@ def test_arc_sign_sum_makes_no_circle_walk(monkeypatch):
 # -- free and nonself chords, one pass against one query per chord ----------
 
 
-def per_chord_r1_delete_sites(G: GaussDiagram) -> list[MoveSite]:
-    """R1_delete sites as found by asking the diagram about each chord."""
-    out = []
-    for cid in G.signs:
-        if not is_free(G, cid):
-            continue
-        ci, pi = G.locate(cid, INITIAL)
-        _, pt = G.locate(cid, TERMINAL)
-        n = len(G.circles[ci])
-        cands = [p for p in (pi, pt)
-                 if (p + 1) % n in (pi, pt) and p != (p + 1) % n]
-        out.append(MoveSite(R1_DELETE, ((ci, min(cands)),)))
-    return out
-
-
-def per_chord_linking_data(G: GaussDiagram) -> tuple[int, int, int]:
-    lk12 = lk21 = 0
-    for cid in G.signs:
-        typ = chord_type(G, cid)
-        if typ == (1, 2):
-            lk12 += G.signs[cid]
-        elif typ == (2, 1):
-            lk21 += G.signs[cid]
-    return lk12, lk21, lk12 - lk21
-
-
 def _with_free_chords(seed: int) -> GaussDiagram:
     """A random 1- or 2-circle diagram with free chords planted at random
     gaps, some circles holding one free chord alone, and every circle
@@ -243,12 +187,12 @@ def test_r1_delete_sites_and_linking_data_match_per_chord_queries():
     lone = wrapped = sites = 0
     for seed in range(1500):
         G = _with_free_chords(seed)
-        want = per_chord_r1_delete_sites(G)
+        want = ref_sites_r1_delete(G)
         assert find_move_sites(G, R1_DELETE) == want, seed
         sites += len(want)
         lone += sum(len(w) == 2 for w in G.circles)
         wrapped += sum(p == len(G.circles[c]) - 1 and len(G.circles[c]) > 2
                        for site in want for c, p in site.anchors)
         if G.mu == 2:
-            assert linking_data(G) == per_chord_linking_data(G), seed
+            assert linking_data(G) == ref_linking_data(G), seed
     assert sites > 3000 and lone > 100 and wrapped > 100

@@ -14,10 +14,7 @@ from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
 from shellmoves.errors import GaussCodeError, StaleSite
 from shellmoves.moves import MOVE_KINDS, apply_move, site_from_text
 
-CODE_PIECES = ("circles:", "circles: 1", "circles: 2", "circle", "circle 1:",
-               "circle 2:", "circle 3:", "chord", "g", "h", "g<", "g>", "h<",
-               "h>", "<", ">", "+", "-", "0", "1", "2", "-1", ":", "#", " ",
-               "\n", "\t", "é")
+from conftest import CODE_PIECES, texts
 
 TRACE_PARAMS = ("+", "-", "IT", "TI", "par", "anti", "tfirst", "junk")
 TRACE_PIECES = (*MOVE_KINDS, *TRACE_PARAMS, "R4", "@", "1:0", "2:1", "1:-1",
@@ -33,14 +30,8 @@ LINKS = tuple(parse_gauss_code(text) for text in (
 ))
 
 
-def _texts(pieces):
-    return st.one_of(st.text(), st.lists(st.sampled_from(pieces),
-                                         max_size=24).map(" ".join),
-                     st.lists(st.sampled_from(pieces), max_size=24).map("".join))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_texts(CODE_PIECES))
+@given(texts(CODE_PIECES))
 def test_parse_raises_only_gauss_code_errors(text):
     try:
         G = parse_gauss_code(text)
@@ -75,7 +66,7 @@ def _lines(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_lines(), _texts(TRACE_PIECES)))
+@given(st.one_of(_lines(), texts(TRACE_PIECES)))
 def test_trace_lines_parse_or_apply_or_go_stale(line):
     try:
         site = site_from_text(line)
@@ -174,7 +165,7 @@ _SPECS = st.one_of(
         k + ": " + " ".join(f"{n}:{v}" if pairs else str(v) for n, v in ts)
         for k, ts, pairs in t[1])))
 _VALID = _diagrams().map(serialize)
-_CODES = st.one_of(_texts(CODE_PIECES), _VALID, st.tuples(
+_CODES = st.one_of(texts(CODE_PIECES), _VALID, st.tuples(
     _VALID, st.integers(0, 12), st.sampled_from(CODE_PIECES)).map(
     lambda t: "\n".join(t[0].splitlines()[:t[1]] + [t[2]]  # a line replaced
                         + t[0].splitlines()[t[1] + 1:])))
@@ -199,7 +190,7 @@ def _argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv(), _CODES, _CODES, _SPECS,
-       st.lists(st.one_of(_lines(), _texts(TRACE_PIECES)), max_size=4))
+       st.lists(st.one_of(_lines(), texts(TRACE_PIECES)), max_size=4))
 def test_cli_ends_in_an_exit_code(tmp_path_factory, argv, code, other, spec,
                                   trace):
     files = dict(code=code, other=other, spec=spec, trace="\n".join(trace))

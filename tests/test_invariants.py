@@ -23,10 +23,9 @@ from conftest import (
     link_from_snails,
     random_diagram,
     random_link_with_lambda,
-    ref_detect_shells,
-    ref_encode_snail,
 )
-from test_link_profile_reference import ref_nonself_writhe_tables
+from reference import (ref_detect_shells, ref_encode_snail,
+                       ref_nonself_writhe_tables, ref_weighted)
 
 
 def test_knot_index_free_chord():
@@ -256,11 +255,7 @@ def test_snail_diagram_profile_reads_off_the_snail_data():
         # shell slots, as in a canonical layout
         clear = not (set(a) & {-lam, -lam + 1}) and not (set(b) & {lam, lam + 1})
         if abs(lam) != 1 and clear:
-            want = (-sum(n * v for n, v in a.items())
-                    - sum(n * v for n, v in b.items())
-                    - sum(m * v for m, v in c.items())
-                    - sum(m * v for m, v in d.items()))
-            assert pr.shell_sum == want
+            assert pr.shell_sum == -ref_weighted(a, b, c, d)
 
 
 @pytest.mark.parametrize("arg", ["circles: 1", None, 0, {}, ("circles",)])

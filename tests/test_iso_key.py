@@ -1,7 +1,7 @@
 """Differential and property tests of the fast isomorphism key, and of the
 per-chord queries on unvalidated diagrams.
 
-The rotate-and-rename key below lives only here, as the reference
+The rotate-and-rename key ``ref_key`` (``reference.py``) is the reference
 definition of diagram isomorphism that ``canonical_key`` must reproduce: the
 two keys differ in value, but must agree on which diagrams they call equal.
 """
@@ -22,55 +22,10 @@ from shellmoves.diagram import (
 )
 from shellmoves.errors import DuplicateEndpoint, MissingEndpoint, UnknownChordId
 
-from conftest import chord_type, is_free, random_diagram
+from conftest import chord_type, is_free, random_diagram, relabel_and_rotate
+from reference import ref_key
 
 N_PAIRS = 4000
-
-
-def reference_key(G: GaussDiagram):
-    """Circles in order, each rotated so the tuple of (first-occurrence
-    chord index, kind, sign) tokens is lexicographically least, with the
-    renaming shared across circles; every tied renaming is carried forward."""
-    contexts = [({}, 0, ())]
-    for word in G.circles:
-        n = len(word)
-        if n == 0:
-            contexts = [(ren, nxt, acc + ((),)) for ren, nxt, acc in contexts]
-            continue
-        best_acc = None
-        survivors = {}
-        for ren, nxt, acc in contexts:
-            for r in range(n):
-                ren2 = dict(ren)
-                cnt = nxt
-                toks = []
-                for k in range(n):
-                    ep = word[(r + k) % n]
-                    idx = ren2.get(ep[0])
-                    if idx is None:
-                        idx = ren2[ep[0]] = cnt
-                        cnt += 1
-                    toks.append((idx, ep[1], G.signs[ep[0]]))
-                key = acc + (tuple(toks),)
-                if best_acc is None or key < best_acc:
-                    best_acc = key
-                    survivors = {}
-                if key == best_acc:
-                    survivors.setdefault(tuple(sorted(ren2.items())),
-                                         (ren2, cnt, key))
-        contexts = list(survivors.values())
-    return contexts[0][2]
-
-
-def relabel_and_rotate(rng: random.Random, G: GaussDiagram) -> GaussDiagram:
-    names = list(G.signs)
-    table = dict(zip(names, rng.sample(names, len(names))))
-    circles = []
-    for word in G.circles:
-        word = tuple((table[ep[0]], ep[1]) for ep in word)
-        r = rng.randrange(len(word)) if word else 0
-        circles.append(word[r:] + word[:r])
-    return GaussDiagram({table[c]: s for c, s in G.signs.items()}, circles)
 
 
 def three_circles(rng: random.Random, max_chords: int) -> GaussDiagram:
@@ -142,7 +97,7 @@ def test_key_equality_matches_reference():
             H = sample_diagram(rng, trial)
             if H.mu != G.mu:
                 continue
-        same = reference_key(G) == reference_key(H)
+        same = ref_key(G) == ref_key(H)
         assert (canonical_key(G) == canonical_key(H)) == same, (G, H)
         equal += same
         unequal += not same
@@ -163,7 +118,7 @@ def test_periodic_words_with_nonself_chords():
     R = link("a< b< c<", "a> c> b>")
     assert canonical_key(P) == canonical_key(Q)
     assert canonical_key(P) != canonical_key(R)
-    assert reference_key(P) == reference_key(Q) != reference_key(R)
+    assert ref_key(P) == ref_key(Q) != ref_key(R)
 
 
 def test_empty_circles():

@@ -4,21 +4,19 @@ diagram short of a kind's least counts holds no site of that kind, each
 least count is reached, and the search never leaves out a kind that has a
 site within the chord cap."""
 
-import functools
 import random
 
 import pytest
 
 from shellmoves import equiv
-from shellmoves.diagram import GaussDiagram, canonical_key, parse_gauss_code
+from shellmoves.diagram import parse_gauss_code
 from shellmoves.equiv import bfs_witness
 from shellmoves.errors import BudgetExceeded
 from shellmoves.moves import (MOVE_KINDS, count_move_sites, find_move_sites,
                               fits, least_counts, random_walk)
 
-from conftest import oracle_pool
-from test_bfs_levels import ref_bfs_witness
-from test_census import CENSUS, _grown
+from conftest import CENSUS, census_classes, oracle_pool, pool_pairs
+from reference import ref_bfs_witness
 
 LEAST = {"R1_insert": (0, 0, 0), "R1_delete": (1, 0, 0),
          "R2_insert": (0, 0, 0), "R2_delete": (2, 1, 1),
@@ -30,22 +28,6 @@ def _counts(G):
     """(chords, positive chords, negative chords)."""
     positive = sum(sign > 0 for sign in G.signs.values())
     return len(G), positive, len(G) - positive
-
-
-@functools.lru_cache(maxsize=None)
-def _census_classes():
-    """One diagram per isomorphism class of the census: knots of at most 4
-    chords and two-circle links of at most 3."""
-    out = []
-    for mu, (most, _, _) in CENSUS.items():
-        empty = GaussDiagram({}, [()] * mu)
-        layer = {canonical_key(empty): empty}
-        out += layer.values()
-        for _ in range(most):
-            layer = {canonical_key(H): H for G in layer.values()
-                     for H in _grown(G)}
-            out += layer.values()
-    return out
 
 
 def _walk_images():
@@ -68,7 +50,7 @@ def test_the_table_states_the_least_counts():
 
 
 def test_a_diagram_short_of_a_kinds_least_counts_has_no_site():
-    diagrams = _census_classes() + _walk_images()
+    diagrams = census_classes() + _walk_images()
     assert len(diagrams) == sum(CENSUS[1][2][0]) + sum(CENSUS[2][2][0]) + 400
     assert any(not word for G in diagrams[-400:] for word in G.circles)
     short = 0
@@ -87,18 +69,11 @@ def test_each_least_count_is_reached(kind):
     kind has exactly the least number."""
     reached = [False] * 3
     least = least_counts(kind)
-    for G in _census_classes():
+    for G in census_classes():
         if count_move_sites(G, kind):
             for i, (have, need) in enumerate(zip(_counts(G), least)):
                 reached[i] |= have == need
     assert reached == [True] * 3
-
-
-def _pool_pairs():
-    for pool in oracle_pool():
-        for i, A in enumerate(pool):
-            for B in pool[i:]:
-                yield A, B
 
 
 def test_the_search_never_skips_a_kind_with_a_site(monkeypatch):
@@ -123,7 +98,7 @@ def test_the_search_never_skips_a_kind_with_a_site(monkeypatch):
 
     monkeypatch.setattr(equiv, "_plan", plan)
     monkeypatch.setattr(equiv, "find_move_sites", find)
-    for A, B in _pool_pairs():
+    for A, B in pool_pairs():
         try:
             bfs_witness(A, B, 6, cap, 9000)
         except BudgetExceeded:

@@ -1,116 +1,27 @@
-"""The link profile against its earlier form, kept here as the reference:
-self tables from one arc-sum pass per circle, nonself chords found by a
-scan of circle 1, and nonself indices read on the merged circle that
-``surgery`` builds along the first of them, as the book defines the linking
-class.  The live profile reads every index from one prefix-sum walk per
-circle and never builds that circle, so the book's reading through
-``surgery`` lives only here."""
+"""The link profile against its earlier form, ``ref_link_profile`` in
+``reference.py``: self tables from one arc-sum pass per circle, nonself
+chords found by a scan of circle 1, and nonself indices read on the merged
+circle that ``surgery`` builds along the first of them, as the book defines
+the linking class.  The live profile reads every index from one prefix-sum
+walk per circle and never builds that circle, so the book's reading through
+``surgery`` lives only in the reference."""
 
 import random
 
 import pytest
 
 from shellmoves import diagram, invariants
-from shellmoves.algebra import LaurentPoly, gamma_class
-from shellmoves.diagram import (INITIAL, TERMINAL, GaussDiagram,
-                                parse_gauss_code, surgery)
+from shellmoves.diagram import (TERMINAL, GaussDiagram, parse_gauss_code,
+                                surgery)
 from shellmoves.errors import (NotANonselfChord, UnknownChordId,
                                WrongComponentCount)
-from shellmoves.invariants import (LinkProfile, link_slots, linking_class,
-                                   profile, shell_sum)
+from shellmoves.invariants import linking_class, profile
 
 from conftest import random_diagram, random_link_with_lambda
+from reference import ref_link_profile, ref_nonself_endpoints
 
 # the benchmark's decide ladder, 50 to 800 chords in 48 equal ratios
 DECIDE_SIZES = sorted({round(50 * 16 ** (i / 47)) for i in range(48)})
-
-
-def ref_arc_sums(word, signs) -> dict[str, int]:
-    """Arc sum of every self-chord of ``word``: prefix sums, with the
-    circle total added for an arc that wraps past the basepoint."""
-    out: dict[str, int] = {}
-    after_initial: dict[str, int] = {}
-    at_terminal: dict[str, int] = {}
-    run = 0
-    for chord, kind in word:
-        if kind == TERMINAL:
-            if chord in after_initial:
-                out[chord] = run - after_initial.pop(chord)
-            else:
-                at_terminal[chord] = run
-            run += signs[chord]
-        else:
-            run -= signs[chord]
-            after_initial[chord] = run
-    for chord, start in after_initial.items():
-        if chord in at_terminal:
-            out[chord] = run - start + at_terminal[chord]
-    return out
-
-
-def _add(table: dict[int, int], n: int, sign: int) -> None:
-    table[n] = table.get(n, 0) + sign
-    if table[n] == 0:
-        del table[n]
-
-
-def ref_self_writhe_tables(G: GaussDiagram):
-    out = []
-    for word in G.circles:
-        table: dict[int, int] = {}
-        for cid, n in ref_arc_sums(word, G.signs).items():
-            _add(table, n, G.signs[cid])
-        out.append(table)
-    return tuple(out)
-
-
-def ref_nonself_endpoints(G: GaussDiagram):
-    on_circle2 = {chord for chord, _ in G.circles[1]}
-    return [ep for ep in G.circles[0] if ep[0] in on_circle2]
-
-
-def ref_linking_data(G: GaussDiagram) -> tuple[int, int, int]:
-    lk12 = lk21 = 0
-    for chord, kind in ref_nonself_endpoints(G):
-        if kind == INITIAL:
-            lk12 += G.signs[chord]
-        else:
-            lk21 += G.signs[chord]
-    return lk12, lk21, lk12 - lk21
-
-
-def ref_nonself_writhe_tables(G: GaussDiagram, gamma0: str):
-    merged = surgery(G, gamma0)
-    index = ref_arc_sums(merged.circles[0], merged.signs)
-    index[gamma0] = 0
-    t12: dict[int, int] = {}
-    t21: dict[int, int] = {}
-    for chord, kind in ref_nonself_endpoints(G):
-        _add(t12 if kind == INITIAL else t21, index[chord], G.signs[chord])
-    return t12, t21
-
-
-def ref_linking_class(G: GaussDiagram):
-    nonself = ref_nonself_endpoints(G)
-    if not nonself:
-        return gamma_class(0, LaurentPoly(), LaurentPoly())
-    t12, t21 = ref_nonself_writhe_tables(G, nonself[0][0])
-    lam = sum(t12.values()) - sum(t21.values())
-    return gamma_class(abs(lam), LaurentPoly(t12), LaurentPoly(t21))
-
-
-def ref_link_profile(G: GaussDiagram) -> LinkProfile:
-    lk12, lk21, lam = ref_linking_data(G)
-    t1, t2 = ref_self_writhe_tables(G)
-    (free1, _), (free2, _) = link_slots(lam)
-    cls = ref_linking_class(G)
-    f_prime = None if abs(lam) == 1 else cls.derivative_sum()
-
-    def off(t, free):
-        return {n: v for n, v in t.items() if n not in free}
-
-    return LinkProfile(lk12, lk21, lam, off(t1, free1), off(t2, free2),
-                       shell_sum(lam, t1, t2), cls, f_prime)
 
 
 FIELDS = ("lk12", "lk21", "lam", "jn1", "jn2", "shell_sum", "linking_class",

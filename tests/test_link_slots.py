@@ -3,12 +3,12 @@ index-writhe slots are free and which are shell slots, and ``profile``,
 ``LinkProfile.invariant_jn1/2``, ``canonical_form``, ``check_consistency`` and
 ``realize_link`` all read it.
 
-The code below is the earlier form of each of those places, which wrote the
-slot sets, the shell-sum formula and the index-weighted totals out per lambda
-regime; it lives only here, as the reference the shared code is compared
-against on seeded inputs.  It builds with the test-only realization blocks
-of ``conftest`` (``ref_nonself_anchor``, ``ref_transfer_shells``,
-``ref_append_gadget``), never with the private helpers it checks.
+The references (``reference.py``) are the earlier form of each of those
+places, which wrote the slot sets, the shell-sum formula and the
+index-weighted totals out per lambda regime; the shared code is compared
+against them on seeded inputs.  The reference realization builds with the
+reference snail builder and realization blocks, never with the private
+helpers it checks.
 """
 
 import random
@@ -23,196 +23,14 @@ from shellmoves.errors import (
     InconsistentProfile,
     NegativeLambda,
 )
-from shellmoves.invariants import (
-    LAMBDA_LABEL,
-    link_slots,
-    linking_data,
-    profile,
-    self_writhe_tables,
-    shell_sum,
-)
+from shellmoves.invariants import LAMBDA_LABEL, link_slots, profile, shell_sum
 from shellmoves.moves import random_walk
-from shellmoves.normal_form import LinkForm, canonical_form, realize_link
+from shellmoves.normal_form import canonical_form, realize_link
 
-from conftest import (link_from_snails, random_link_with_lambda,
-                      ref_append_gadget, ref_check_support,
-                      ref_nonself_anchor, ref_transfer_shells)
-
-
-# -- the reference: slot rules written out per regime ------------------------------
-
-
-def ref_apply_gadgets(G, circle, delta, flip=False):
-    positive = (delta > 0) != flip
-    for _ in range(abs(delta)):
-        G = ref_append_gadget(G, circle, positive)
-    return G
-
-
-def ref_realize_link(lam, a, b, c, d, target_shell_sum=None):
-    if lam < 0:
-        raise NegativeLambda("realization targets assume lam >= 0")
-    a = {n: v for n, v in a.items() if v}
-    b = {n: v for n, v in b.items() if v}
-    if lam == 0:
-        return ref_realize_lam0(a, b, c, d, target_shell_sum)
-    if lam == 1:
-        return ref_realize_lam1(a, b, c, d, target_shell_sum)
-    return ref_realize_lam_ge2(lam, a, b, c, d, target_shell_sum)
-
-
-def ref_realize_lam0(a, b, c, d, target_shell_sum):
-    ref_check_support("component-1 writhe targets", a, {0})
-    ref_check_support("component-2 writhe targets", b, {0})
-    c = {m: v for m, v in c.items() if v}
-    d = {m: v for m, v in d.items() if v}
-    if sum(c.values()) != sum(d.values()):
-        raise ConstraintViolated(
-            "(a): the two nonself coefficient sums must be equal, got "
-            f"{sum(c.values())} and {sum(d.values())}")
-    total = (sum(n * v for n, v in a.items())
-             + sum(n * v for n, v in b.items())
-             + sum(m * v for m, v in c.items())
-             + sum(m * v for m, v in d.items()))
-    if total != 0:
-        raise ConstraintViolated(
-            f"(b): the index-weighted target total must vanish, got {total}")
-    if target_shell_sum is not None and \
-            target_shell_sum != a.get(1, 0) + b.get(1, 0):
-        raise ConstraintViolated(
-            "shell-sum target conflicts with the slot-1 writhe targets")
-    G = link_from_snails({n: v for n, v in a.items() if n != 1},
-                         {n: v for n, v in b.items() if n != 1}, c, d)
-    t1, _ = self_writhe_tables(G)
-    x = a.get(1, 0) - t1.get(1, 0)
-    if x:
-        G, anchor = ref_nonself_anchor(G)
-        G = ref_transfer_shells(G, anchor, x)
-    return G
-
-
-def ref_realize_lam1(a, b, c, d, target_shell_sum):
-    ref_check_support("component-1 writhe targets", a, {0, -1})
-    ref_check_support("component-2 writhe targets", b, {0, 1})
-    if {m for m, v in c.items() if v} - {0} or \
-            {m for m, v in d.items() if v} - {0}:
-        raise ConstraintViolated("lam = 1 takes single linking numbers")
-    c0 = c.get(0, 0)
-    if 0 in d and d[0] != c0 - 1:
-        raise ConstraintViolated(
-            f"(a): second linking number is forced to {c0 - 1}")
-    if target_shell_sum is not None:
-        raise ConstraintViolated("no shell-sum invariant exists for lam = 1")
-    G = link_from_snails({n: v for n, v in a.items() if n != 1},
-                         {n: v for n, v in b.items() if n != 2},
-                         {0: c0}, {0: c0 - 1})
-    t1, t2 = self_writhe_tables(G)
-    G = ref_apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
-    G = ref_apply_gadgets(G, 1, b.get(2, 0) - t2.get(2, 0), flip=True)
-    return G
-
-
-def ref_realize_lam_ge2(lam, a, b, c, d, target_shell_sum):
-    ref_check_support("component-1 writhe targets", a, {0, -lam})
-    ref_check_support("component-2 writhe targets", b, {0, lam})
-    c = {m: v for m, v in c.items() if v}
-    d = {m: v for m, v in d.items() if v}
-    if (set(c) | set(d)) - set(range(lam)):
-        raise ConstraintViolated(
-            f"nonself coefficients must be keyed 0..{lam - 1}")
-    if sum(c.values()) - sum(d.values()) != lam:
-        raise ConstraintViolated(
-            "(a): nonself coefficient sums must differ by lam, got "
-            f"{sum(c.values())} - {sum(d.values())}")
-    total = (sum(n * v for n, v in a.items())
-             + sum(n * v for n, v in b.items())
-             + sum(m * v for m, v in c.items())
-             - sum(m * v for m, v in d.items()))
-    if total % lam != 0:
-        raise ConstraintViolated(
-            f"(b): index-weighted target total must vanish mod lam, "
-            f"got {total} mod {lam}")
-    four = (a.get(1, 0) + a.get(-lam + 1, 0)
-            + b.get(1, 0) + b.get(lam + 1, 0))
-    if target_shell_sum is not None and target_shell_sum != four:
-        raise ConstraintViolated(
-            "shell-sum target conflicts with the four slot targets")
-    k = total // lam
-    p = -k - a.get(-lam + 1, 0) + b.get(lam + 1, 0)
-    G = link_from_snails(
-        {n: v for n, v in a.items() if n not in (1, -lam + 1)},
-        {n: v for n, v in b.items() if n not in (1, lam + 1)},
-        {p + m: v for m, v in c.items()},
-        {-p - m: v for m, v in d.items()})
-    t1, _ = self_writhe_tables(G)
-    x = (a.get(1, 0) + a.get(-lam + 1, 0)
-         - t1.get(1, 0) - t1.get(-lam + 1, 0))
-    if x:
-        G, anchor = ref_nonself_anchor(G)
-        G = ref_transfer_shells(G, anchor, x)
-    t1, t2 = self_writhe_tables(G)
-    G = ref_apply_gadgets(G, 0, a.get(1, 0) - t1.get(1, 0))
-    G = ref_apply_gadgets(G, 1, b.get(1, 0) - t2.get(1, 0))
-    return G
-
-
-def ref_profile_tables(G):
-    """(jn1, jn2, shell sum) as ``profile`` assembled them."""
-    _, _, lam = linking_data(G)
-    t1, t2 = self_writhe_tables(G)
-    jn1 = {n: v for n, v in t1.items() if n not in (0, -lam)}
-    jn2 = {n: v for n, v in t2.items() if n not in (0, lam)}
-    if abs(lam) == 1:
-        ss = None
-    elif lam == 0:
-        ss = t1.get(1, 0) + t2.get(1, 0)
-    else:
-        ss = (t1.get(1, 0) + t1.get(-lam + 1, 0)
-              + t2.get(1, 0) + t2.get(lam + 1, 0))
-    return jn1, jn2, ss
-
-
-def ref_invariant_jn(pr):
-    banned1 = {0, 1, -pr.lam, -pr.lam + 1}
-    banned2 = {0, 1, pr.lam, pr.lam + 1}
-    return ({n: v for n, v in pr.jn1.items() if n not in banned1},
-            {n: v for n, v in pr.jn2.items() if n not in banned2})
-
-
-def ref_canonical_link_form(pr):
-    lam = pr.lam
-    if lam < 0:
-        raise NegativeLambda(
-            "canonical forms are defined for lam >= 0; swap components first")
-    a, b = ref_invariant_jn(pr)
-    cls = pr.linking_class
-    if lam == 0:
-        return LinkForm(0, a, b, cls.f.coeffs(), cls.g.coeffs(), 0)
-    if lam == 1:
-        return LinkForm(1, a, b, {0: pr.lk12}, {0: pr.lk21}, 0)
-    cvec = cls.f.vector(lam)
-    dvec = tuple(cls.g.vector(lam)[(-m) % lam] for m in range(lam))
-    base = (-sum(n * v for n, v in a.items())
-            - sum(n * v for n, v in b.items())
-            - sum(m * cvec[m] for m in range(lam))
-            + sum(m * dvec[m] for m in range(lam)))
-    if (base - pr.shell_sum) % lam != 0:
-        raise InconsistentProfile(
-            "shell sum is incompatible with the linking class")
-    p = (base - pr.shell_sum) // lam
-    c = {p + m: cvec[m] for m in range(lam)}
-    d = {-p - m: dvec[m] for m in range(lam)}
-    return LinkForm(lam, a, b, c, d, p)
-
-
-def ref_check_consistency(pr):
-    lam = abs(pr.lam)
-    if lam == 1:
-        raise ValueError("consistency relation is undefined for |lambda| = 1")
-    total = (sum(n * v for n, v in pr.jn1.items())
-             + sum(n * v for n, v in pr.jn2.items())
-             + pr.f_prime)
-    return total == 0 if lam == 0 else total % lam == 0
+from conftest import random_link_with_lambda, realize_args
+from reference import (ref_canonical_link_form, ref_check_consistency,
+                       ref_invariant_jn, ref_linking_data, ref_realize_link,
+                       ref_self_writhe_tables, ref_slot_tables)
 
 
 # -- helpers --------------------------------------------------------------------------
@@ -247,15 +65,10 @@ def target(rng, k):
     if k % 5 == 0:
         G = random_walk(G, 4, k, 30)[0]
     pr = profile(G)
-    cls = pr.linking_class
-    a, b = dict(pr.jn1), dict(pr.jn2)
-    if lam <= 0:
-        c, d = cls.f.coeffs(), cls.g.coeffs()
-    elif lam == 1:
-        c, d = {0: pr.lk12}, rng.choice(({}, {0: pr.lk21}))
-    else:
-        c = dict(enumerate(cls.f.vector(lam)))
-        d = {m: cls.g.vector(lam)[(-m) % lam] for m in range(lam)}
+    _, a, b, c, d = realize_args(pr)
+    a, b = dict(a), dict(b)
+    if lam == 1:
+        d = rng.choice(({}, {0: pr.lk21}))
     ss = pr.shell_sum
     spoil = rng.randrange(12)
     slots = list(range(-lam - 2, lam + 4))
@@ -348,7 +161,8 @@ def test_profiles_forms_and_consistency_match_the_per_regime_reference():
         lam = k % 7 - 3
         G = random_link_with_lambda(rng, lam, max_self=6)
         pr = profile(G)
-        jn1, jn2, ss = ref_profile_tables(G)
+        jn1, jn2, ss = ref_slot_tables(ref_linking_data(G)[2],
+                                       *ref_self_writhe_tables(G))
         assert (pr.jn1, pr.jn2, pr.shell_sum) == (jn1, jn2, ss), G
         inv1, inv2 = ref_invariant_jn(pr)
         assert pr.fields() == (

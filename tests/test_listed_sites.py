@@ -16,13 +16,13 @@ seeded sample of 12 per step.
 
 import random
 
-from shellmoves.diagram import INITIAL, TERMINAL, GaussDiagram
+from shellmoves.diagram import GaussDiagram
 from shellmoves.moves import (MOVE_KINDS, R2_DELETE, R2_INSERT, R3, S1,
                               S2_DELETE, apply_listed, apply_move_with_inverse,
                               count_move_sites, find_move_sites)
 
-from conftest import R3_BLOCKS, R3_SIGNS
-from test_move_table import REF_FINDERS, ref_apply, ref_random_walk
+from conftest import R3_BLOCKS, R3_SIGNS, chord_blocks, image
+from reference import REF_FINDERS, ref_apply, ref_random_walk
 
 FINDERS = (R2_DELETE, R3, S1, S2_DELETE)
 R2_INSERT_SAMPLE = 12
@@ -33,18 +33,12 @@ def _start(rng, i):
     other pair of them holds an R3 configuration, which walks seldom reach."""
     signs = dict(R3_SIGNS) if i % 4 >= 2 else {}
     blocks = list(R3_BLOCKS) if signs else []
-    for k in range(rng.randint(1, 12 - len(signs))):
-        signs[f"c{k}"] = rng.choice((1, -1))
-        blocks += [((f"c{k}", INITIAL),), ((f"c{k}", TERMINAL),)]
+    blocks += chord_blocks(rng, signs, rng.randint(1, 12 - len(signs)))
     rng.shuffle(blocks)
     words = [[] for _ in range(1 + i % 2)]
     for block in blocks:
         rng.choice(words).extend(block)
     return GaussDiagram(signs, words)
-
-
-def _image(H):
-    return list(H.signs.items()), H.circles
 
 
 def test_finders_counts_and_unchecked_rewrite_along_fuzz_walks():
@@ -65,8 +59,8 @@ def test_finders_counts_and_unchecked_rewrite_along_fuzz_walks():
                 if kind == R2_INSERT:
                     sites = rng.sample(sites, min(len(sites), R2_INSERT_SAMPLE))
                 for site in sites:
-                    assert (_image(apply_listed(G, site))
-                            == _image(apply_move_with_inverse(G, site)[0])), (
+                    assert (image(apply_listed(G, site))
+                            == image(apply_move_with_inverse(G, site)[0])), (
                         G, site)
             if step is not None:
                 G = ref_apply(G, step)[0]

@@ -31,8 +31,9 @@ from shellmoves.moves import (
     site_to_text,
 )
 
-from conftest import (chord_type, oracle_pool, random_diagram,
-                      ref_detect_shells, ref_encode_snail)
+from conftest import chord_type, image, oracle_pool, random_diagram
+from reference import (ref_detect_shells, ref_encode_snail, ref_random_walk,
+                       ref_slot_tables)
 
 EMPTY = "circles: 1\ncircle 1:"
 FREE = "circles: 1\nchord g +\ncircle 1: g< g>"
@@ -256,12 +257,10 @@ def test_classical_moves_preserve_all_index_slots():
             assert (strip(self_writhe_tables(H)[0])
                     == strip(self_writhe_tables(G)[0]))
         else:
+            # jn1 and jn2: the tables off the free slots {0, -lam}, {0, lam}
             lam = linking_data(G)[2]
-            g1, g2 = self_writhe_tables(G)
-            h1, h2 = self_writhe_tables(H)
-            drop = lambda t, ban: {n: v for n, v in t.items() if n not in ban}
-            assert drop(h1, {0, -lam}) == drop(g1, {0, -lam})
-            assert drop(h2, {0, lam}) == drop(g2, {0, lam})
+            assert (ref_slot_tables(lam, *self_writhe_tables(H))[:2]
+                    == ref_slot_tables(lam, *self_writhe_tables(G))[:2])
 
 
 def test_shell_moves_fix_indices_of_non_shell_chords():
@@ -292,42 +291,6 @@ def test_random_walk_deterministic():
     assert a[1] == b[1]
 
 
-def ref_walk(G, steps, seed, chord_cap):
-    """A walk that draws R1 and R2 insertions by their gaps, as
-    ``random_walk`` does, and every other kind uniformly from the sites
-    :func:`find_move_sites` lists."""
-    rng = random.Random(seed)
-    trace = []
-    for _ in range(steps):
-        kinds = list(MOVE_KINDS)
-        rng.shuffle(kinds)
-        for kind in kinds:
-            if not fits(G, kind, chord_cap):
-                continue
-            gaps = [(c, g) for c, w in enumerate(G.circles)
-                    for g in range(max(len(w), 1))]
-            if kind == "R1_insert":
-                site = MoveSite(kind, (rng.choice(gaps),),
-                                (rng.choice("+-"), "IT"))
-            elif kind == "R2_insert":
-                a, b = rng.choice(gaps), rng.choice(gaps)
-                params = (rng.choice(["par", "anti"]), rng.choice("+-"))
-                if a == b and rng.random() < 0.5:
-                    params += ("tfirst",)
-                site = MoveSite(kind, (a, b), params)
-            else:
-                sites = find_move_sites(G, kind)
-                if not sites:
-                    continue
-                site = rng.choice(sites)
-            G = apply_move(G, site)
-            trace.append(site)
-            break
-        else:
-            raise ValueError("no applicable move")
-    return G, trace
-
-
 def test_random_walk_draws_as_listing_the_sites_would():
     """S2_insert is drawn from its spots without listing its sites; every
     walk takes the steps of a walk that lists them, on 240 (diagram, seed)
@@ -341,10 +304,9 @@ def test_random_walk_draws_as_listing_the_sites_would():
         seed, steps = rng.randrange(10**6), rng.randrange(1, 25)
         cap = len(G) + rng.randrange(1, 7)
         got = random_walk(G, steps, seed, cap)
-        want = ref_walk(G, steps, seed, cap)
+        want = ref_random_walk(G, steps, seed, cap)
         assert got[1] == want[1], (G, seed)
-        assert got[0].circles == want[0].circles
-        assert list(got[0].signs.items()) == list(want[0].signs.items())
+        assert image(got[0]) == image(want[0])
         drawn.update(site.kind for site in got[1])
     assert drawn == set(MOVE_KINDS)
 

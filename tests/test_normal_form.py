@@ -24,7 +24,8 @@ from shellmoves.normal_form import (
     form_code,
 )
 
-from conftest import REFERENCE_LINK_SNAILS, random_diagram, ref_encode_snail
+from conftest import REFERENCE_LINK_SNAILS, random_diagram
+from reference import ref_encode_snail
 
 
 def _tokens(G):

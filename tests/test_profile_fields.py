@@ -1,14 +1,13 @@
 """Profile fields are the one definition of the shell-move invariant:
 ``s_equivalent`` verdicts, profile equality and profile hashing all derive
-from them.  The hand-written field-by-field decision below is the reference
-the field walk is compared against."""
+from them.  The hand-written field-by-field decision ``ref_s_equivalent``
+(``reference.py``) is the reference the field walk is compared against."""
 
 import random
 from collections import Counter
 
 from shellmoves.diagram import GaussDiagram, swap_components
-from shellmoves.equiv import Verdict, s_equivalent
-from shellmoves.errors import ComponentCountMismatch, UnsupportedComponentCount
+from shellmoves.equiv import s_equivalent
 from shellmoves.invariants import linking_data, profile
 from shellmoves.moves import random_walk
 from shellmoves.normal_form import build_link_form
@@ -18,45 +17,7 @@ from conftest import (
     random_diagram,
     random_link_with_lambda,
 )
-
-
-def reference_s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
-    """Field-by-field decision: lambda, then the linking numbers, the two
-    invariant-slot tables (lowest differing slot first), the linking class,
-    and the shell sum for |lambda| >= 2."""
-    if G.mu != H.mu:
-        raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
-    if G.mu == 1:
-        wg, wh = profile(G).writhe, profile(H).writhe
-        if wg != wh:
-            return Verdict(False, f"writhe polynomial mismatch: {wg} vs {wh}")
-        return Verdict(True, "all conditions met")
-    if G.mu != 2:
-        raise UnsupportedComponentCount(
-            f"equivalence is decided for 1 or 2 circles, not {G.mu}")
-    lam, lam_h = linking_data(G)[2], linking_data(H)[2]
-    if lam != lam_h:
-        return Verdict(
-            False, f"virtual linking number mismatch: {lam} vs {lam_h}")
-    pg, ph = profile(G), profile(H)
-    if (pg.lk12, pg.lk21) != (ph.lk12, ph.lk21):
-        return Verdict(
-            False, "linking number mismatch: "
-            f"({pg.lk12}, {pg.lk21}) vs ({ph.lk12}, {ph.lk21})")
-    for which, a, b in (("1", pg.invariant_jn1(), ph.invariant_jn1()),
-                        ("2", pg.invariant_jn2(), ph.invariant_jn2())):
-        for n in sorted(set(a) | set(b)):
-            if a.get(n, 0) != b.get(n, 0):
-                return Verdict(
-                    False, f"component-{which} index writhe mismatch at n={n}:"
-                    f" {a.get(n, 0)} vs {b.get(n, 0)}")
-    if pg.linking_class != ph.linking_class:
-        return Verdict(False, "linking class mismatch: "
-                       f"{pg.linking_class} vs {ph.linking_class}")
-    if abs(pg.lam) >= 2 and pg.shell_sum != ph.shell_sum:
-        return Verdict(False, "shell sum mismatch: "
-                       f"{pg.shell_sum} vs {ph.shell_sum}")
-    return Verdict(True, "all conditions met")
+from reference import ref_s_equivalent
 
 
 def _base(rng: random.Random) -> GaussDiagram:
@@ -97,7 +58,7 @@ def test_field_walk_matches_reference_equality_and_hash():
         H = _partner(rng, G, pool)
         pool.append(G)
         verdict = s_equivalent(G, H)
-        assert verdict == reference_s_equivalent(G, H)
+        assert verdict == ref_s_equivalent(G, H)
         pg, ph = profile(G), profile(H)
         assert (pg == ph) == verdict.equivalent
         if pg == ph:

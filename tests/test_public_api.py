@@ -16,7 +16,8 @@ from shellmoves.diagram import serialize
 
 from conftest import REFERENCE_LINK_SNAILS, link_from_snails
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 PUBLIC = """
 GaussDiagram KnotForm KnotProfile LaurentPoly LinkForm LinkProfile LinkingClass
@@ -79,6 +80,35 @@ def test_no_module_imports_another_modules_private_names():
         if names:
             private[path.name] = names
     assert private == {}
+
+
+def test_tests_share_code_only_through_conftest_and_the_reference():
+    """No test file imports a test module or defines a reference outside
+    ``reference.py`` (the fixtures ``reference_knot``/``reference_link``
+    aside), and ``reference.py`` restates the package's rules: it imports
+    no underscore name and reads no underscore attribute."""
+    borrowed, private = [], []
+    for path in sorted(TESTS.glob("*.py")):
+        own = path.name == "reference.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                private += [a.name for a in node.names
+                            if own and a.name.startswith("_")]
+            borrowed += [f"{path.name} imports {m}" for m in modules
+                         if m.startswith("test_")]
+            if (isinstance(node, ast.FunctionDef) and not own
+                    and node.name.startswith(("ref_", "reference"))
+                    and node.name not in ("reference_knot", "reference_link")):
+                borrowed.append(f"{path.name} defines {node.name}")
+            if (own and isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                private.append(node.attr)
+    assert (borrowed, private) == ([], [])
 
 
 # called only by the benchmark's tracer targets (perfbench/spans.py)

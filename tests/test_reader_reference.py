@@ -1,94 +1,21 @@
-"""The Gauss-code reader against its earlier form, kept here as the
-reference: a reader that rebuilt each endpoint from its token text with
-four checks.  The two give the same diagram, or the same error type and
-message.  The one difference: the earlier reader rejected a chord id with
-"<>#:" at its declaration, and now the checking constructor rejects it
-after any other fault, so where the reference says ``bad chord id`` the
-live reader may name another fault of the same text."""
+"""The Gauss-code reader against its earlier form, ``ref_parse_gauss_code``
+in ``reference.py``: a reader that rebuilt each endpoint from its token
+text with four checks.  The two give the same diagram, or the same error
+type and message.  The one difference: the earlier reader rejected a chord
+id with "<>#:" at its declaration, and now the checking constructor
+rejects it after any other fault, so where the reference says ``bad chord
+id`` the live reader may name another fault of the same text."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shellmoves.diagram import (INITIAL, TERMINAL, Endpoint, GaussDiagram,
-                                parse_gauss_code, serialize)
-from shellmoves.errors import (BadSign, CircleCountMismatch, GaussCodeError,
-                               UnknownChordId)
+from shellmoves.diagram import GaussDiagram, parse_gauss_code, serialize
+from shellmoves.errors import GaussCodeError
 
-from conftest import random_diagram
-from test_input_properties import CODE_PIECES, _texts
-
-
-def ref_parse_gauss_code(text: str) -> GaussDiagram:
-    """The reader as it was: each token split into chord id and kind."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise GaussCodeError("empty Gauss code")
-    head = lines[0].replace(":", " : ").split()
-    if len(head) != 3 or head[0] != "circles" or head[1] != ":":
-        raise GaussCodeError(f"first line must be 'circles: <n>', got {lines[0]!r}")
-    try:
-        mu = int(head[2])
-    except ValueError:
-        raise CircleCountMismatch(f"bad circle count {head[2]!r}") from None
-    if mu < 1:
-        raise CircleCountMismatch("circle count must be positive")
-
-    signs: dict[str, int] = {}
-    words: list[list[Endpoint]] = []
-    for line in lines[1:]:
-        keyword = line.split(None, 1)[0]
-        if keyword == "chord":
-            if words:
-                raise GaussCodeError("chord declarations must precede circles")
-            parts = line.split()
-            if len(parts) != 3:
-                raise GaussCodeError(f"bad chord declaration {line!r}")
-            _, cid, sgn = parts
-            if any(ch in cid for ch in "<>#:"):
-                raise GaussCodeError(f"bad chord id {cid!r}")
-            if sgn == "+":
-                s = 1
-            elif sgn == "-":
-                s = -1
-            else:
-                raise BadSign(f"chord {cid!r}: sign must be + or -, got {sgn!r}")
-            if cid in signs:
-                raise GaussCodeError(f"chord {cid!r} declared twice")
-            signs[cid] = s
-        elif keyword == "circle":
-            headpart, _, body = line.partition(":")
-            parts = headpart.split()
-            if len(parts) != 2:
-                raise GaussCodeError(f"bad circle line {line!r}")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise GaussCodeError(f"bad circle index {parts[1]!r}") from None
-            if idx != len(words) + 1:
-                raise CircleCountMismatch(
-                    f"expected circle {len(words) + 1}, got {idx}")
-            word: list[Endpoint] = []
-            for tok in body.split():
-                kind = tok[-1]
-                if kind not in (INITIAL, TERMINAL) or len(tok) < 2:
-                    raise GaussCodeError(f"bad endpoint token {tok!r}")
-                cid = tok[:-1]
-                if cid not in signs:
-                    raise UnknownChordId(f"token {tok!r} references undeclared chord")
-                word.append((cid, kind))
-            words.append(word)
-        else:
-            raise GaussCodeError(f"unrecognized line {line!r}")
-    if len(words) != mu:
-        raise CircleCountMismatch(
-            f"declared {mu} circles but found {len(words)} circle lines")
-    return GaussDiagram(signs, [tuple(w) for w in words])
+from conftest import CODE_PIECES, random_diagram, texts
+from reference import ref_parse_gauss_code
 
 
 def _outcome(parse, text):
@@ -130,12 +57,12 @@ def _codes(draw):
         st.sampled_from(_TOKENS), max_size=6))) for c in range(1, mu + 1)]
     if draw(st.booleans()):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(
-            _texts(CODE_PIECES + BAD_ID_PIECES))
+            texts(CODE_PIECES + BAD_ID_PIECES))
     return "\n".join(lines)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_texts(CODE_PIECES + BAD_ID_PIECES))
+@given(texts(CODE_PIECES + BAD_ID_PIECES))
 def test_reader_matches_reference_on_random_text(text):
     _assert_reads_as_reference(text)
 

@@ -18,8 +18,8 @@ from shellmoves.moves import (R1_DELETE, R1_INSERT, R2_DELETE, R2_INSERT, R3,
                               S1, S2_DELETE, S2_INSERT, MoveSite,
                               apply_move_with_inverse, find_move_sites)
 
-from test_move_table import _r3_diagrams, _walked_diagrams, ref_adjacent_pairs
-from test_shells import ref_apply_s2_insert
+from conftest import r3_diagrams, walked_diagrams
+from reference import ref_adjacent_pairs, ref_apply_s2_insert
 
 # kind: (anchor count, parameter tuples)
 DELETIONS = {R1_DELETE: (1, [()]), R2_DELETE: (2, [("par",), ("anti",)]),
@@ -31,7 +31,7 @@ def _s2_images():
     """Images of S2 insertions on walked diagrams, each holding the
     S2_delete site that undoes it (built by the reference handler)."""
     return [ref_apply_s2_insert(G, MoveSite(S2_INSERT, ((c, p),)))[0]
-            for G in _walked_diagrams()[::40]
+            for G in walked_diagrams()[::40]
             for c, p, u, v in ref_adjacent_pairs(G) if u[0] != v[0]]
 
 
@@ -70,7 +70,7 @@ def _applied_exactly_when_listed(G, kind, n_anchors, params):
 
 def test_deletions_apply_exactly_when_listed():
     applied = dict.fromkeys(DELETIONS, 0)
-    for G in _walked_diagrams()[::3] + _r3_diagrams()[::6] + _s2_images():
+    for G in walked_diagrams()[::3] + r3_diagrams()[::6] + _s2_images():
         for kind, (n_anchors, params) in DELETIONS.items():
             applied[kind] += _applied_exactly_when_listed(G, kind, n_anchors,
                                                           params)
@@ -78,7 +78,7 @@ def test_deletions_apply_exactly_when_listed():
 
 
 def test_r3_applies_exactly_when_listed():
-    small = [G for G in _r3_diagrams()
+    small = [G for G in r3_diagrams()
              if sum(map(len, G.circles)) <= R3_MAX_ENDPOINTS]
     applied = sum(_applied_exactly_when_listed(G, R3, 3, [()])
                   for G in small[::10])

@@ -21,8 +21,7 @@ from shellmoves.equiv import s_equivalent
 from shellmoves.invariants import profile, writhe_polynomial
 from shellmoves.moves import S1, MoveSite, apply_move, random_walk
 
-from conftest import random_diagram
-from test_iso_key import relabel_and_rotate
+from conftest import random_diagram, relabel_and_rotate
 
 FLIP = {INITIAL: TERMINAL, TERMINAL: INITIAL}
 
@@ -154,3 +153,4 @@ def test_profile_is_an_isomorphism_invariant():
         G = random_diagram(rng, 1 + k % 2, 40)
         H = relabel_and_rotate(rng, G)
         assert _profile_values(G) == _profile_values(H), k
+        assert repr(profile(G)) == repr(profile(H)), k
