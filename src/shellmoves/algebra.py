@@ -225,7 +225,7 @@ def gamma_class(s: int, f: LaurentPoly, g: LaurentPoly) -> LinkingClass:
     twists read g's vector from -r, then -r - j*p, so the least of them is
     the least rotation of that vector cut into blocks of length p.
     """
-    if not (isinstance(s, int) and isinstance(f, LaurentPoly)
+    if not (type(s) is int and isinstance(f, LaurentPoly)
             and isinstance(g, LaurentPoly)):
         raise WrongArgumentType("gamma_class needs an int and two LaurentPolys")
     if s < 0:

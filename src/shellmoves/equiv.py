@@ -99,7 +99,6 @@ _EXPANSION_ORDER = ("R1_delete", "R2_delete", "S2_delete", "S1", "R3",
 # (kind, chord change, changes in positive chords, least counts), in order
 _EXPANSION = tuple((kind, *chord_change(kind), least_counts(kind))
                    for kind in _EXPANSION_ORDER)
-_GAP_COUNTED = ("R1_insert", "R2_insert")  # the circle lengths fix the count
 
 
 def _signature(G: GaussDiagram) -> tuple[int, tuple[int, ...]]:
@@ -108,21 +107,15 @@ def _signature(G: GaussDiagram) -> tuple[int, tuple[int, ...]]:
 
 
 def _plan(G: GaussDiagram, cap: int, size: int, goal_positive: int) -> list:
-    """``(kind, builds, held, count)`` for each kind that fits and can have
-    a site on a node with ``G``'s signature, in expansion order; ``count``
-    is a held kind's site count if the circle lengths fix it, else None."""
+    """``(kind, builds)`` for each kind that fits and can have a site on a
+    node with ``G``'s signature, in expansion order; ``builds`` says whether
+    the kind's moves can give ``size`` chords and ``goal_positive``
+    positive chords."""
     n, positive = len(G), _signature(G)[0]
-    plan = []
-    for kind, change, gains, (chords, plus, minus) in _EXPANSION:
-        if (not fits(G, kind, cap) or n < chords or positive < plus
-                or n - positive < minus):
-            continue
-        builds = n + change == size and goal_positive - positive in gains
-        held = change > 0 and not builds
-        count = (count_move_sites(G, kind)
-                 if held and kind in _GAP_COUNTED else None)
-        plan.append((kind, builds, held, count))
-    return plan
+    return [(kind, n + change == size and goal_positive - positive in gains)
+            for kind, change, gains, (chords, plus, minus) in _EXPANSION
+            if fits(G, kind, cap) and n >= chords and positive >= plus
+            and n - positive >= minus]
 
 
 def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
@@ -140,24 +133,25 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
 
     The frontier is a stream of ``(diagram, trace)`` pairs, so a hit
     returns its parent's trace plus its own site.  A level holds one entry
-    ``(diagram, trace, kind, children)`` per node and kind; every site is
-    counted toward the budget as the entry is made, so BudgetExceeded
-    falls where a search that builds every child would raise it.  A kind
-    whose moves can give the target's chord count and positive-chord count
-    (read by :func:`~shellmoves.moves.chord_change`) builds each child as
-    it is generated, since only such a child can be ``H``, and keys it at
-    once if its positive chords and circle lengths, which isomorphic
-    diagrams share, are ``H``'s.  Any other kind is held: its children
-    are ``(site, None, None, None)``, or ``None`` for an insertion, whose
-    sites are counted (:func:`~shellmoves.moves.count_move_sites`) without
-    being listed.  :func:`_frontier` lists, builds and keys a held or
-    unkeyed child only when the next level asks for it, so whatever lies
-    past a hit, the budget or the last level is never built or keyed.  A node
-    follows its signature's plan (:func:`_plan`), made once per search,
-    which leaves out each kind whose least counts (``moves.least_counts``)
-    the node lacks: such a kind has no site, so budget, frontier and answer
-    are those of listing every kind at every node.  A built child carries
-    its signature into the frontier; children are built unchecked
+    ``(diagram, trace, kind, children)`` per node and kind, and each kind
+    is built or held.  A kind whose moves can give the target's chord
+    count and positive-chord count (read by
+    :func:`~shellmoves.moves.chord_change`) is built: its sites are listed,
+    each child is built as it is generated, since only such a child can be
+    ``H``, and keyed at once if its positive chords and circle lengths,
+    which isomorphic diagrams share, are ``H``'s.  Any other kind is held:
+    its children are ``None``, and its site count
+    (:func:`~shellmoves.moves.count_move_sites`) is charged in one step.
+    No held child can be ``H``, so BudgetExceeded falls where a search that
+    builds every child would raise it.  :func:`_frontier` lists a held
+    kind's sites, and builds and keys a held or unkeyed child, only when the
+    next level reaches it, so whatever lies past a hit, the budget or the
+    last level is never built or keyed.  A node follows its signature's
+    plan (:func:`_plan`), made once per search, which leaves out each kind
+    whose least counts (``moves.least_counts``) the node lacks: such a kind
+    has no site, so budget, frontier and answer are those of listing every
+    kind at every node.  A built child carries its signature into the
+    frontier; children are built unchecked
     (:func:`~shellmoves.moves.apply_listed`) from sites just listed.
     """
     require_diagrams("bfs_witness", G, H)
@@ -190,10 +184,9 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
             plan = plans.get(sig)
             if plan is None:
                 plan = plans[sig] = _plan(diagram, chord_cap, size, goal[0])
-            for kind, builds, held, count in plan:
-                if held:
-                    generated += (count_move_sites(diagram, kind)
-                                  if count is None else count)
+            for kind, builds in plan:
+                if not builds:
+                    generated += count_move_sites(diagram, kind)
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
                     level.append((diagram, trace, kind, None))
@@ -203,14 +196,11 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                     generated += 1
                     if generated > node_budget:
                         raise BudgetExceeded(spent)
-                    child = key = child_sig = None
-                    if builds:
-                        child = apply_move(diagram, site)
-                        child_sig = _signature(child)
-                        if child_sig == goal:
-                            key = canonical_key(child)
-                            if key == target:
-                                return [*trace, site]
+                    child = apply_move(diagram, site)
+                    child_sig = _signature(child)
+                    key = canonical_key(child) if child_sig == goal else None
+                    if key == target:
+                        return [*trace, site]
                     children.append((site, child, key, child_sig))
                 level.append((diagram, trace, kind, children))
         if depth + 1 == max_depth or not level:
@@ -221,15 +211,13 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
 
 def _frontier(seen: set, level: list) -> Iterator[tuple]:
     """The unseen children of ``level`` with their traces and signatures,
-    in generation order, listing a counted kind's sites, building a held
-    child and keying an unkeyed one only when it is reached."""
+    in generation order, listing a held kind's sites, building its children
+    and keying an unkeyed child only when it is reached."""
     for diagram, trace, kind, children in level:
         if children is None:
-            children = [(site, None, None, None)
-                        for site in find_move_sites(diagram, kind)]
+            children = ((site, apply_move(diagram, site), None, None)
+                        for site in find_move_sites(diagram, kind))
         for site, child, key, sig in children:
-            if child is None:
-                child = apply_move(diagram, site)
             if key is None:
                 key = canonical_key(child)
             if key not in seen:

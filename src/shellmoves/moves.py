@@ -572,18 +572,17 @@ def find_move_sites(G: GaussDiagram, kind: str) -> list[MoveSite]:
 
 
 def count_move_sites(G: GaussDiagram, kind: str) -> int:
-    """``len(find_move_sites(G, kind))``; the insertions are counted without
-    listing them.  With g gaps (one per endpoint, one for an empty circle),
-    R1_insert has a sign per gap, 2g sites, and R2_insert a variant and a
-    sign per ordered pair of gaps plus a ``tfirst`` twin per shared gap,
-    4g^2 + 4g sites; S2_insert has one site per spot of its pattern."""
+    """``len(find_move_sites(G, kind))``, the witness search's charge for a
+    kind it holds; no insertion site is built.  With g gaps (one per
+    endpoint, one for an empty circle), R1_insert has a sign per gap, 2g
+    sites, and R2_insert a variant and a sign per ordered pair of gaps plus
+    a ``tfirst`` twin per shared gap, 4g^2 + 4g sites; S2_insert has one
+    site per spot of its pattern (``_s2_insert_spots``)."""
     if kind in (R1_INSERT, R2_INSERT):
         g = _gap_count(G)
         return 2 * g if kind == R1_INSERT else 4 * g * (g + 1)
     if kind == S2_INSERT:
-        # the spots of _s2_insert_spots, counted without listing them
-        return sum(u[0] != v[0] for word in G.circles
-                   for u, v in zip(word, word[1:] + word[:1]))
+        return len(_s2_insert_spots(G))
     return len(find_move_sites(G, kind))
 
 

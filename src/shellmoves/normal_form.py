@@ -125,6 +125,8 @@ def _snail_words(main: str, shells: Mapping[str, list[str]], eps: int, n: int,
     target word.  Each shell reads as :func:`shell_kinds` of the sign of
     the endpoint it surrounds.
     """
+    # shell_layers' nesting, restated: routing each snail shape through it
+    # cost decide p50 +6.4% (0 of 6 A/B pairs won); tests/test_shells.py pins it
     first, last = shell_kinds(-eps if nonself else eps)
     m = abs(n)
     before, after = shells[first][:m], shells[last][:m][::-1]
@@ -390,7 +392,7 @@ def realize_link(lam: int, a: Mapping[int, int], b: Mapping[int, int],
     Snails realize the targets off the shell slots of :func:`link_slots`; a
     shell transfer and gadgets then fill the shell slots.
     """
-    if not (isinstance(lam, int)
+    if not (type(lam) is int
             and all(isinstance(m, Mapping) for m in (a, b, c, d))):
         raise WrongArgumentType("realize_link needs an int and four mappings")
     if lam < 0:

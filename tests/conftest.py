@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shellmoves.algebra import LaurentPoly, gamma_class
 from shellmoves.diagram import (Endpoint, GaussDiagram, INITIAL, TERMINAL,
                                 canonical_key, parse_gauss_code)
+from shellmoves.errors import BudgetExceeded
 from shellmoves.invariants import profile
 from shellmoves.normal_form import LinkForm, build_link_form, realize_link
 
@@ -302,6 +303,32 @@ def pool_pairs():
         for i, A in enumerate(pool):
             for B in pool[i:]:
                 yield A, B
+
+
+def _stops(search, A, B, depth, cap, budget) -> bool:
+    try:
+        search(A, B, depth, cap, budget)
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def least_budget(search, A, B, depth, cap, ceiling=None):
+    """The least node budget on which the witness search ``search`` does
+    not stop on it, found by doubling and bisection; None if ``search``
+    stops on ``ceiling``."""
+    if ceiling is not None and _stops(search, A, B, depth, cap, ceiling):
+        return None
+    lo, hi = 0, 1
+    while _stops(search, A, B, depth, cap, hi):
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _stops(search, A, B, depth, cap, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def relabel_and_rotate(rng: random.Random, G: GaussDiagram) -> GaussDiagram:

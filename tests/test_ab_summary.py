@@ -1,4 +1,5 @@
-"""The A/B runner's summary, on fixed numbers: no process is started."""
+"""The A/B runner's summary and run reading, on fixed numbers and text:
+no process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,26 @@ def test_report_names_each_pair_and_the_import_time():
     assert "head wins 1 of 2, ties 0" in text
     assert "pair  2 (head first): base 0.28  head 0.29" in text
     assert "import_s base 0.0500 head 0.0600" in text
+
+
+def test_a_run_keeps_its_attempted_items_and_passes():
+    stdout = (
+        "unscaled: items_per_s 800.0\n"
+        "workload oracle seed 3: 171 passes of 46 items, 7866 attempted, "
+        "0 failed, 3420 undecided; tail = p78\n"
+        '{"correct": true, "attempted": 7866, "failed": 0, "metrics": '
+        '{"peak_rss_mb": {"value": 31.5, "unit": "MB"}}}\n')
+    assert ab.read_run(stdout) == {"peak_rss_mb": 31.5, "correct": True,
+                                   "attempted": 7866, "passes": 171}
+
+
+def test_report_gives_each_sides_passes_beside_peak_rss():
+    runs = [_run("base", {"peak_rss_mb": 30.0, "passes": 160},
+                 {"peak_rss_mb": 31.0, "passes": 171}),
+            _run("head", {"peak_rss_mb": 30.5, "passes": 165},
+                 {"peak_rss_mb": 30.0, "passes": 150})]
+    text = ab.report(ab.summarize(runs, METRICS), runs)
+    assert ("pair  1 (base first): base 30  head 31   passes base 160 "
+            "head 171") in text
+    assert ("pair  2 (head first): base 30.5  head 30   passes base 165 "
+            "head 150") in text

@@ -54,11 +54,16 @@ def test_every_diagram_reader_rejects_a_string(name, call):
     (lambda: parse_poly(5), "^parse_poly needs a str, not int$"),
     (lambda: realize_link("x", {}, {}, {}, {}),
      "^realize_link needs an int and four mappings$"),
+    (lambda: realize_link(True, {}, {}, {0: 1}, {}),
+     "^realize_link needs an int and four mappings$"),
     (lambda: gamma_class("x", LaurentPoly(), LaurentPoly()),
+     "^gamma_class needs an int and two LaurentPolys$"),
+    (lambda: gamma_class(True, LaurentPoly({0: 1}), LaurentPoly()),
      "^gamma_class needs an int and two LaurentPolys$"),
 ], ids=["canonical-form-str", "canonical-form-diagram", "realize-knot-dict",
         "build-link-form-str", "parse-gauss-code-int", "parse-poly-int",
-        "realize-link-str", "gamma-class-str"])
+        "realize-link-str", "realize-link-bool", "gamma-class-str",
+        "gamma-class-bool"])
 def test_wrong_argument_types_are_typed(call, message):
     with pytest.raises(WrongArgumentType, match=message):
         call()

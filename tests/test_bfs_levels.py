@@ -19,7 +19,7 @@ from shellmoves.moves import (apply_move, find_move_sites, fits, random_walk,
                               site_from_text, site_to_text)
 
 import reference
-from conftest import oracle_pool, pool_pairs
+from conftest import least_budget, oracle_pool, pool_pairs
 from reference import REF_EXPANSION_ORDER, ref_bfs_witness
 
 
@@ -43,6 +43,31 @@ def test_oracle_pool_outcomes_match_reference():
         assert _outcome(bfs_witness, A, B, 6, 8, 9000) == want
         kinds.add(type(want))
     assert kinds == {str, tuple}  # found witnesses and budget cuts
+
+
+def test_the_least_budget_and_one_less_match_reference():
+    """For each pool pair the budget cuts at depth 6 and cap 8, the least
+    budget b* on which the search does not stop, and b* - 1, give the
+    reference's outcomes.  A held kind is charged its site count in one
+    step, so b* - 1 may stop inside it; b* is bisected at depth 1, and at
+    depth 6 where it is at most 2^15: k3 -> k5 and k4 -> k5, found with
+    25,873 candidates."""
+    cut = [(A, B) for A, B in pool_pairs() if isinstance(
+        _outcome(bfs_witness, A, B, 6, 8, 9000), tuple)]
+    assert len(cut) == 20
+    deep = []
+    for A, B in cut:
+        for depth in (1, 6):
+            least = least_budget(bfs_witness, A, B, depth, 8, 2 ** 15)
+            if least is None:
+                continue
+            if depth == 6:
+                deep.append(least)
+            for budget in (least - 1, least):
+                want = _outcome(ref_bfs_witness, A, B, depth, 8, budget)
+                assert _outcome(bfs_witness, A, B, depth, 8, budget) == want, (
+                    A, B, depth, budget)
+    assert deep == [25873, 25873]
 
 
 def _cut_depth(A, B, cap, budget):

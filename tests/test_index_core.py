@@ -26,7 +26,7 @@ from shellmoves.invariants import (
 )
 from shellmoves.moves import R1_DELETE, find_move_sites
 
-from conftest import random_diagram
+from conftest import random_diagram, random_link_with_lambda
 from reference import (ref_endpoint_index, ref_linking_data,
                        ref_sites_r1_delete, ref_table, ref_walk_arc_sum)
 
@@ -90,12 +90,22 @@ def test_tables_match_the_walk():
             for c in range(G.mu)), seed
 
 
+def _two_circle_diagrams():
+    """Every two-circle ``_diagram``, then 200 seeded links of lambda in
+    -3..3, with their seeds."""
+    for seed in range(0, N_DIAGRAMS, 2):
+        yield seed, _diagram(seed)
+    rng = random.Random(45)
+    for k in range(200):
+        # a negative lambda flips the signs of the circle totals
+        yield ("lambda", k), random_link_with_lambda(rng, rng.randint(-3, 3))
+
+
 def test_nonself_indices_match_the_walk_for_every_gamma0():
     """The book's tables, walked on the circle merged along each gamma0,
     give the twist class that profile and linking_class read with none."""
-    tables = 0
-    for seed in range(0, N_DIAGRAMS, 2):
-        G = _diagram(seed)
+    tables = lam_links = 0
+    for seed, G in _two_circle_diagrams():
         where = ref_endpoint_index(G)
         nonself = _nonself(G, where)
         by_type = [[c for c in nonself if where[c][INITIAL][0] == first]
@@ -116,7 +126,8 @@ def test_nonself_indices_match_the_walk_for_every_gamma0():
             assert gamma_class(abs(lam), LaurentPoly(t12),
                                LaurentPoly(t21)) == live, (seed, gamma0)
             tables += 1
-    assert tables > N_DIAGRAMS
+        lam_links += isinstance(seed, tuple) and len(nonself) > 1
+    assert tables > N_DIAGRAMS and lam_links > 50
 
 
 def test_arc_sign_sums_wrap_past_the_basepoint():

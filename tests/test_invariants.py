@@ -157,27 +157,6 @@ def test_linking_class_single_chord_is_linking_pair():
     assert (cls.f, cls.g) == (LaurentPoly({0: 1}), LaurentPoly())
 
 
-def test_linking_class_independent_of_reference_chord():
-    rng = random.Random(45)
-    tried = 0
-    for _ in range(200):
-        # a negative lambda flips the signs of the circle totals
-        G = random_link_with_lambda(rng, rng.randint(-3, 3))
-        nonself = [c for c in G.signs if chord_type(G, c) is not None]
-        if len(nonself) < 2:
-            continue
-        _, _, lam = linking_data(G)
-        classes = set()
-        for gamma0 in nonself:
-            t12, t21 = ref_nonself_writhe_tables(G, gamma0)
-            classes.add(gamma_class(abs(lam), LaurentPoly(t12),
-                                    LaurentPoly(t21)))
-        # profile reads the class with no reference chord
-        assert classes == {profile(G).linking_class} == {linking_class(G)}
-        tried += 1
-    assert tried > 50
-
-
 def test_nonself_polynomials_evaluate_to_linking_numbers():
     rng = random.Random(46)
     for _ in range(200):

@@ -15,7 +15,8 @@ from shellmoves.errors import BudgetExceeded
 from shellmoves.moves import (MOVE_KINDS, count_move_sites, find_move_sites,
                               fits, least_counts, random_walk)
 
-from conftest import CENSUS, census_classes, oracle_pool, pool_pairs
+from conftest import (CENSUS, census_classes, least_budget, oracle_pool,
+                      pool_pairs)
 from reference import ref_bfs_witness
 
 LEAST = {"R1_insert": (0, 0, 0), "R1_delete": (1, 0, 0),
@@ -77,27 +78,37 @@ def test_each_least_count_is_reached(kind):
 
 
 def test_the_search_never_skips_a_kind_with_a_site(monkeypatch):
-    """Every diagram whose sites the search lists on the oracle pool has no
-    site, within the cap, of a kind its signature's plan leaves out."""
+    """Every diagram whose sites the search lists or counts on the oracle
+    pool has no site, within the cap, of a kind its signature's plan leaves
+    out."""
     cap = 8
     plans, checked = {}, {}
     real_plan, real_find = equiv._plan, equiv.find_move_sites
+    real_count = equiv.count_move_sites
 
     def plan(G, *args):
         plans[equiv._signature(G)] = got = real_plan(G, *args)
         return got
 
-    def find(G, kind):
+    def check(G):
         if id(G) not in checked:
             checked[id(G)] = G  # held, so no id is reused
             listed = {entry[0] for entry in plans[equiv._signature(G)]}
             for other in MOVE_KINDS:
                 if other not in listed and fits(G, other, cap):
                     assert real_find(G, other) == [], (G, other)
+
+    def find(G, kind):
+        check(G)
         return real_find(G, kind)
+
+    def count(G, kind):
+        check(G)
+        return real_count(G, kind)
 
     monkeypatch.setattr(equiv, "_plan", plan)
     monkeypatch.setattr(equiv, "find_move_sites", find)
+    monkeypatch.setattr(equiv, "count_move_sites", count)
     for A, B in pool_pairs():
         try:
             bfs_witness(A, B, 6, cap, 9000)
@@ -107,28 +118,6 @@ def test_the_search_never_skips_a_kind_with_a_site(monkeypatch):
                if kind not in {entry[0] for entry in p}}
     assert {"R3", "S2_delete", "R2_delete"} <= skipped
     assert len(plans) > 20 and len(checked) > 500
-
-
-def _least_budget(search, A, B, depth, cap):
-    """The least node budget on which ``search`` does not stop on it."""
-    lo, hi = 0, 1
-    while _stops(search, A, B, depth, cap, hi):
-        lo, hi = hi, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _stops(search, A, B, depth, cap, mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _stops(search, A, B, depth, cap, budget):
-    try:
-        search(A, B, depth, cap, budget)
-    except BudgetExceeded:
-        return True
-    return False
 
 
 LINKS = {
@@ -154,6 +143,6 @@ def test_links_with_an_empty_circle_spend_the_reference_budget(a, b, depth,
     circle lengths, such as (4, 0) and (2, 2), hold different numbers of
     R2_insert sites; the search spends exactly the reference's budget."""
     A, B = parse_gauss_code(LINKS[a]), parse_gauss_code(LINKS[b])
-    want = _least_budget(ref_bfs_witness, A, B, depth, cap)
+    want = least_budget(ref_bfs_witness, A, B, depth, cap)
     assert want > 0
-    assert _least_budget(bfs_witness, A, B, depth, cap) == want
+    assert least_budget(bfs_witness, A, B, depth, cap) == want

@@ -29,7 +29,7 @@ from shellmoves.moves import (
     find_move_sites,
     random_walk,
 )
-from shellmoves.normal_form import build_knot_form
+from shellmoves.normal_form import LinkForm, build_knot_form, build_link_form
 
 from conftest import (image, link_from_snails, random_diagram,
                       random_link_with_lambda, realize_args)
@@ -118,6 +118,38 @@ def test_snail_forms_match_reference():
                 coefficients(rng), coefficients(rng))
         assert same(link_from_snails(*args),
                     ref_link_from_snails(*args)), args
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_every_snail_nests_its_shells_as_shell_layers(eps):
+    """Each self snail that build_knot_form and build_link_form (on either
+    circle) lay out, and each nonself snail of build_link_form (from either
+    circle), with main chord g1 of sign eps and |n| <= 12, reads around its
+    main endpoint, the terminal one of a self snail and the initial one of
+    a nonself snail, as shell_layers nests its shells g1s|n|, ..., g1s1
+    around it, innermost first."""
+    snails = 0
+    for n in range(-12, 13):
+        built = [(build_link_form(LinkForm(eps, {}, {}, {n: eps}, {})),
+                  INITIAL),
+                 (build_link_form(LinkForm(-eps, {}, {}, {}, {n: eps})),
+                  INITIAL)]
+        if n not in (0, 1):
+            built += [(build_knot_form({n: eps}), TERMINAL),
+                      (build_link_form(LinkForm(0, {n: eps}, {}, {}, {})),
+                       TERMINAL),
+                      (build_link_form(LinkForm(0, {}, {n: eps}, {}, {})),
+                       TERMINAL)]
+        for G, kind in built:
+            main, m = ("g1", kind), abs(n)
+            c, p = G.locate(*main)
+            word = G.circles[c]
+            r = (p - m) % len(word)
+            shells = [f"g1s{j}" for j in range(m, 0, -1)]
+            assert [*word[r:], *word[:r]][:2 * m + 1] == shell_layers(
+                main, G.endpoint_sign(main), shells), (n, kind)
+            snails += 1
+    assert snails == 25 * 2 + 23 * 3
 
 
 def split_targets(rng):

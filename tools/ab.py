@@ -14,9 +14,11 @@ with one.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each pair's
 values, both medians, BASE's quartiles and IQR, and how many pairs HEAD
-wins (ties count for neither side).  FILE gets both commit ids with the
-ids of their ``src/`` trees, the raw per-pair numbers and that summary, as
-JSON.  Standard library only.
+wins (ties count for neither side); beside ``peak_rss_mb`` it prints
+each run's number of passes, since peak RSS grows with them.  FILE gets
+both commit ids with the ids of their ``src/`` trees, the raw per-pair
+numbers (with each run's ``attempted`` items and passes) and that summary,
+as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -101,6 +104,9 @@ def report(summary: dict, runs: list[dict]) -> str:
             if name == "setup_s":
                 extra = (f"   import_s base {runs[i]['base']['import_s']:.4f}"
                          f" head {runs[i]['head']['import_s']:.4f}")
+            elif name == "peak_rss_mb":
+                extra = (f"   passes base {runs[i]['base']['passes']}"
+                         f" head {runs[i]['head']['passes']}")
             lines.append(f"  pair {i + 1:2d} ({runs[i]['first']} first): "
                          f"base {b:.6g}  head {h:.6g}{extra}")
     return "\n".join(lines)
@@ -117,20 +123,28 @@ def import_seconds(tree: str) -> float:
     return time.perf_counter() - start
 
 
+def read_run(stdout: str) -> dict:
+    """One ``perfbench/run.py`` run's metrics from its standard output, with
+    its ``correct`` flag, its ``attempted`` item count and its number of
+    passes over the corpus."""
+    last = json.loads(stdout.strip().splitlines()[-1])
+    values = {k: m["value"] for k, m in last["metrics"].items()}
+    values["correct"] = last["correct"]
+    values["attempted"] = last["attempted"]
+    values["passes"] = int(re.search(r"(\d+) passes of ", stdout).group(1))
+    return values
+
+
 def bench(tree: str, args) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its metrics and ``correct``."""
+    """One ``perfbench/run.py --trace 0`` run, as :func:`read_run` reads it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", "0"],
         cwd=tree, capture_output=True, text=True, stdin=subprocess.DEVNULL)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
+    if proc.returncode or not proc.stdout.strip():
         raise RuntimeError(f"perfbench failed in {tree}:\n{proc.stderr}")
-    last = json.loads(lines[-1])
-    values = {k: m["value"] for k, m in last["metrics"].items()}
-    values["correct"] = last["correct"]
-    return values
+    return read_run(proc.stdout)
 
 
 def _terminate(signum, frame):
