@@ -573,4 +573,4 @@ def canonical_key(G: GaussDiagram):
 def isomorphic(G: GaussDiagram, H: GaussDiagram) -> bool:
     """Same diagram up to rotating each circle and renaming chords."""
     require_diagrams("isomorphic", G, H)
-    return G.mu == H.mu and canonical_key(G) == canonical_key(H)
+    return canonical_key(G) == canonical_key(H)

@@ -17,10 +17,11 @@ from .diagram import GaussDiagram, canonical_key, require_diagrams
 from .errors import (
     BudgetExceeded,
     ComponentCountMismatch,
-    UnsupportedComponentCount,
+    WrongArgumentType,
     WrongComponentCount,
 )
-from .invariants import LAMBDA_LABEL, LinkProfile, linking_data, profile
+from .invariants import (LAMBDA_LABEL, KnotProfile, LinkProfile,
+                         linking_data, profile)
 # a child is built unchecked, from a site just listed on its parent, under
 # the name by which the benchmark's tracer and the tests count builds
 from .moves import (MoveSite, apply_listed as apply_move, chord_change,
@@ -62,9 +63,6 @@ def s_equivalent(G: GaussDiagram, H: GaussDiagram) -> Verdict:
     require_diagrams("s_equivalent", G, H)
     if G.mu != H.mu:
         raise ComponentCountMismatch(f"{G.mu} vs {H.mu} circles")
-    if G.mu not in (1, 2):
-        raise UnsupportedComponentCount(
-            f"equivalence is decided for 1 or 2 circles, not {G.mu}")
     if G.mu == 2:
         lam_g, lam_h = linking_data(G)[2], linking_data(H)[2]
         if lam_g != lam_h:
@@ -81,8 +79,11 @@ def check_consistency(pr: LinkProfile) -> bool:
     exactly for lambda = 0, mod lambda otherwise (undefined for |lambda| = 1).
     Public as the paper's consistency relation, a check on a profile built
     by hand; no code in the package calls it."""
-    if not isinstance(pr, LinkProfile):
+    if isinstance(pr, KnotProfile):
         raise WrongComponentCount("consistency needs a 2-circle profile")
+    if not isinstance(pr, LinkProfile):
+        raise WrongArgumentType(
+            f"check_consistency needs a LinkProfile, not {type(pr).__name__}")
     lam = abs(pr.lam)
     if lam == 1:
         raise ValueError("consistency relation is undefined for |lambda| = 1")
@@ -94,11 +95,10 @@ def check_consistency(pr: LinkProfile) -> bool:
 # -- bounded oracle ---------------------------------------------------------------
 
 
-_EXPANSION_ORDER = ("R1_delete", "R2_delete", "S2_delete", "S1", "R3",
-                    "R1_insert", "R2_insert", "S2_insert")
 # (kind, chord change, changes in positive chords, least counts), in order
 _EXPANSION = tuple((kind, *chord_change(kind), least_counts(kind))
-                   for kind in _EXPANSION_ORDER)
+                   for kind in ("R1_delete", "R2_delete", "S2_delete", "S1",
+                                "R3", "R1_insert", "R2_insert", "S2_insert"))
 
 
 def _signature(G: GaussDiagram) -> tuple[int, tuple[int, ...]]:
@@ -178,7 +178,7 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
     frontier: Iterable[tuple] = [(G, (), _signature(G))]
     generated = 0
     plans: dict[tuple[int, tuple[int, ...]], list] = {}
-    for depth in range(max_depth):
+    for _ in range(max_depth):
         level: list[tuple[GaussDiagram, tuple, str, list | None]] = []
         for diagram, trace, sig in frontier:
             plan = plans.get(sig)
@@ -203,8 +203,6 @@ def bfs_witness(G: GaussDiagram, H: GaussDiagram, max_depth: int,
                         return [*trace, site]
                     children.append((site, child, key, child_sig))
                 level.append((diagram, trace, kind, children))
-        if depth + 1 == max_depth or not level:
-            return None
         frontier = _frontier(seen, level)
     return None
 

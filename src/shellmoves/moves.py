@@ -344,10 +344,7 @@ def _fault_s2_delete(G, anchors, params):
     n = len(word)
     if n < 6:
         return "word too short"
-    t = [word[(p + i) % n] for i in range(6)]
-    if len(set(t)) != 6:
-        return "window overlaps itself"
-    u, f, u2, v, e, v2 = t
+    u, f, u2, v, e, v2 = [word[(p + i) % n] for i in range(6)]
     if u[0] != u2[0] or v[0] != v2[0]:
         return "not two shells"
     if not (is_shell_layer(G, u, f, u2) and is_shell_layer(G, v, e, v2)):

@@ -61,6 +61,15 @@ def test_parse_poly_roundtrip(text):
     assert str(parse_poly(text)) == text
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LP().min_exp(), "^zero polynomial has no minimum exponent$"),
+    (lambda: gamma_class(-1, LP(), LP()), "^modulus must be nonnegative$"),
+], ids=["min-exp-of-zero", "gamma-class-negative-modulus"])
+def test_out_of_domain_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_parse_poly_rejects_garbage():
     for bad in ["", "t^", "x + 1", "2**t"]:
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """Typed errors for arguments of the wrong type: every public function that
 takes a diagram names itself in one ``NotADiagram`` message, through
 ``diagram.require_diagrams``, and the profile and polynomial readers, the
-text readers, ``build_link_form``, ``realize_link`` and ``gamma_class`` raise
-``WrongArgumentType``; both are ``ShellmovesError`` subclasses."""
+text readers, ``build_link_form``, ``realize_link``, ``gamma_class`` and
+``check_consistency`` raise ``WrongArgumentType``; both are
+``ShellmovesError`` subclasses."""
 
 import pytest
 
 from shellmoves.algebra import LaurentPoly, gamma_class, parse_poly
 from shellmoves.diagram import (isomorphic, parse_gauss_code, serialize,
                                 surgery, swap_components)
-from shellmoves.equiv import bfs_witness, s_equivalent
+from shellmoves.equiv import bfs_witness, check_consistency, s_equivalent
 from shellmoves.errors import NotADiagram, ShellmovesError, WrongArgumentType
 from shellmoves.invariants import (linking_class, linking_data, profile,
                                    writhe_polynomial)
@@ -60,10 +61,14 @@ def test_every_diagram_reader_rejects_a_string(name, call):
      "^gamma_class needs an int and two LaurentPolys$"),
     (lambda: gamma_class(True, LaurentPoly({0: 1}), LaurentPoly()),
      "^gamma_class needs an int and two LaurentPolys$"),
+    (lambda: check_consistency("x"),
+     "^check_consistency needs a LinkProfile, not str$"),
+    (lambda: check_consistency(5),
+     "^check_consistency needs a LinkProfile, not int$"),
 ], ids=["canonical-form-str", "canonical-form-diagram", "realize-knot-dict",
         "build-link-form-str", "parse-gauss-code-int", "parse-poly-int",
         "realize-link-str", "realize-link-bool", "gamma-class-str",
-        "gamma-class-bool"])
+        "gamma-class-bool", "check-consistency-str", "check-consistency-int"])
 def test_wrong_argument_types_are_typed(call, message):
     with pytest.raises(WrongArgumentType, match=message):
         call()

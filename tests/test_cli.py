@@ -2,13 +2,17 @@
 
 import io
 import json
+import runpy
+import sys
 
 import pytest
 
+from shellmoves import cli
 from shellmoves.cli import main
 from shellmoves.diagram import isomorphic, parse_gauss_code, serialize
 from shellmoves.errors import StaleSite
-from shellmoves.moves import apply_move, site_from_text
+from shellmoves.moves import (MoveSite, apply_move, site_from_text,
+                              site_to_text)
 
 from conftest import (REFERENCE_KNOT_CODE, REFERENCE_LINK_SNAILS,
                       link_from_snails)
@@ -112,7 +116,8 @@ def test_realize_knot_target(files, tmp_path):
 
 
 def test_realize_link_target(files):
-    spec = files("t.txt",
+    # a comment line and a blank line are skipped
+    spec = files("t.txt", "# a link target\n\n"
                  "mu: 2\nlambda: 2\na: 2:2 3:-1\nb: -1:2\nc: 3 1\nd: 2 0\n")
     code, out = run("realize", "--spec", spec)
     assert code == 0
@@ -148,6 +153,9 @@ LINK_SPEC = "mu: 2\nlambda: 2\na: 2:2 3:-1\nb: -1:2\nc: 3 1\nd: 2 0\n"
     # a shell_sum line, once given, must hold an integer
     (LINK_SPEC + "shell_sum:\n", "needs an integer 'shell_sum:' line"),
     (LINK_SPEC + "shell_sum: x\n", "needs an integer 'shell_sum:' line"),
+    ("mu: 2\nlambda: 0\na: 2:x\n", "a: bad pair '2:x'"),
+    ("mu: 2\nlambda: 2\nc: 1 x\nd: 0 0\n", "c: expected integers"),
+    ("mu: 1\nw 0\n", "bad target line 'w 0'"),
 ])
 def test_realize_rejects_misread_spec_fields(files, capsys, spec, message):
     code, out = run("realize", "--spec", files("t.txt", spec))
@@ -170,12 +178,26 @@ def test_fuzz_ok(files):
     assert code == 0 and out.startswith("ok:")
 
 
+def test_fuzz_reports_a_walk_that_changes_the_profile(files, monkeypatch):
+    trace = [MoveSite("R1_insert", ((0, 0),), ("+", "IT")),
+             MoveSite("R1_delete", ((0, 0),))]
+    # a walk whose end has another writhe polynomial than its start
+    monkeypatch.setattr(cli, "random_walk", lambda G, steps, seed, cap: (
+        parse_gauss_code(REFERENCE_KNOT_CODE), trace))
+    code, out = run("fuzz", files("f.gd", FREE), "--steps", "2",
+                    "--seed", "3", "--cap", "8")
+    assert code == 2
+    assert out.splitlines() == ["invariant violation after 2 moves (seed 3)",
+                                *map(site_to_text, trace)]
+
+
 def test_witness_and_replay(files, tmp_path):
     a = files("a.gd", FREE)
     b = files("b.gd", EMPTY)
     code, out = run("witness", a, b, "--depth", "3")
     assert code == 0 and "R1_delete" in out
-    trace = files("t.tr", out)
+    # a comment line and a blank line are skipped
+    trace = files("t.tr", "# found by witness\n\n" + out)
     code, final = run("replay", a, trace)
     assert code == 0
     assert isomorphic(parse_gauss_code(final), parse_gauss_code(EMPTY))
@@ -186,6 +208,8 @@ def test_witness_none(files):
     c = files("c.gd", serialize(ref_encode_snail("self", 1, 2)))
     code, out = run("witness", a, c, "--depth", "1", "--budget", "2000")
     assert code == 1 and "none within bounds" in out
+    # at depth 0 only an isomorphic pair has a witness, the empty trace
+    assert run("witness", a, c, "--depth", "0") == (1, "none within bounds\n")
 
 
 def test_witness_cap_below_start_size_is_a_data_error(files, capsys):
@@ -210,6 +234,12 @@ def test_negative_bounds_are_usage_errors(files, capsys, argv):
     code, out = run(*(paths.get(arg, arg) for arg in argv))
     assert code == 64 and out == ""
     assert "must not be negative" in capsys.readouterr().err
+
+
+def test_a_bound_that_is_not_an_int_is_a_usage_error(files, capsys):
+    a, b = files("a.gd", FREE), files("b.gd", EMPTY)
+    assert run("witness", a, b, "--depth", "x") == (64, "")
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_replay_rejects_bad_trace(files):
@@ -260,6 +290,10 @@ MALFORMED_SITES = (
     "R1_insert @ 1:-1 + IT",
     "R2_insert @ 1:0 1:3 par +",
     "R2_insert @ 1:0 2:0 par +",        # no circle 2
+    "R1_insert @ 1:0 x IT",             # sign must be + or -
+    "R2_insert @ 1:0 1:0 par x",        # sign must be + or -
+    "R2_insert @ 1:0 1:0 x +",          # variant must be par or anti
+    "S2_insert @ 1:0",                  # g< g> are one chord's endpoints
 )
 
 
@@ -360,3 +394,13 @@ def test_console_entry_point():
                        capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0 and "invariants" in r.stdout
+
+
+def test_main_module_runs_in_process(monkeypatch, capsys):
+    # run_module warns of a module already imported under its own name
+    monkeypatch.delitem(sys.modules, "shellmoves.cli")
+    monkeypatch.setattr(sys, "argv", ["shellmoves", "--help"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("shellmoves.cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: shellmoves")

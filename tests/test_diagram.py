@@ -66,6 +66,7 @@ def test_parse_comments_and_blank_lines():
     ("circles: 0\n", CircleCountMismatch),
     ("", GaussCodeError),
     ("circles: 1\nchord g +\nwat\ncircle 1: g< g>", GaussCodeError),
+    ("circles: 1\ncircle 1:\nchord g +", GaussCodeError),
 ])
 def test_parse_rejects_malformed(text, err):
     with pytest.raises(err):

@@ -15,6 +15,7 @@ from shellmoves.errors import (
     ConstraintViolated,
     NegativeLambda,
     NotRealizable,
+    UnsupportedComponentCount,
     WrongComponentCount,
 )
 from shellmoves.invariants import profile, writhe_polynomial
@@ -56,6 +57,13 @@ def test_equiv_component_count_mismatch():
     with pytest.raises(ComponentCountMismatch):
         s_equivalent(parse_gauss_code(EMPTY),
                      parse_gauss_code("circles: 2\ncircle 1:\ncircle 2:"))
+
+
+def test_equiv_covers_1_or_2_circles():
+    G = parse_gauss_code("circles: 3\ncircle 1:\ncircle 2:\ncircle 3:")
+    with pytest.raises(UnsupportedComponentCount,
+                       match="^profiles cover 1 or 2 circles, not 3$"):
+        s_equivalent(G, G)
 
 
 def test_equiv_lambda_mismatch():

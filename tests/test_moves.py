@@ -88,6 +88,8 @@ def test_negative_bounds_are_rejected():
     G, H = parse_gauss_code(FREE), parse_gauss_code(EMPTY)
     with pytest.raises(ValueError, match="steps must not be negative"):
         random_walk(G, -1, 1, 3)
+    with pytest.raises(ValueError, match="^chord_cap below current chord "):
+        random_walk(G, 1, 1, 0)
     with pytest.raises(ValueError, match="max_depth must not be negative"):
         bfs_witness(G, H, -1, 3)
     with pytest.raises(ValueError, match="max_depth must not be negative"):
@@ -168,6 +170,11 @@ def test_apply_rejects_stale_sites():
         apply_move(H, site)
     with pytest.raises(StaleSite):
         apply_move(G, MoveSite("S2_delete", ((0, 0),)))
+    # the II pair of x< y< x> y> with a variant that is neither par nor anti
+    G = parse_gauss_code("circles: 1\nchord x +\nchord y -\n"
+                         "circle 1: x< y< x> y>")
+    with pytest.raises(StaleSite, match="^bad variant 'x'$"):
+        apply_move(G, MoveSite("R2_delete", ((0, 0), (0, 2)), ("x",)))
 
 
 @pytest.mark.parametrize("site", [
@@ -321,6 +328,9 @@ def test_random_walk_respects_cap():
     G = parse_gauss_code(EMPTY)
     H, trace = random_walk(G, 60, seed=8, chord_cap=6)
     assert len(H) <= 6
+    # at cap 0 the empty knot has no move at all
+    with pytest.raises(ValueError, match="^no applicable move$"):
+        random_walk(G, 1, seed=8, chord_cap=0)
 
 
 def test_walks_preserve_profile():
